@@ -10,7 +10,6 @@ responses to verify the achieved decay.
 from .digitize import (
     BiquadCoeffs,
     SosCascade,
-    analog_log_magnitude,
     band_to_biquad,
     digital_magnitude,
     digitization_report,
@@ -35,7 +34,6 @@ from .evaluate import (
     CurveReport,
     ErrorDistribution,
     achieved_t60,
-    magnitude_metrics,
     op_count,
     run_campaign,
     synthetic_smooth_curves,
@@ -59,15 +57,11 @@ from .prototypes import (
     BandKind,
     BandParams,
     band_magnitude,
-    bell_magnitude,
     db_to_linear_amp,
-    high_shelf_magnitude,
-    low_shelf_magnitude,
 )
 from .targets import (
     FrequencyGrid,
     T60Curve,
-    decay_slope,
     interpolate_to_grid,
     load_t60_table,
     target_magnitude,
@@ -104,26 +98,20 @@ __all__ = [
     "T60Curve",
     "achieved_t60",
     "adam_step",
-    "analog_log_magnitude",
     "band_magnitude",
     "band_to_biquad",
-    "bell_magnitude",
     "db_to_linear_amp",
     "decay_measurements_to_csv",
-    "decay_slope",
     "default_delays",
     "default_gains",
     "default_render_duration",
     "digital_magnitude",
     "digitization_report",
     "fit",
-    "high_shelf_magnitude",
     "householder_matrix",
     "interpolate_to_grid",
-    "low_shelf_magnitude",
     "load_t60_table",
     "loss_and_gradient",
-    "magnitude_metrics",
     "op_count",
     "peq_log_magnitude",
     "peq_to_sos",

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import tempfile
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .errors import (
 )
 from .evaluate import (
     DEFAULT_DELAY_DRAW_S,
+    achieved_t60,
     op_count,
     run_campaign,
     synthetic_smooth_curves,
@@ -46,7 +48,7 @@ from .fdn import (
     write_wav,
 )
 from .optimize import FitConfig, fit
-from .peq import FittedPeq, peq_log_magnitude, response_to_t60, scale_to_delay
+from .peq import FittedPeq, scale_to_delay
 from .targets import FrequencyGrid, load_t60_table
 
 __all__ = ["main"]
@@ -73,32 +75,22 @@ def _fail(message: str) -> SystemExit:
     return SystemExit(EXIT_USAGE)
 
 
-def _write_text_atomic(path: str, text: str) -> None:
-    """Write text via a same-directory temp file and an atomic rename."""
+def _write_atomic(path: str, data: str | Callable[[BinaryIO], object]) -> None:
+    """Atomically write text (as UTF-8), or what data(handle) writes, to path.
+
+    The output goes to a same-directory temp file that is renamed into place.
+    """
     path = os.path.abspath(path)
     directory = os.path.dirname(path)
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", text=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            if callable(data):
+                data(handle)
+            else:
+                handle.write(data.encode("utf-8"))
         os.chmod(tmp, 0o644)  # mkstemp creates 0600
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _write_wav_atomic(path: str, ir: np.ndarray, fs: float) -> None:
-    path = os.path.abspath(path)
-    directory = os.path.dirname(path)
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix=".wav")
-    os.close(fd)
-    try:
-        write_wav(tmp, ir, fs)
-        os.chmod(tmp, 0o644)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -174,6 +166,26 @@ def _parse_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _resolve_delays(args, fs: float) -> list[int]:
+    """Delay lengths in samples from --delay-samples, else --lines/--delay-range."""
+    if args.delay_samples is not None:
+        return _parse_delay_list(args.delay_samples)
+    lo, hi = _parse_range(args.delay_range)
+    return list(default_delays(args.lines, lo, hi, fs))
+
+
+def _add_delay_args(parser) -> None:
+    parser.add_argument("--lines", type=int, default=8, help="delay line count")
+    parser.add_argument(
+        "--delay-samples", default=None, help="comma-separated delays in samples"
+    )
+    parser.add_argument(
+        "--delay-range",
+        default=f"{DEFAULT_DELAY_RANGE_S[0]}:{DEFAULT_DELAY_RANGE_S[1]}",
+        help="LO:HI delay range in seconds for generated delays",
+    )
+
+
 def _add_common_fit_args(parser) -> None:
     parser.add_argument("--fs", type=float, default=48000.0, help="sample rate in Hz")
     parser.add_argument("--bands", type=int, default=12, help="PEQ bands (>= 3)")
@@ -203,7 +215,7 @@ def cmd_fit(args) -> int:
 
     fitted, report = fit(curve, m_ref, args.fs, cfg, progress=progress)
 
-    _write_text_atomic(args.out, _json_dumps(fitted.to_dict()))
+    _write_atomic(args.out, _json_dumps(fitted.to_dict()))
     report_path = args.report
     if report_path is None:
         stem, _ = os.path.splitext(args.out)
@@ -214,7 +226,7 @@ def cmd_fit(args) -> int:
     cost = op_count(args.bands)
     report_doc["ops_per_sample"] = cost.ops_per_sample
     report_doc["parameters"] = cost.parameters
-    _write_text_atomic(report_path, _json_dumps(report_doc))
+    _write_atomic(report_path, _json_dumps(report_doc))
     if not args.quiet:
         sys.stderr.write(
             f"fit {curve.name or args.t60}: mse {report.final_mse:.6e} dB^2 "
@@ -226,11 +238,7 @@ def cmd_fit(args) -> int:
 def cmd_export(args) -> int:
     fitted = _load_fitted(args.fit)
     fs = fitted.fs
-    if args.delay_samples is not None:
-        delays = _parse_delay_list(args.delay_samples)
-    else:
-        lo, hi = _parse_range(args.delay_range)
-        delays = list(default_delays(args.lines, lo, hi, fs))
+    delays = _resolve_delays(args, fs)
 
     os.makedirs(args.out_dir, exist_ok=True)
     report_grid = FrequencyGrid.log_spaced(fs, size=512)
@@ -241,11 +249,11 @@ def cmd_export(args) -> int:
         stem = f"line{k:02d}_m{m_k}"
         csv_path = os.path.join(args.out_dir, stem + ".csv")
         json_path = os.path.join(args.out_dir, stem + ".json")
-        _write_text_atomic(csv_path, sos_to_csv(cascade))
+        _write_atomic(csv_path, sos_to_csv(cascade))
         doc = sos_to_dict(cascade)
         doc["delay_samples"] = m_k
-        doc["digitization"] = digitization_report(params, fs, report_grid.freqs)
-        _write_text_atomic(json_path, _json_dumps(doc))
+        doc["digitization"] = digitization_report(params, cascade, report_grid.freqs)
+        _write_atomic(json_path, _json_dumps(doc))
         manifest["lines"].append(
             {
                 "delay_samples": m_k,
@@ -254,7 +262,7 @@ def cmd_export(args) -> int:
                 "json": os.path.basename(json_path),
             }
         )
-    _write_text_atomic(
+    _write_atomic(
         os.path.join(args.out_dir, "manifest.json"), _json_dumps(manifest)
     )
     if not args.quiet:
@@ -268,17 +276,12 @@ def cmd_export(args) -> int:
 def cmd_render(args) -> int:
     fitted = _load_fitted(args.fit)
     fs = fitted.fs
-    if args.delay_samples is not None:
-        delays = _parse_delay_list(args.delay_samples)
-    else:
-        lo, hi = _parse_range(args.delay_range)
-        delays = list(default_delays(args.lines, lo, hi, fs))
+    delays = _resolve_delays(args, fs)
     n_lines = len(delays)
 
     grid = FrequencyGrid.log_spaced(fs, size=512)
-    response_db = peq_log_magnitude(fitted.params, grid.freqs)
     try:
-        t60_profile = response_to_t60(response_db, fitted.m_ref, fs)
+        t60_profile = achieved_t60(fitted.params, fitted.m_ref, fs, grid.freqs)
     except NonDecayingResponseError as exc:
         raise _fail(f"fit does not decay everywhere: {exc}")
 
@@ -302,7 +305,7 @@ def cmd_render(args) -> int:
         duration_s=duration,
     )
     ir = render_ir(cfg)
-    _write_wav_atomic(args.out, ir, fs)
+    _write_atomic(args.out, lambda handle: write_wav(handle, ir, fs))
 
     measurements = []
     try:
@@ -321,7 +324,7 @@ def cmd_render(args) -> int:
     if decay_path is None:
         stem, _ = os.path.splitext(args.out)
         decay_path = stem + ".decay.csv"
-    _write_text_atomic(decay_path, decay_measurements_to_csv(measurements))
+    _write_atomic(decay_path, decay_measurements_to_csv(measurements))
     if not args.quiet:
         for meas in measurements:
             label = "broadband" if meas.band_hz is None else f"{meas.band_hz:.0f} Hz"
@@ -367,8 +370,8 @@ def cmd_campaign(args) -> int:
     cost = op_count(args.bands)
     summary["ops_per_sample"] = cost.ops_per_sample
     summary["parameters"] = cost.parameters
-    _write_text_atomic(os.path.join(args.out_dir, "summary.json"), _json_dumps(summary))
-    _write_text_atomic(
+    _write_atomic(os.path.join(args.out_dir, "summary.json"), _json_dumps(summary))
+    _write_atomic(
         os.path.join(args.out_dir, "histogram.csv"), result.distribution.to_csv()
     )
     if not args.quiet:
@@ -395,7 +398,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fit = sub.add_parser("fit", help="fit a PEQ to a T60 table")
-    p_fit.add_argument("--t60", required=True, help="CSV of frequency_hz,t60_s rows")
+    p_fit.add_argument("--t60", required=True, help="CSV of freq_hz,t60_s rows")
     p_fit.add_argument("--out", required=True, help="fit result JSON path")
     p_fit.add_argument("--report", default=None, help="fit report JSON path")
     delay = p_fit.add_mutually_exclusive_group()
@@ -407,15 +410,7 @@ def build_parser() -> _Parser:
     p_export = sub.add_parser("export", help="emit per-line biquad coefficients")
     p_export.add_argument("--fit", required=True, help="fit result JSON")
     p_export.add_argument("--out-dir", required=True)
-    p_export.add_argument("--lines", type=int, default=8, help="delay line count")
-    p_export.add_argument(
-        "--delay-samples", default=None, help="comma-separated delays in samples"
-    )
-    p_export.add_argument(
-        "--delay-range",
-        default=f"{DEFAULT_DELAY_RANGE_S[0]}:{DEFAULT_DELAY_RANGE_S[1]}",
-        help="LO:HI delay range in seconds for generated delays",
-    )
+    _add_delay_args(p_export)
     p_export.add_argument("--quiet", action="store_true")
     p_export.set_defaults(func=cmd_export)
 
@@ -423,15 +418,7 @@ def build_parser() -> _Parser:
     p_render.add_argument("--fit", required=True, help="fit result JSON")
     p_render.add_argument("--out", required=True, help="output WAV path")
     p_render.add_argument("--decay-csv", default=None, help="decay table path")
-    p_render.add_argument("--lines", type=int, default=8)
-    p_render.add_argument(
-        "--delay-samples", default=None, help="comma-separated delays in samples"
-    )
-    p_render.add_argument(
-        "--delay-range",
-        default=f"{DEFAULT_DELAY_RANGE_S[0]}:{DEFAULT_DELAY_RANGE_S[1]}",
-        help="LO:HI delay range in seconds for generated delays",
-    )
+    _add_delay_args(p_render)
     p_render.add_argument(
         "--duration", type=float, default=None, help="seconds of output"
     )

@@ -21,8 +21,8 @@ import numpy as np
 from scipy import optimize
 
 from .errors import InvalidParameterError
-from .peq import PeqParams
-from .prototypes import BandKind, BandParams, band_magnitude, db_to_linear_amp
+from .peq import PeqParams, peq_log_magnitude
+from .prototypes import BandParams, analog_coeffs, band_magnitude
 
 __all__ = [
     "BiquadCoeffs",
@@ -85,26 +85,9 @@ class SosCascade:
         )
 
 
-def _analog_coeffs(band: BandParams) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized-s prototype polynomials (num, den), highest power first."""
-    a = db_to_linear_amp(band.gain_db)
-    root_a = math.sqrt(a)
-    q = band.q
-    if band.kind is BandKind.BELL:
-        num = np.array([1.0, a / q, 1.0])
-        den = np.array([1.0, 1.0 / (a * q), 1.0])
-    elif band.kind is BandKind.LOW_SHELF:
-        num = a * np.array([1.0, root_a / q, a])
-        den = np.array([a, root_a / q, 1.0])
-    else:
-        num = a * np.array([a, root_a / q, 1.0])
-        den = np.array([1.0, root_a / q, a])
-    return num, den
-
-
 def _bilinear_biquad(band: BandParams, fs: float) -> BiquadCoeffs:
     """Prewarped bilinear transform of one prototype band (fallback design)."""
-    num, den = _analog_coeffs(band)
+    num, den = analog_coeffs(band)
     # s_norm = k * (1 - z^-1) / (1 + z^-1) with k pinning fc on both axes.
     k = 1.0 / math.tan(math.pi * band.fc_hz / fs)
     kk = k * k
@@ -312,13 +295,7 @@ def digital_magnitude(sos: SosCascade, freqs) -> np.ndarray:
         raise InvalidParameterError(
             f"frequencies must lie strictly inside (0, {0.5 * sos.fs}) Hz"
         )
-    zinv = np.exp(-2j * np.pi * freqs / sos.fs)
-    zinv2 = zinv * zinv
-    total = np.zeros_like(freqs)
-    for sec in sos.sections:
-        h = (sec.b0 + sec.b1 * zinv + sec.b2 * zinv2) / (1.0 + sec.a1 * zinv + sec.a2 * zinv2)
-        total += 20.0 * np.log10(np.abs(h))
-    return total
+    return sum(_biquad_mag_db(sec, freqs) for sec in sos.sections)
 
 
 def peq_to_sos(params: PeqParams, fs: float) -> SosCascade:
@@ -353,26 +330,16 @@ def sos_to_dict(sos: SosCascade, bands: PeqParams | None = None) -> dict:
     return doc
 
 
-def analog_log_magnitude(params: PeqParams, freqs) -> np.ndarray:
-    """Composite analog prototype response in dB (digitization reference)."""
-    freqs = np.asarray(freqs, dtype=np.float64)
-    total = np.zeros_like(freqs)
-    for band in params.bands:
-        total += 20.0 * np.log10(band_magnitude(freqs, band))
-    return total
-
-
-def digitization_report(params: PeqParams, fs: float, freqs) -> dict:
-    """Quantify analog-vs-digital deviation of the full cascade.
+def digitization_report(params: PeqParams, sos: SosCascade, freqs) -> dict:
+    """Quantify analog-vs-digital deviation of a cascade digitized from params.
 
     Splits the maximum absolute dB deviation at 0.7x Nyquist: below it the
     bilinear design should be tight, above it the warping loss is reported
     rather than hidden.
     """
     freqs = np.asarray(freqs, dtype=np.float64)
-    sos = peq_to_sos(params, fs)
-    deviation = np.abs(digital_magnitude(sos, freqs) - analog_log_magnitude(params, freqs))
-    split = 0.7 * 0.5 * fs
+    deviation = np.abs(digital_magnitude(sos, freqs) - peq_log_magnitude(params, freqs))
+    split = 0.7 * 0.5 * sos.fs
     below = deviation[freqs <= split]
     above = deviation[freqs > split]
     return {

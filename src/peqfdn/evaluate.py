@@ -1,4 +1,4 @@
-"""Campaign evaluation: T60 error distributions, magnitude metrics, costs.
+"""Campaign evaluation: T60 error distributions and filter costs.
 
 Measures how well fitted attenuation responses reproduce target decay
 curves, filter-versus-target (no FDN render involved): each curve gets one
@@ -9,7 +9,7 @@ cascade and synthetic smooth target curves for self-contained campaigns.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from multiprocessing import Pool
 
 import numpy as np
@@ -26,7 +26,6 @@ __all__ = [
     "CampaignResult",
     "t60_relative_error",
     "achieved_t60",
-    "magnitude_metrics",
     "op_count",
     "synthetic_smooth_curves",
     "run_campaign",
@@ -193,18 +192,6 @@ def achieved_t60(params: PeqParams, m_k: float, fs: float, freqs) -> np.ndarray:
     return response_to_t60(peq_log_magnitude(params, freqs), m_k, fs)
 
 
-def magnitude_metrics(target_db, pred_db) -> tuple[float, float]:
-    """(mean squared error in dB^2, maximum absolute error in dB)."""
-    target = np.asarray(target_db, dtype=np.float64)
-    pred = np.asarray(pred_db, dtype=np.float64)
-    if target.shape != pred.shape:
-        raise InvalidParameterError(
-            f"length mismatch: target {target.shape} vs prediction {pred.shape}"
-        )
-    diff = pred - target
-    return float(np.mean(diff * diff)), float(np.abs(diff).max())
-
-
 def op_count(n_bands: int) -> CostReport:
     """Arithmetic operations per sample per line and trainable parameters."""
     if not isinstance(n_bands, (int, np.integer)) or n_bands < 1:
@@ -293,8 +280,7 @@ def run_campaign(
     jobs = []
     for i, curve in enumerate(curves):
         m_samples = max(1, int(round(delays_s[i] * fs)))
-        child_cfg = replace(cfg, seed=(cfg.seed * 1000003 + 7919 * i) % (2**31))
-        jobs.append((i, curve, m_samples, child_cfg, fs))
+        jobs.append((i, curve, m_samples, cfg, fs))
     if workers == 1:
         outcomes = [_fit_one_curve(job) for job in jobs]
     else:

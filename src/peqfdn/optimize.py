@@ -28,9 +28,6 @@ __all__ = [
     "AdamState",
     "FitConfig",
     "FitReport",
-    "params_to_vector",
-    "vector_to_params",
-    "mse_loss",
     "loss_and_gradient",
     "adam_step",
     "fit",
@@ -116,14 +113,6 @@ def _band_kinds(n_bands: int) -> list[BandKind]:
     return [BandKind.LOW_SHELF] + [BandKind.BELL] * (n_bands - 2) + [BandKind.HIGH_SHELF]
 
 
-def params_to_vector(params: PeqParams) -> np.ndarray:
-    """Flatten to (log fc[0..N), gain dB[0..N), log Q[0..N))."""
-    fc = np.array([band.fc_hz for band in params.bands])
-    gain = np.array([band.gain_db for band in params.bands])
-    q = np.array([band.q for band in params.bands])
-    return np.concatenate([np.log(fc), gain, np.log(q)])
-
-
 def _vector_to_bands(vec: np.ndarray) -> list[BandParams]:
     n = vec.size // 3
     kinds = _band_kinds(n)
@@ -134,28 +123,6 @@ def _vector_to_bands(vec: np.ndarray) -> list[BandParams]:
         BandParams(kind=kinds[i], fc_hz=float(fc[i]), gain_db=float(gain[i]), q=float(q[i]))
         for i in range(n)
     ]
-
-
-def vector_to_params(vec: np.ndarray) -> PeqParams:
-    """Inverse of params_to_vector; the vector's band order must be valid."""
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.ndim != 1 or vec.size % 3 != 0 or vec.size < 9:
-        raise InvalidParameterError(f"parameter vector must have length 3N with N >= 3, got {vec.size}")
-    if np.any(~np.isfinite(vec)):
-        raise InvalidParameterError("parameter vector must be finite")
-    return PeqParams(tuple(_vector_to_bands(vec)))
-
-
-def mse_loss(pred_db, target_db) -> float:
-    """Mean squared difference between two dB response vectors."""
-    pred_db = np.asarray(pred_db, dtype=np.float64)
-    target_db = np.asarray(target_db, dtype=np.float64)
-    if pred_db.shape != target_db.shape or pred_db.size == 0:
-        raise InvalidParameterError(
-            f"responses must have equal nonzero length, got {pred_db.shape} vs {target_db.shape}"
-        )
-    diff = pred_db - target_db
-    return float(np.mean(diff * diff))
 
 
 def _response_and_partials(vec: np.ndarray, freqs: np.ndarray):

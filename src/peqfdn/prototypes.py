@@ -1,8 +1,8 @@
-"""Analog magnitude prototypes for the three second-order PEQ band types.
+"""Analog prototypes for the three second-order PEQ band types.
 
-The bell, low-shelf, and high-shelf responses are evaluated directly from
-their squared-term closed forms in normalized frequency x = f / fc, which is
-what the fitting gradients are derived from.  All math is float64.
+Each band kind is one s-domain coefficient table (analog_coeffs); its
+magnitude (band_magnitude) and its bilinear digitization both read that
+table.  All math is float64.
 """
 
 import math
@@ -17,9 +17,7 @@ __all__ = [
     "BandKind",
     "BandParams",
     "db_to_linear_amp",
-    "bell_magnitude",
-    "low_shelf_magnitude",
-    "high_shelf_magnitude",
+    "analog_coeffs",
     "band_magnitude",
 ]
 
@@ -88,51 +86,35 @@ def _as_input_shape(result: np.ndarray, f):
     return float(result) if np.isscalar(f) or np.ndim(f) == 0 else result
 
 
-def bell_magnitude(f, band: BandParams):
-    """Linear magnitude of a bell band at frequency f (Hz, scalar or array).
+def analog_coeffs(
+    band: BandParams,
+) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+    """Normalized-s prototype polynomials (num, den), highest power first.
 
-    Peaks (or dips) to 10^(G/20) at fc and returns to unity at both spectrum
-    edges.
+    H(s) = (n2 s^2 + n1 s + n0) / (d2 s^2 + d1 s + d0) with s = j f / fc.
+    The bell peaks (or dips) to 10^(G/20) at fc and returns to unity at both
+    spectrum edges; the low shelf is 10^(G/20) at DC and unity far above fc,
+    the high shelf the mirror image.  Both shelves pass through half the dB
+    gain at fc for any Q.  optimize._response_and_partials expands the same
+    forms, because its partials need the intermediate terms.
     """
-    if band.kind is not BandKind.BELL:
-        raise InvalidParameterError(f"expected a bell band, got {band.kind}")
     a = db_to_linear_amp(band.gain_db)
-    xx = _normalized_sq(f, band)
-    edge = (1.0 - xx) ** 2
-    damp = xx / band.q**2
-    mag = np.sqrt((edge + a**2 * damp) / (edge + damp / a**2))
-    return _as_input_shape(mag, f)
-
-
-def low_shelf_magnitude(f, band: BandParams):
-    """Linear magnitude of a low shelf: 10^(G/20) at DC, unity far above fc."""
-    if band.kind is not BandKind.LOW_SHELF:
-        raise InvalidParameterError(f"expected a low-shelf band, got {band.kind}")
-    a = db_to_linear_amp(band.gain_db)
-    xx = _normalized_sq(f, band)
-    damp = a * xx / band.q**2
-    mag = a * np.sqrt(((a - xx) ** 2 + damp) / ((1.0 - a * xx) ** 2 + damp))
-    return _as_input_shape(mag, f)
-
-
-def high_shelf_magnitude(f, band: BandParams):
-    """Linear magnitude of a high shelf: unity at DC, 10^(G/20) far above fc."""
-    if band.kind is not BandKind.HIGH_SHELF:
-        raise InvalidParameterError(f"expected a high-shelf band, got {band.kind}")
-    a = db_to_linear_amp(band.gain_db)
-    xx = _normalized_sq(f, band)
-    damp = a * xx / band.q**2
-    mag = a * np.sqrt(((1.0 - a * xx) ** 2 + damp) / ((a - xx) ** 2 + damp))
-    return _as_input_shape(mag, f)
-
-
-_MAGNITUDE_FNS = {
-    BandKind.BELL: bell_magnitude,
-    BandKind.LOW_SHELF: low_shelf_magnitude,
-    BandKind.HIGH_SHELF: high_shelf_magnitude,
-}
+    root_a = math.sqrt(a)
+    q = band.q
+    if band.kind is BandKind.BELL:
+        return (1.0, a / q, 1.0), (1.0, 1.0 / (a * q), 1.0)
+    if band.kind is BandKind.LOW_SHELF:
+        return (a, a * (root_a / q), a * a), (a, root_a / q, 1.0)
+    return (a * a, a * (root_a / q), a), (1.0, root_a / q, a)
 
 
 def band_magnitude(f, band: BandParams):
-    """Linear magnitude of any band kind at frequency f."""
-    return _MAGNITUDE_FNS[band.kind](f, band)
+    """Linear magnitude of any band kind at frequency f (Hz, scalar or array).
+
+    |H|^2 = ((n0 - n2 X)^2 + n1^2 X) / ((d0 - d2 X)^2 + d1^2 X), X = (f/fc)^2.
+    """
+    (n2, n1, n0), (d2, d1, d0) = analog_coeffs(band)
+    xx = _normalized_sq(f, band)
+    num = (n0 - n2 * xx) ** 2 + n1 * n1 * xx
+    den = (d0 - d2 * xx) ** 2 + d1 * d1 * xx
+    return _as_input_shape(np.sqrt(num / den), f)

@@ -20,7 +20,6 @@ __all__ = [
     "load_t60_table",
     "interpolate_to_grid",
     "target_magnitude",
-    "decay_slope",
 ]
 
 # Nyquist backoff keeps the grid's top point strictly below fs/2 so digital
@@ -164,11 +163,3 @@ def target_magnitude(t60_s, m_k: float, fs: float) -> np.ndarray:
     if np.any(~np.isfinite(t60_s)) or np.any(t60_s <= 0):
         raise InvalidParameterError("T60 values must be finite and > 0")
     return -60.0 * m_k / (t60_s * fs)
-
-
-def decay_slope(t60_s) -> np.ndarray:
-    """Decay slope in dB per second: -60 / T60."""
-    t60_s = np.asarray(t60_s, dtype=np.float64)
-    if np.any(~np.isfinite(t60_s)) or np.any(t60_s <= 0):
-        raise InvalidParameterError("T60 values must be finite and > 0")
-    return -60.0 / t60_s

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from peqfdn import cli
+from peqfdn import BiquadCoeffs, FittedPeq, SosCascade, cli, digitize, scale_to_delay
+from peqfdn.digitize import digitization_report
+from peqfdn.targets import FrequencyGrid
 
 FLAT_TABLE = "freq_hz,t60_s\n" + "".join(
     f"{f:.6g},1.0\n" for f in np.geomspace(20.0, 20000.0, 31)
@@ -133,6 +135,38 @@ def test_export_explicit_delays(flat_csv, tmp_path):
     assert [e["delay_samples"] for e in manifest["lines"]] == [480, 777]
 
 
+def test_export_designs_each_section_once(flat_csv, tmp_path, monkeypatch):
+    fit_path = run_fit(flat_csv, tmp_path)
+    designed = []
+    design = digitize.band_to_biquad
+
+    def counting_design(band, fs):
+        designed.append(band)
+        return design(band, fs)
+
+    monkeypatch.setattr(digitize, "band_to_biquad", counting_design)
+    out_dir = tmp_path / "sos"
+    rc = cli.main(
+        ["export", "--fit", fit_path, "--out-dir", str(out_dir), "--lines", "3",
+         "--quiet"]
+    )
+    assert rc == 0
+    assert len(designed) == 3 * 4
+    fitted = FittedPeq.from_dict(json.loads(open(fit_path).read()))
+    freqs = FrequencyGrid.log_spaced(fitted.fs, size=512).freqs
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    for entry in manifest["lines"]:
+        doc = json.loads((out_dir / entry["json"]).read_text())
+        cascade = SosCascade(
+            tuple(
+                BiquadCoeffs(s["b0"], s["b1"], s["b2"], s["a1"], s["a2"], doc["fs"])
+                for s in doc["sections"]
+            )
+        )
+        params = scale_to_delay(fitted, entry["delay_samples"])
+        assert doc["digitization"] == digitization_report(params, cascade, freqs)
+
+
 def test_export_rejects_bad_inputs(flat_csv, tmp_path, capsys):
     fit_path = run_fit(flat_csv, tmp_path)
     assert cli.main(["export", "--fit", fit_path, "--out-dir", str(tmp_path / "d"),
@@ -159,6 +193,23 @@ def test_render_writes_wav_and_decay_table(flat_csv, tmp_path):
     assert decay[0] == "band_hz,t60_s,residual"
     broadband = float(decay[1].split(",")[1])
     assert 0.8 <= broadband <= 1.2
+
+
+def test_failed_write_leaves_no_file(flat_csv, tmp_path, monkeypatch):
+    fit_path = run_fit(flat_csv, tmp_path)
+    out_dir = tmp_path / "out"
+
+    def failing_write_wav(handle, ir, fs):
+        handle.write(b"RIFF")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_wav", failing_write_wav)
+    rc = cli.main(
+        ["render", "--fit", fit_path, "--out", str(out_dir / "ir.wav"), "--lines", "4",
+         "--duration", "0.5", "--quiet"]
+    )
+    assert rc == 1
+    assert os.listdir(out_dir) == []
 
 
 def test_render_is_byte_reproducible(flat_csv, tmp_path):

@@ -206,7 +206,8 @@ def test_sos_to_dict_shape():
 
 def test_digitization_report_sections_and_bound():
     freqs = np.geomspace(20.0, 0.999 * FS / 2, 400)
-    report = digitization_report(gentle_params(), FS, freqs)
+    params = gentle_params()
+    report = digitization_report(params, peq_to_sos(params, FS), freqs)
     assert report["split_hz"] == pytest.approx(0.7 * FS / 2)
     assert report["max_abs_dev_below_db"] <= 0.5
     assert report["max_abs_dev_above_db"] >= 0.0

@@ -10,7 +10,6 @@ from peqfdn import (
     InvalidParameterError,
     T60Curve,
     achieved_t60,
-    magnitude_metrics,
     op_count,
     run_campaign,
     synthetic_smooth_curves,
@@ -53,14 +52,6 @@ def test_t60_relative_error_sign_and_value():
         t60_relative_error(np.array([1.0, 2.0]), np.array([1.0]))
     with pytest.raises(InvalidParameterError):
         t60_relative_error(np.array([0.0]), np.array([1.0]))
-
-
-def test_magnitude_metrics_identical_and_offset():
-    target = np.array([-6.0, -3.0, -1.5])
-    assert magnitude_metrics(target, target) == (0.0, 0.0)
-    mse, mae = magnitude_metrics(target, target + np.array([0.1, -0.2, 0.0]))
-    assert mse == pytest.approx((0.01 + 0.04) / 3.0)
-    assert mae == pytest.approx(0.2)
 
 
 def test_error_distribution_binning():

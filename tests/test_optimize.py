@@ -6,17 +6,18 @@ import pytest
 from peqfdn import (
     AdamState,
     BandKind,
+    BandParams,
     FitConfig,
     FitDivergenceError,
     InvalidParameterError,
     NumericalFailureError,
+    PeqParams,
     T60Curve,
     adam_step,
     fit,
     loss_and_gradient,
     peq_log_magnitude,
 )
-from peqfdn.optimize import mse_loss, params_to_vector, vector_to_params
 from peqfdn.targets import FrequencyGrid, interpolate_to_grid, target_magnitude
 
 
@@ -40,36 +41,6 @@ def fd_gradient(vec, target_db, grid, h=1e-6):
     return grad
 
 
-def test_vector_roundtrip():
-    rng = np.random.default_rng(7)
-    vec = random_vector(rng, 5)
-    # Keep the bells sorted so the layout check passes.
-    vec[1:4] = np.sort(vec[1:4])
-    params = vector_to_params(vec)
-    assert params.bands[0].kind is BandKind.LOW_SHELF
-    assert params.bands[-1].kind is BandKind.HIGH_SHELF
-    assert np.allclose(params_to_vector(params), vec, atol=1e-12)
-
-
-def test_vector_to_params_validation():
-    with pytest.raises(InvalidParameterError):
-        vector_to_params(np.zeros(8))
-    with pytest.raises(InvalidParameterError):
-        vector_to_params(np.zeros(6))
-    bad = np.zeros(12)
-    bad[0] = np.nan
-    with pytest.raises(InvalidParameterError):
-        vector_to_params(bad)
-
-
-def test_mse_loss_basics():
-    a = np.array([1.0, 2.0, 3.0])
-    assert mse_loss(a, a) == 0.0
-    assert mse_loss(a, a + 2.0) == pytest.approx(4.0)
-    with pytest.raises(InvalidParameterError):
-        mse_loss(a, np.zeros(2))
-
-
 def test_gradient_matches_finite_differences(rng):
     grid = FrequencyGrid.log_spaced(48000.0, size=128)
     target_db = -6.0 * np.ones(grid.size)
@@ -89,8 +60,15 @@ def test_loss_matches_direct_response(rng):
     vec = random_vector(rng, 4)
     vec[1:3] = np.sort(vec[1:3])
     loss, _ = loss_and_gradient(vec, target_db, grid)
-    response = peq_log_magnitude(vector_to_params(vec), grid.freqs)
-    assert loss == pytest.approx(mse_loss(response, target_db), rel=1e-12)
+    kinds = (BandKind.LOW_SHELF, BandKind.BELL, BandKind.BELL, BandKind.HIGH_SHELF)
+    params = PeqParams(
+        tuple(
+            BandParams(kind, float(np.exp(lfc)), float(gain), float(np.exp(lq)))
+            for kind, lfc, gain, lq in zip(kinds, vec[:4], vec[4:8], vec[8:])
+        )
+    )
+    response = peq_log_magnitude(params, grid.freqs)
+    assert loss == pytest.approx(np.mean((response - target_db) ** 2), rel=1e-12)
 
 
 def test_loss_and_gradient_rejects_non_finite_params():

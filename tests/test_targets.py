@@ -7,7 +7,6 @@ from peqfdn import (
     InvalidParameterError,
     ParseError,
     T60Curve,
-    decay_slope,
     interpolate_to_grid,
     load_t60_table,
     target_magnitude,
@@ -118,10 +117,3 @@ def test_target_magnitude_validation():
         target_magnitude(-1.0, 4800.0, 48000.0)
     with pytest.raises(InvalidParameterError):
         target_magnitude(1.0, 4800.0, 0.0)
-
-
-def test_decay_slope_values():
-    assert decay_slope(1.0) == pytest.approx(-60.0)
-    assert decay_slope(np.array([0.5, 2.0])) == pytest.approx([-120.0, -30.0])
-    with pytest.raises(InvalidParameterError):
-        decay_slope(0.0)
