@@ -1,8 +1,8 @@
 """Analog prototypes for the three second-order PEQ band types.
 
 Each band kind is one s-domain coefficient table (analog_coeffs); its
-magnitude (band_magnitude) and its bilinear digitization both read that
-table.  All math is float64.
+magnitude (band_magnitude) and the starting point of its digitization
+(digitize.band_to_biquad) both read that table.  All math is float64.
 """
 
 import math
@@ -73,19 +73,6 @@ def db_to_linear_amp(gain_db: float) -> float:
     return 10.0 ** (gain_db / 40.0)
 
 
-def _normalized_sq(f, band: BandParams):
-    """Return X = (f / fc)^2 as float64, validating f >= 0."""
-    f = np.asarray(f, dtype=np.float64)
-    if np.any(f < 0):
-        raise InvalidParameterError("frequencies must be >= 0")
-    x = f / band.fc_hz
-    return x * x
-
-
-def _as_input_shape(result: np.ndarray, f):
-    return float(result) if np.isscalar(f) or np.ndim(f) == 0 else result
-
-
 def analog_coeffs(
     band: BandParams,
 ) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
@@ -113,8 +100,13 @@ def band_magnitude(f, band: BandParams):
 
     |H|^2 = ((n0 - n2 X)^2 + n1^2 X) / ((d0 - d2 X)^2 + d1^2 X), X = (f/fc)^2.
     """
+    freqs = np.asarray(f, dtype=np.float64)
+    if np.any(freqs < 0):
+        raise InvalidParameterError("frequencies must be >= 0")
     (n2, n1, n0), (d2, d1, d0) = analog_coeffs(band)
-    xx = _normalized_sq(f, band)
+    x = freqs / band.fc_hz
+    xx = x * x
     num = (n0 - n2 * xx) ** 2 + n1 * n1 * xx
     den = (d0 - d2 * xx) ** 2 + d1 * d1 * xx
-    return _as_input_shape(np.sqrt(num / den), f)
+    mag = np.sqrt(num / den)
+    return float(mag) if mag.ndim == 0 else mag

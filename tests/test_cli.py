@@ -16,6 +16,25 @@ FLAT_TABLE = "freq_hz,t60_s\n" + "".join(
 )
 
 
+# The 12-band fit of a synthetic room T60 curve (cosine series in log T60,
+# peak 2.5 s) whose top bell (24.07 kHz) and high shelf (29.2 kHz) sit above
+# the 24 kHz Nyquist frequency, as (kind, fc_hz, gain_db, q).
+ABOVE_NYQUIST_BANDS = (
+    ("low_shelf", 153.8490206877763, -2.3040009328877398, 0.8811023870168554),
+    ("bell", 179.35447273918135, -1.432447890675439, 1.0603565737988063),
+    ("bell", 249.51601572890186, -1.8941330538797276, 0.935598788864347),
+    ("bell", 382.32604638987874, -2.59151444419661, 0.7573095514201983),
+    ("bell", 652.4442844875085, -3.2735877753329485, 0.6029433657303842),
+    ("bell", 1357.4306788203387, -3.3756224494216194, 0.5065640984940336),
+    ("bell", 3277.3412064908225, -3.592196837384921, 0.5035565344158232),
+    ("bell", 6454.409150033876, -4.405223414610386, 0.5473655302947633),
+    ("bell", 10579.582124815326, -5.615783478011608, 0.5881854671613614),
+    ("bell", 16877.046054460447, -6.951431453591983, 0.668441220434438),
+    ("bell", 24070.973026723357, -8.535138229108451, 0.8975525497611629),
+    ("high_shelf", 29232.58655752723, -6.844202763614273, 1.2572164715554615),
+)
+
+
 @pytest.fixture
 def flat_csv(tmp_path):
     path = tmp_path / "flat.csv"
@@ -176,6 +195,51 @@ def test_export_rejects_bad_inputs(flat_csv, tmp_path, capsys):
     assert cli.main(["export", "--fit", str(bad), "--out-dir", str(tmp_path / "d")]) == 1
     assert cli.main(["export", "--fit", str(tmp_path / "none.json"),
                      "--out-dir", str(tmp_path / "d")]) == 1
+
+
+def test_corners_above_nyquist_export_and_render(tmp_path):
+    fit_path = tmp_path / "fit.json"
+    bands = [
+        {"kind": kind, "fc_hz": fc, "gain_db": gain, "q": q}
+        for kind, fc, gain, q in ABOVE_NYQUIST_BANDS
+    ]
+    fit_path.write_text(json.dumps({"fs": 48000.0, "m_ref": 4800, "bands": bands}))
+    out_dir = tmp_path / "sos"
+    rc = cli.main(
+        ["export", "--fit", str(fit_path), "--out-dir", str(out_dir), "--lines", "8",
+         "--quiet"]
+    )
+    assert rc == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert len(manifest["lines"]) == 8
+    for entry in manifest["lines"]:
+        doc = json.loads((out_dir / entry["json"]).read_text())
+        assert doc["digitization"]["max_abs_dev_below_db"] <= 0.5
+    rc = cli.main(
+        ["render", "--fit", str(fit_path), "--out", str(tmp_path / "ir.wav"),
+         "--lines", "8", "--duration", "1.0", "--quiet"]
+    )
+    assert rc == 0
+
+
+def test_export_and_render_refuse_a_cascade_that_does_not_decay(tmp_path, capsys):
+    # Below -0.7 dB from 20 Hz up, so render's analog pre-check passes, but
+    # the low shelf lifts DC to +6 dB at the reference delay.
+    bands = [
+        {"kind": "low_shelf", "fc_hz": 4.0, "gain_db": 6.0, "q": 0.7},
+        {"kind": "bell", "fc_hz": 200.0, "gain_db": -6.0, "q": 0.2},
+        {"kind": "high_shelf", "fc_hz": 8000.0, "gain_db": -6.0, "q": 0.7},
+    ]
+    fit_path = tmp_path / "fit.json"
+    fit_path.write_text(json.dumps({"fs": 48000.0, "m_ref": 4800, "bands": bands}))
+    out_dir = tmp_path / "sos"
+    wav_path = tmp_path / "ir.wav"
+    assert cli.main(["export", "--fit", str(fit_path), "--out-dir", str(out_dir)]) == 2
+    assert "would not decay" in capsys.readouterr().err
+    assert cli.main(["render", "--fit", str(fit_path), "--out", str(wav_path),
+                     "--duration", "0.5"]) == 2
+    assert not out_dir.exists()
+    assert not wav_path.exists()
 
 
 def test_render_writes_wav_and_decay_table(flat_csv, tmp_path):

@@ -9,18 +9,24 @@ from peqfdn import (
     BandKind,
     BandParams,
     BiquadCoeffs,
+    FitConfig,
     InvalidParameterError,
     PeqParams,
     SosCascade,
     band_magnitude,
     band_to_biquad,
+    default_delays,
     digital_magnitude,
     digitization_report,
+    fit,
     peq_to_sos,
+    scale_to_delay,
     sos_to_csv,
     sos_to_dict,
 )
-from peqfdn.digitize import _bilinear_biquad, _biquad_mag_db
+from peqfdn.digitize import _biquad_mag_db
+from peqfdn.fdn import DEFAULT_DELAY_RANGE_S
+from peqfdn.targets import FrequencyGrid
 
 FS = 48000.0
 
@@ -85,22 +91,6 @@ def test_band_to_biquad_rejects_bad_rates():
     band = BandParams(BandKind.BELL, 1000.0, -3.0, 1.0)
     with pytest.raises(InvalidParameterError):
         band_to_biquad(band, 0.0)
-    high = BandParams(BandKind.BELL, 30000.0, -3.0, 1.0)
-    with pytest.raises(InvalidParameterError):
-        band_to_biquad(high, FS)
-
-
-def test_bilinear_design_obeys_the_warp_identity(rng):
-    # A prewarped bilinear digital response equals the analog prototype
-    # evaluated at fc * tan(pi f / fs) / tan(pi fc / fs), exactly.
-    freqs = np.geomspace(10.0, 0.999 * FS / 2, 200)
-    for _ in range(60):
-        band = random_band(rng)
-        coeffs = _bilinear_biquad(band, FS)
-        warped = band.fc_hz * np.tan(np.pi * freqs / FS) / math.tan(math.pi * band.fc_hz / FS)
-        expected = analog_db(band, warped)
-        measured = _biquad_mag_db(coeffs, freqs)
-        assert np.allclose(measured, expected, atol=1e-8)
 
 
 def test_band_to_biquad_matches_analog_at_anchors(rng):
@@ -111,15 +101,26 @@ def test_band_to_biquad_matches_analog_at_anchors(rng):
         got = _biquad_mag_db(coeffs, np.array([band.fc_hz]))[0]
         want = analog_db(band, band.fc_hz)
         assert 10.0 ** (got / 20.0) == pytest.approx(10.0 ** (want / 20.0), rel=1e-6)
-        # DC pins to the analog response at 0 Hz in both designs.
+        # DC and Nyquist pin to the analog response at 0 Hz and fs/2.
         dc = _biquad_mag_db(coeffs, np.array([0.0]))[0]
         ny = _biquad_mag_db(coeffs, np.array([FS / 2]))[0]
         assert dc == pytest.approx(analog_db(band, 0.0), abs=1e-6)
-        # Nyquist pins to the analog response at fs/2 (least-squares design)
-        # or to the analog high-frequency asymptote (bilinear fallback).
-        asymptote = band.gain_db if band.kind is BandKind.HIGH_SHELF else 0.0
-        dev_ny = min(abs(ny - analog_db(band, FS / 2)), abs(ny - asymptote))
-        assert dev_ny < 1e-6
+        assert ny == pytest.approx(analog_db(band, FS / 2), abs=1e-6)
+
+
+def test_corners_above_nyquist_pin_at_seven_tenths_nyquist(rng):
+    # A corner at or above Nyquist has no fc to pin on the unit circle; the
+    # section matches the analog band at DC, 0.7 Nyquist and Nyquist instead.
+    anchors = np.array([0.0, 0.35 * FS, 0.5 * FS])
+    for _ in range(100):
+        band = BandParams(
+            kind=KINDS[int(rng.integers(0, 3))],
+            fc_hz=float(rng.uniform(0.5 * FS, 2.0 * FS)),
+            gain_db=float(rng.uniform(-24.0, 6.0)),
+            q=float(rng.uniform(0.4, 6.0)),
+        )
+        got = _biquad_mag_db(band_to_biquad(band, FS), anchors)
+        assert np.allclose(got, analog_db(band, anchors), atol=1e-6)
 
 
 def test_band_to_biquad_is_always_stable(rng):
@@ -131,11 +132,13 @@ def test_band_to_biquad_is_always_stable(rng):
             band_to_biquad(band, fs)
 
 
-def test_band_to_biquad_tracks_analog_below_cramping_region(rng):
+@pytest.mark.parametrize("seed", range(40))
+def test_band_to_biquad_tracks_analog_below_cramping_region(seed):
     # Bands whose response settles below 0.7 Nyquist digitize to a fraction
     # of a dB there.  Shelves are drawn low enough that their transition,
     # which spans about a decade above fc, completes inside the window;
     # shelves parked against Nyquist are covered by the anchor test above.
+    rng = np.random.default_rng(seed)
     freqs = np.geomspace(20.0, 0.7 * FS / 2, 300)
     for _ in range(100):
         kind = KINDS[int(rng.integers(0, 3))]
@@ -151,6 +154,36 @@ def test_band_to_biquad_tracks_analog_below_cramping_region(rng):
         coeffs = band_to_biquad(band, FS)
         dev = np.abs(_biquad_mag_db(coeffs, freqs) - analog_db(band, freqs))
         assert dev.max() <= 0.6
+
+
+def test_median_fit_sections_track_analog_on_a_dense_grid(median_curve):
+    # The packaged median curve fitted as the CLI does by default, exported
+    # to 64 lines.  The 3000-point check grid, far denser than the design
+    # grid, shows a narrow pole-zero pair that falls between design points.
+    cfg = FitConfig(
+        n_bands=12, iterations=10000, learning_rate=0.1, seed=0,
+        grid=FrequencyGrid.log_spaced(FS, size=512),
+    )
+    fitted, _ = fit(median_curve, 4800.0, FS, cfg)
+    freqs = np.geomspace(20.0, 0.995 * FS / 2, 3000)
+    below = freqs <= 0.7 * FS / 2
+    for m in default_delays(64, *DEFAULT_DELAY_RANGE_S, FS):
+        for band in scale_to_delay(fitted, m).bands:
+            coeffs = band_to_biquad(band, FS)
+            dev = np.abs(_biquad_mag_db(coeffs, freqs) - analog_db(band, freqs))
+            assert dev[below].max() <= 0.5
+            assert dev.max() <= 0.6
+
+
+def test_digital_magnitude_includes_dc_and_nyquist():
+    params = gentle_params()
+    edges = np.array([0.0, FS / 2])
+    want = sum(analog_db(band, edges) for band in params.bands)
+    sos = peq_to_sos(params, FS)
+    assert np.allclose(digital_magnitude(sos, edges), want, atol=1e-6)
+    for outside in (-1.0, FS / 2 + 1.0):
+        with pytest.raises(InvalidParameterError):
+            digital_magnitude(sos, [outside])
 
 
 def test_peq_to_sos_section_per_band():
