@@ -5,7 +5,11 @@ feed per-line biquad cascades and then an orthogonal feedback matrix, and
 measures the achieved frequency-dependent T60 from the rendered audio by
 Schroeder backward integration.  The render is exact: blocks never exceed
 the shortest delay line, so within a block every delay output depends only
-on previously written samples.
+on previously written samples.  Each block, every line's delayed samples are
+filtered in place by scipy's compiled SOS kernel, the loop that
+``scipy.signal.sosfilt`` wraps, so the result is identical to ``sosfilt``
+carrying each line's state from block to block.  A render that blows up
+raises ``InstabilityError`` naming the earliest non-finite sample.
 """
 
 import io
@@ -16,6 +20,9 @@ from math import gcd
 import numpy as np
 from scipy.io import wavfile
 from scipy.signal import butter, sosfilt
+# The compiled loop behind sosfilt: filters x (n_signals, n) in place and
+# updates zi (n_signals, n_sections, 2), all C-contiguous float64.
+from scipy.signal._sosfilt import _sosfilt
 
 from .digitize import SosCascade
 from .errors import InstabilityError, InsufficientDecayError, InvalidParameterError
@@ -147,11 +154,14 @@ class FdnConfig:
         return len(self.delays)
 
 
-def _ring_read(ring: np.ndarray, start: int, count: int) -> np.ndarray:
-    end = start + count
+def _ring_read(ring: np.ndarray, start: int, dest: np.ndarray) -> None:
+    end = start + dest.size
     if end <= ring.size:
-        return ring[start:end].copy()
-    return np.concatenate([ring[start:], ring[: end - ring.size]])
+        dest[:] = ring[start:end]
+    else:
+        split = ring.size - start
+        dest[:split] = ring[start:]
+        dest[split:] = ring[: end - ring.size]
 
 
 def _ring_write(ring: np.ndarray, start: int, values: np.ndarray) -> None:
@@ -168,40 +178,50 @@ def render_ir(cfg: FdnConfig) -> np.ndarray:
     """Impulse response of the FDN: delays -> filters -> feedback matrix.
 
     A unit impulse enters through the input gains; the output taps the
-    filtered delay outputs through the output gains.  Raises
-    InstabilityError naming the first bad sample if the recursion blows up.
+    filtered delay outputs through the output gains.  Each block, every
+    line's delayed samples are filtered in place by scipy's compiled SOS
+    kernel with the line's state carried over, which gives exactly what
+    ``sosfilt`` with ``zi`` gives.  Raises InstabilityError naming the
+    earliest sample at which any line or the output is non-finite, so a
+    render cut just before that sample is all finite.
     """
     n_total = int(round(cfg.duration_s * cfg.fs))
     if n_total < 1:
         raise InvalidParameterError("duration is shorter than one sample")
     n_lines = cfg.n_lines
     rings = [np.zeros(m) for m in cfg.delays]
+    # to_array is C-contiguous float64 with a0 = 1, and SosCascade has
+    # already checked finite, stable sections: all that sosfilt would check
+    # on every call before running the same kernel.
     sos_arrays = [c.to_array() for c in cfg.cascades]
-    states = [np.zeros((arr.shape[0], 2)) for arr in sos_arrays]
+    states = [np.zeros((1, arr.shape[0], 2)) for arr in sos_arrays]
     block = min(cfg.delays)
     out = np.zeros(n_total)
-    filtered = None
+    filtered = rows = None
 
     pos = 0
-    while pos < n_total:
-        count = min(block, n_total - pos)
-        if filtered is None or filtered.shape[1] != count:
-            filtered = np.empty((n_lines, count))
-        for k in range(n_lines):
-            delayed = _ring_read(rings[k], pos % cfg.delays[k], count)
-            filtered[k], states[k] = sosfilt(sos_arrays[k], delayed, zi=states[k])
-        if not np.all(np.isfinite(filtered)):
-            offset = int(np.argwhere(~np.isfinite(filtered))[0][1])
-            raise InstabilityError(
-                f"non-finite sample at index {pos + offset}", sample_index=pos + offset
-            )
-        out[pos : pos + count] = cfg.output_gains @ filtered
-        recirculated = cfg.feedback @ filtered
-        if pos == 0:
-            recirculated[:, 0] += cfg.input_gains
-        for k in range(n_lines):
-            _ring_write(rings[k], pos % cfg.delays[k], recirculated[k])
-        pos += count
+    # Overflow shows up as non-finite samples, which raise below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while pos < n_total:
+            count = min(block, n_total - pos)
+            if filtered is None or filtered.shape[1] != count:
+                filtered = np.empty((n_lines, count))
+                rows = [filtered[k : k + 1] for k in range(n_lines)]
+            for k in range(n_lines):
+                _ring_read(rings[k], pos % cfg.delays[k], filtered[k])
+                _sosfilt(sos_arrays[k], rows[k], states[k])
+            tap = cfg.output_gains @ filtered
+            bad = ~(np.isfinite(filtered).all(axis=0) & np.isfinite(tap))
+            if bad.any():
+                index = pos + int(np.argmax(bad))
+                raise InstabilityError(f"non-finite sample at index {index}", sample_index=index)
+            out[pos : pos + count] = tap
+            recirculated = cfg.feedback @ filtered
+            if pos == 0:
+                recirculated[:, 0] += cfg.input_gains
+            for k in range(n_lines):
+                _ring_write(rings[k], pos % cfg.delays[k], recirculated[k])
+            pos += count
     return out
 
 

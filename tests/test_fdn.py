@@ -1,23 +1,33 @@
 """FDN rendering and Schroeder decay measurement."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.io import wavfile
+from scipy.signal import sosfilt
 
 from peqfdn import (
+    BandKind,
+    BandParams,
     BiquadCoeffs,
     FdnConfig,
+    FittedPeq,
+    InstabilityError,
     InsufficientDecayError,
     InvalidParameterError,
+    PeqParams,
     SosCascade,
     decay_measurements_to_csv,
     default_delays,
     default_gains,
     default_render_duration,
     householder_matrix,
+    peq_to_sos,
     render_ir,
+    scale_to_delay,
     schroeder_t60,
     write_wav,
 )
@@ -29,22 +39,46 @@ def gain_cascade(gain_linear, fs=FS):
     return SosCascade((BiquadCoeffs(gain_linear, 0.0, 0.0, 0.0, 0.0, fs),))
 
 
-def make_config(delays, t60_s=1.0, duration_s=2.0, fs=FS):
-    """FDN whose per-line pure gains realize a frequency-flat decay."""
-    n = len(delays)
-    cascades = tuple(
-        gain_cascade(10.0 ** (-60.0 * m / (t60_s * fs) / 20.0), fs) for m in delays
-    )
-    input_gains, output_gains = default_gains(n)
+def householder_config(delays, cascades, duration_s, fs=FS):
+    input_gains, output_gains = default_gains(len(delays))
     return FdnConfig(
         delays=tuple(delays),
         fs=fs,
-        feedback=householder_matrix(n),
-        cascades=cascades,
+        feedback=householder_matrix(len(delays)),
+        cascades=tuple(cascades),
         input_gains=input_gains,
         output_gains=output_gains,
         duration_s=duration_s,
     )
+
+
+def make_config(delays, t60_s=1.0, duration_s=2.0, fs=FS):
+    """FDN whose per-line pure gains realize a frequency-flat decay."""
+    cascades = [gain_cascade(10.0 ** (-60.0 * m / (t60_s * fs) / 20.0), fs) for m in delays]
+    return householder_config(delays, cascades, duration_s, fs)
+
+
+def reference_render(cfg):
+    """The block renderer with public sosfilt, one call per line per block."""
+    n_total = int(round(cfg.duration_s * cfg.fs))
+    rings = [np.zeros(m) for m in cfg.delays]
+    sos = [c.to_array() for c in cfg.cascades]
+    states = [np.zeros((s.shape[0], 2)) for s in sos]
+    block = min(cfg.delays)
+    out = np.zeros(n_total)
+    for pos in range(0, n_total, block):
+        count = min(block, n_total - pos)
+        filtered = np.empty((cfg.n_lines, count))
+        for k, m in enumerate(cfg.delays):
+            delayed = rings[k][(pos + np.arange(count)) % m]
+            filtered[k], states[k] = sosfilt(sos[k], delayed, zi=states[k])
+        out[pos : pos + count] = cfg.output_gains @ filtered
+        recirculated = cfg.feedback @ filtered
+        if pos == 0:
+            recirculated[:, 0] += cfg.input_gains
+        for k, m in enumerate(cfg.delays):
+            rings[k][(pos + np.arange(count)) % m] = recirculated[k]
+    return out
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 64])
@@ -136,6 +170,78 @@ def test_render_ir_is_linear_in_input_gains():
         duration_s=cfg.duration_s,
     )
     assert np.allclose(render_ir(doubled), 2.0 * render_ir(cfg), atol=1e-12)
+
+
+@pytest.mark.parametrize("n_lines", [1, 3, 16])
+def test_render_ir_matches_public_sosfilt_bit_for_bit(n_lines):
+    fitted = FittedPeq(
+        PeqParams(
+            (
+                BandParams(BandKind.LOW_SHELF, 150.0, -4.0, 0.7),
+                BandParams(BandKind.BELL, 900.0, -2.5, 1.2),
+                BandParams(BandKind.BELL, 5000.0, -6.0, 2.0),
+                BandParams(BandKind.HIGH_SHELF, 9000.0, -9.0, 0.7),
+            )
+        ),
+        m_ref=4800.0,
+        fs=FS,
+    )
+    delays = [331] if n_lines == 1 else default_delays(n_lines, 0.002, 0.012, FS)
+    cascades = [peq_to_sos(scale_to_delay(fitted, m), FS) for m in delays]
+    cfg = householder_config(delays, cascades, duration_s=4999 / FS)
+    block = min(delays)
+    assert 4999 % block != 0  # a partial last block
+    if n_lines > 1:  # reads and writes that wrap around the ring
+        assert any(m % block != 0 for m in delays)
+    ir = render_ir(cfg)
+    assert np.array_equal(ir, reference_render(cfg))
+    assert np.abs(ir).max() > 1e-3
+
+
+def instability_index(cfg):
+    """Where render_ir blows up, checked against renders cut around it."""
+    try:
+        render_ir(cfg)
+    except InstabilityError as exc:
+        index = exc.sample_index
+    else:
+        return None
+    head = render_ir(dataclasses.replace(cfg, duration_s=index / FS))
+    assert head.size == index and np.all(np.isfinite(head))
+    with pytest.raises(InstabilityError) as again:
+        render_ir(dataclasses.replace(cfg, duration_s=(index + 1) / FS))
+    assert again.value.sample_index == index
+    return index
+
+
+def test_instability_names_the_earliest_non_finite_sample():
+    rng = np.random.default_rng(7)
+    indices = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for _ in range(20):
+            delays = rng.choice(np.arange(50, 401), size=4, replace=False)
+            gains = 10.0 ** rng.uniform(-1.0, 30.0, size=4)
+            cfg = householder_config(delays, [gain_cascade(g) for g in gains], 0.1)
+            indices.append(instability_index(cfg))
+    assert sum(index is not None for index in indices) >= 10
+
+
+def test_instability_covers_the_output_tap():
+    # The line holds 1e300 at sample 100, finite, but the output gain
+    # takes the tap past the float range there.
+    cfg = FdnConfig(
+        delays=(100,),
+        fs=FS,
+        feedback=householder_matrix(1),
+        cascades=(gain_cascade(1e300),),
+        input_gains=np.array([1.0]),
+        output_gains=np.array([1e10]),
+        duration_s=150 / FS,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert instability_index(cfg) == 100
 
 
 def test_flat_gain_fdn_reaches_target_t60():
