@@ -1,10 +1,11 @@
 """Command-line front end: fit, export, render, and campaign subcommands.
 
 Exit codes: 0 on success, 1 for bad arguments or unreadable/malformed
-inputs, 2 when the numerics give up (diverging fit, unstable render,
-campaign with too many failed curves).  All output files are written to a
-temporary name in the destination directory and renamed into place, so a
-crash never leaves a half-written artifact behind.
+inputs, 2 when the numerics give up (diverging fit, a fit or cascade that
+would not decay, unstable render, campaign with too many failed curves).
+All output files are written to a temporary name in the destination
+directory and renamed into place, so a crash never leaves a half-written
+artifact behind.
 """
 
 import argparse
@@ -301,10 +302,7 @@ def cmd_render(args) -> int:
     n_lines = len(delays)
 
     grid = FrequencyGrid.log_spaced(fs, size=512)
-    try:
-        t60_profile = achieved_t60(fitted.params, fitted.m_ref, fs, grid.freqs)
-    except NonDecayingResponseError as exc:
-        raise _fail(f"fit does not decay everywhere: {exc}")
+    t60_profile = achieved_t60(fitted.params, fitted.m_ref, fs, grid.freqs)
 
     if args.duration is not None:
         if args.duration <= 0:

@@ -9,7 +9,7 @@ cascade and synthetic smooth target curves for self-contained campaigns.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import Pool
 
 import numpy as np
@@ -242,13 +242,12 @@ def synthetic_smooth_curves(
 
 
 def _fit_one_curve(job) -> tuple[int, str, int, float, np.ndarray | None, str | None]:
-    """Fit one campaign curve; returns errors or the failure reason."""
+    """Fit one campaign curve on cfg.grid; returns errors or the failure reason."""
     index, curve, m_samples, cfg, fs = job
-    grid = cfg.grid if cfg.grid is not None else FrequencyGrid.log_spaced(fs)
     try:
         fitted, report = fit(curve, m_ref=m_samples, fs=fs, cfg=cfg)
-        achieved = achieved_t60(fitted.params, m_samples, fs, grid.freqs)
-        target = interpolate_to_grid(curve, grid)
+        achieved = achieved_t60(fitted.params, m_samples, fs, cfg.grid.freqs)
+        target = interpolate_to_grid(curve, cfg.grid)
         errors = t60_relative_error(target, achieved)
         return index, curve.name, m_samples, report.final_mse, errors, None
     except PeqFdnError as exc:
@@ -275,6 +274,8 @@ def run_campaign(
         raise InvalidParameterError(f"need 0 < lo <= hi for delays, got {delay_range_s}")
     if workers < 1:
         raise InvalidParameterError(f"need at least one worker, got {workers}")
+    if cfg.grid is None:
+        cfg = replace(cfg, grid=FrequencyGrid.log_spaced(fs))
     rng = np.random.default_rng(cfg.seed)
     delays_s = rng.uniform(lo, hi, len(curves))
     jobs = []
@@ -311,11 +312,10 @@ def run_campaign(
         raise CampaignError(
             f"{len(failures)} of {len(curves)} fits failed, campaign not meaningful ({detail})"
         )
-    grid = cfg.grid if cfg.grid is not None else FrequencyGrid.log_spaced(fs)
     distribution = ErrorDistribution.from_errors(np.concatenate(error_blocks))
     return CampaignResult(
         distribution=distribution,
         curve_reports=tuple(reports),
         failures=tuple(failures),
-        grid_size=grid.size,
+        grid_size=cfg.grid.size,
     )

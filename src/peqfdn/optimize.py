@@ -1,16 +1,18 @@
 """Gradient-descent fitting of the PEQ to a target attenuation curve.
 
 The composite dB response and its exact partial derivatives with respect to
-every band parameter are evaluated in closed form (vectorized over bands x
-grid), the parameters live in log domain for fc and Q so they stay positive,
-and a self-contained Adam loop drives the mean-squared-error loss.  A
-central-finite-difference oracle in the test suite is the arbiter of
-gradient correctness.
+every band parameter are one closed-form expression over bands x grid,
+whatever the band kind: each band's coefficients are powers of A read from
+prototypes.COEFF_EXPONENTS.  The parameters live in log domain for fc and Q
+so they stay positive, and a self-contained Adam loop drives the
+mean-squared-error loss.  A central-finite-difference oracle in the test
+suite is the arbiter of gradient correctness.
 """
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -21,7 +23,7 @@ from .errors import (
     NumericalFailureError,
 )
 from .peq import FittedPeq, PeqParams
-from .prototypes import BandKind, BandParams
+from .prototypes import COEFF_EXPONENTS, BandKind, BandParams
 from .targets import FrequencyGrid, T60Curve, interpolate_to_grid, target_magnitude
 
 __all__ = [
@@ -35,7 +37,6 @@ __all__ = [
 
 # 20*log10|H| = _DB_PER_LN * ln(|H|^2)
 _DB_PER_LN = 10.0 / math.log(10.0)
-_LN10 = math.log(10.0)
 
 # Initialization constants: shelf corner placement and the shared starting Q.
 INIT_SHELF_LO_HZ = 80.0
@@ -125,73 +126,57 @@ def _vector_to_bands(vec: np.ndarray) -> list[BandParams]:
     ]
 
 
+@lru_cache(maxsize=16)
+def _layout_exponents(n_bands: int) -> np.ndarray:
+    """COEFF_EXPONENTS of the band layout, (c2, c1, c0) x (num, den) x N x 1."""
+    table = np.array([COEFF_EXPONENTS[kind] for kind in _band_kinds(n_bands)])
+    # C order keeps every (2, N, P) array of the kernel C-contiguous.
+    alpha = np.ascontiguousarray(table.T[..., None])
+    alpha.setflags(write=False)
+    return alpha
+
+
 def _response_and_partials(vec: np.ndarray, freqs: np.ndarray):
     """Composite dB response and its partials for every band parameter.
 
     Returns (response (P,), d_lfc (N,P), d_gain (N,P), d_lq (N,P)) where the
     partial rows are derivatives of the composite response with respect to
-    band i's log fc, dB gain, and log Q.  Derivation: write each band's
-    contribution as k*ln(U/V) with U, V the squared-magnitude numerator and
-    denominator in X = (f/fc)^2, then differentiate through A = 10^(G/40),
-    X(log fc), and the damping term's 1/Q^2.
+    band i's log fc, dB gain, and log Q.  Each band contributes
+    k ln(U/V), k = 10/ln 10, where U = (c0 - c2 X)^2 + c1^2 X in X = (f/fc)^2
+    and V is the same in the denominator coefficients.  With c = A^alpha
+    (c1 also over Q) and P = c0 - c2 X, U's partials are
+    2P(alpha0 c0 - alpha2 c2 X) + 2 alpha1 c1^2 X in ln A, c1^2 X - 2P c2 X
+    in ln X, and -2 c1^2 X in ln Q; ln A = G ln10/40 and ln X = 2 ln f - 2 ln fc.
     """
     n = vec.size // 3
+    alpha2, alpha1, alpha0 = _layout_exponents(n)
     fc = np.exp(vec[:n])[:, None]
-    gain = vec[n : 2 * n][:, None]
+    a = 10.0 ** (vec[n : 2 * n, None] / 40.0)
     q = np.exp(vec[2 * n :])[:, None]
-    a = 10.0 ** (gain / 40.0)
+    c2 = a**alpha2
+    c1 = a**alpha1 / q
+    c0 = a**alpha0
 
-    x = freqs[None, :] / fc
-    xx = x * x
-    c = xx / (q * q)
+    # X is (N, P); the arrays after it are (2, N, P): numerator, denominator.
+    x = (freqs[None, :] / fc) ** 2
+    c2x = c2 * x
+    p = c0 - c2x
+    s = (c1 * c1) * x
+    u = p * p + s
+    inv_u = 1.0 / u
+    pc2x = p * c2x
+    # Half the ln A partial, the ln X partial and minus half the ln Q
+    # partial, each over U.
+    dla = ((alpha0 * c0) * p - alpha2 * pc2x + alpha1 * s) * inv_u
+    dlx = (s - 2.0 * pc2x) * inv_u
+    s_u = s * inv_u
 
-    resp_rows = np.empty((n, freqs.size))
-    d_lfc = np.empty_like(resp_rows)
-    d_gain = np.empty_like(resp_rows)
-    d_lq = np.empty_like(resp_rows)
-
-    # Bells: U = (1-X)^2 + A^2 C, V = (1-X)^2 + C/A^2.
-    sl = slice(1, n - 1)
-    edge = (1.0 - xx[sl]) ** 2
-    boost = (a[sl] * a[sl]) * c[sl]
-    cut = c[sl] / (a[sl] * a[sl])
-    u = edge + boost
-    v = edge + cut
-    bu = boost / u
-    cv = cut / v
-    resp_rows[sl] = _DB_PER_LN * (np.log(u) - np.log(v))
-    d_gain[sl] = 0.5 * (bu + cv)
-    d_lq[sl] = 2.0 * _DB_PER_LN * (cv - bu)
-    ramp = 4.0 * xx[sl] * (1.0 - xx[sl])
-    d_lfc[sl] = _DB_PER_LN * ((ramp - 2.0 * boost) / u - (ramp - 2.0 * cut) / v)
-
-    # Shelves: U = (A-X)^2 + A C vs V = (1-A X)^2 + A C, swapped for the
-    # high shelf, plus the A^2 prefactor worth G/2 dB.
-    for row, high in ((0, False), (n - 1, True)):
-        ai = a[row]
-        xi = xx[row]
-        si = ai * c[row]
-        lo_term = (ai - xi) ** 2
-        hi_term = (1.0 - ai * xi) ** 2
-        u = (hi_term if high else lo_term) + si
-        v = (lo_term if high else hi_term) + si
-        resp_rows[row] = 0.5 * gain[row] + _DB_PER_LN * (np.log(u) - np.log(v))
-        # dU/dA terms (before the A*ln10/40 chain, folded into the 1/4):
-        lo_da = 2.0 * ai * (ai - xi) + si
-        hi_da = -2.0 * ai * xi * (1.0 - ai * xi) + si
-        if high:
-            d_gain[row] = 0.5 + 0.25 * (hi_da / u - lo_da / v)
-        else:
-            d_gain[row] = 0.5 + 0.25 * (lo_da / u - hi_da / v)
-        lo_dx = 4.0 * xi * (ai - xi) - 2.0 * si
-        hi_dx = 4.0 * ai * xi * (1.0 - ai * xi) - 2.0 * si
-        if high:
-            d_lfc[row] = _DB_PER_LN * (hi_dx / u - lo_dx / v)
-        else:
-            d_lfc[row] = _DB_PER_LN * (lo_dx / u - hi_dx / v)
-        d_lq[row] = -2.0 * si * _DB_PER_LN * (1.0 / u - 1.0 / v)
-
-    return resp_rows.sum(axis=0), d_lfc, d_gain, d_lq
+    # k ln10/40 = 1/4, and the 2 of the ln A partial makes it 1/2.
+    d_gain = 0.5 * (dla[0] - dla[1])
+    d_lfc = -2.0 * _DB_PER_LN * (dlx[0] - dlx[1])
+    d_lq = -2.0 * _DB_PER_LN * (s_u[0] - s_u[1])
+    response = _DB_PER_LN * np.log(u[0] / u[1]).sum(axis=0)
+    return response, d_lfc, d_gain, d_lq
 
 
 def _first_bad_index(*stacks: np.ndarray) -> int:
@@ -313,10 +298,6 @@ def fit(
             raise FitDivergenceError(
                 f"fit diverged at iteration {iteration}: {exc}", iteration=iteration
             ) from exc
-        if not math.isfinite(loss):
-            raise FitDivergenceError(
-                f"fit diverged at iteration {iteration}: loss is non-finite", iteration=iteration
-            )
         trace[iteration] = loss
         if loss < best_loss:
             best_loss = loss

@@ -1,8 +1,11 @@
 """Analog prototypes for the three second-order PEQ band types.
 
-Each band kind is one s-domain coefficient table (analog_coeffs); its
-magnitude (band_magnitude) and the starting point of its digitization
-(digitize.band_to_biquad) both read that table.  All math is float64.
+One table (COEFF_EXPONENTS) defines every band kind: each s-domain
+coefficient is a power of A = 10^(G/40), the s^1 ones also divided by Q.
+analog_coeffs builds a band's polynomials from it; the band magnitude
+(band_magnitude), the fit's response and partials (optimize) and the
+starting point of digitization (digitize.band_to_biquad) all read it.
+All math is float64.
 """
 
 import math
@@ -16,6 +19,7 @@ from .errors import InvalidParameterError
 __all__ = [
     "BandKind",
     "BandParams",
+    "COEFF_EXPONENTS",
     "db_to_linear_amp",
     "analog_coeffs",
     "band_magnitude",
@@ -73,6 +77,16 @@ def db_to_linear_amp(gain_db: float) -> float:
     return 10.0 ** (gain_db / 40.0)
 
 
+# Exponent of A in each coefficient, ((n2, n1, n0), (d2, d1, d0)) for
+# H(s) = (n2 s^2 + n1 s + n0) / (d2 s^2 + d1 s + d0); n1 and d1 are also
+# divided by Q.
+COEFF_EXPONENTS = {
+    BandKind.LOW_SHELF: ((1.0, 1.5, 2.0), (1.0, 0.5, 0.0)),
+    BandKind.BELL: ((0.0, 1.0, 0.0), (0.0, -1.0, 0.0)),
+    BandKind.HIGH_SHELF: ((2.0, 1.5, 1.0), (0.0, 0.5, 1.0)),
+}
+
+
 def analog_coeffs(
     band: BandParams,
 ) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
@@ -82,17 +96,13 @@ def analog_coeffs(
     The bell peaks (or dips) to 10^(G/20) at fc and returns to unity at both
     spectrum edges; the low shelf is 10^(G/20) at DC and unity far above fc,
     the high shelf the mirror image.  Both shelves pass through half the dB
-    gain at fc for any Q.  optimize._response_and_partials expands the same
-    forms, because its partials need the intermediate terms.
+    gain at fc for any Q.
     """
     a = db_to_linear_amp(band.gain_db)
-    root_a = math.sqrt(a)
-    q = band.q
-    if band.kind is BandKind.BELL:
-        return (1.0, a / q, 1.0), (1.0, 1.0 / (a * q), 1.0)
-    if band.kind is BandKind.LOW_SHELF:
-        return (a, a * (root_a / q), a * a), (a, root_a / q, 1.0)
-    return (a * a, a * (root_a / q), a), (1.0, root_a / q, a)
+    num, den = (
+        (a**e2, a**e1 / band.q, a**e0) for e2, e1, e0 in COEFF_EXPONENTS[band.kind]
+    )
+    return num, den
 
 
 def band_magnitude(f, band: BandParams):

@@ -222,14 +222,26 @@ def test_corners_above_nyquist_export_and_render(tmp_path):
     assert rc == 0
 
 
-def test_export_and_render_refuse_a_cascade_that_does_not_decay(tmp_path, capsys):
-    # Below -0.7 dB from 20 Hz up, so render's analog pre-check passes, but
-    # the low shelf lifts DC to +6 dB at the reference delay.
-    bands = [
-        {"kind": "low_shelf", "fc_hz": 4.0, "gain_db": 6.0, "q": 0.7},
-        {"kind": "bell", "fc_hz": 200.0, "gain_db": -6.0, "q": 0.2},
-        {"kind": "high_shelf", "fc_hz": 8000.0, "gain_db": -6.0, "q": 0.7},
-    ]
+@pytest.mark.parametrize(
+    "bands",
+    [
+        # Below -0.7 dB from 20 Hz up, so render's analog pre-check passes,
+        # but the low shelf lifts DC to +6 dB at the reference delay.
+        [
+            {"kind": "low_shelf", "fc_hz": 4.0, "gain_db": 6.0, "q": 0.7},
+            {"kind": "bell", "fc_hz": 200.0, "gain_db": -6.0, "q": 0.2},
+            {"kind": "high_shelf", "fc_hz": 8000.0, "gain_db": -6.0, "q": 0.7},
+        ],
+        # Above 0 dB everywhere, so render's analog pre-check refuses it.
+        [
+            {"kind": "low_shelf", "fc_hz": 100.0, "gain_db": 1.0, "q": 0.7},
+            {"kind": "bell", "fc_hz": 1000.0, "gain_db": 3.0, "q": 0.7},
+            {"kind": "high_shelf", "fc_hz": 8000.0, "gain_db": 1.0, "q": 0.7},
+        ],
+    ],
+    ids=["dc_lift", "above_0db"],
+)
+def test_export_and_render_refuse_a_cascade_that_does_not_decay(tmp_path, capsys, bands):
     fit_path = tmp_path / "fit.json"
     fit_path.write_text(json.dumps({"fs": 48000.0, "m_ref": 4800, "bands": bands}))
     out_dir = tmp_path / "sos"

@@ -42,11 +42,12 @@ def fd_gradient(vec, target_db, grid, h=1e-6):
 
 
 def test_gradient_matches_finite_differences(rng):
+    # N = 3 is one bell between the shelves, so every exponent row counts.
     grid = FrequencyGrid.log_spaced(48000.0, size=128)
     target_db = -6.0 * np.ones(grid.size)
     worst = 0.0
-    for _ in range(20):
-        vec = random_vector(rng, 5)
+    for n_bands in [5] * 20 + [3] * 20:
+        vec = random_vector(rng, n_bands)
         _, analytic = loss_and_gradient(vec, target_db, grid)
         numeric = fd_gradient(vec, target_db, grid)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
@@ -54,17 +55,19 @@ def test_gradient_matches_finite_differences(rng):
     assert worst <= 1e-4
 
 
-def test_loss_matches_direct_response(rng):
+@pytest.mark.parametrize("n_bands", [3, 4, 12])
+def test_loss_matches_direct_response(rng, n_bands):
     grid = FrequencyGrid.log_spaced(48000.0, size=64)
     target_db = rng.uniform(-12.0, -1.0, grid.size)
-    vec = random_vector(rng, 4)
-    vec[1:3] = np.sort(vec[1:3])
+    vec = random_vector(rng, n_bands)
+    vec[1 : n_bands - 1] = np.sort(vec[1 : n_bands - 1])
     loss, _ = loss_and_gradient(vec, target_db, grid)
-    kinds = (BandKind.LOW_SHELF, BandKind.BELL, BandKind.BELL, BandKind.HIGH_SHELF)
+    kinds = [BandKind.LOW_SHELF] + [BandKind.BELL] * (n_bands - 2) + [BandKind.HIGH_SHELF]
+    lfc, gain, lq = vec.reshape(3, n_bands)
     params = PeqParams(
         tuple(
-            BandParams(kind, float(np.exp(lfc)), float(gain), float(np.exp(lq)))
-            for kind, lfc, gain, lq in zip(kinds, vec[:4], vec[4:8], vec[8:])
+            BandParams(kind, float(np.exp(f)), float(g), float(np.exp(r)))
+            for kind, f, g, r in zip(kinds, lfc, gain, lq)
         )
     )
     response = peq_log_magnitude(params, grid.freqs)
