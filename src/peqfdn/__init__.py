@@ -52,7 +52,7 @@ from .fdn import (
     write_wav,
 )
 from .optimize import AdamState, FitConfig, FitReport, adam_step, fit, loss_and_gradient
-from .peq import FittedPeq, PeqParams, peq_log_magnitude, response_to_t60, scale_to_delay
+from .peq import FittedPeq, PeqParams, peq_log_magnitude, scale_to_delay
 from .prototypes import (
     BandKind,
     BandParams,
@@ -116,7 +116,6 @@ __all__ = [
     "peq_log_magnitude",
     "peq_to_sos",
     "render_ir",
-    "response_to_t60",
     "run_campaign",
     "schroeder_t60",
     "scale_to_delay",

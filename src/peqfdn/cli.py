@@ -46,7 +46,7 @@ from .fdn import (
 )
 from .optimize import FitConfig, fit
 from .peq import FittedPeq, scale_to_delay
-from .targets import FrequencyGrid, load_t60_table
+from .targets import DEFAULT_GRID_SIZE, FrequencyGrid, load_t60_table
 
 __all__ = ["main"]
 
@@ -102,8 +102,6 @@ def _json_dumps(obj) -> str:
 
 
 def _load_curve(path: str):
-    if not os.path.exists(path):
-        raise _fail(f"T60 table not found: {path}")
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     name = os.path.splitext(os.path.basename(path))[0]
@@ -111,8 +109,6 @@ def _load_curve(path: str):
 
 
 def _load_fitted(path: str) -> FittedPeq:
-    if not os.path.exists(path):
-        raise _fail(f"fit file not found: {path}")
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
@@ -213,8 +209,7 @@ def _add_common_fit_args(parser) -> None:
     parser.add_argument("--bands", type=int, default=12, help="PEQ bands (>= 3)")
     parser.add_argument("--iterations", type=int, default=10000)
     parser.add_argument("--lr", type=float, default=0.1, help="Adam learning rate")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--grid", type=int, default=512, help="frequency grid size")
+    parser.add_argument("--grid", type=int, default=DEFAULT_GRID_SIZE, help="frequency grid size")
     parser.add_argument("--quiet", action="store_true", help="suppress progress lines")
 
 
@@ -226,7 +221,6 @@ def cmd_fit(args) -> int:
         n_bands=args.bands,
         iterations=args.iterations,
         learning_rate=args.lr,
-        seed=args.seed,
         grid=grid,
     )
 
@@ -265,7 +259,7 @@ def cmd_export(args) -> int:
     lines = [_line_cascade(fitted, m_k) for m_k in delays]
 
     os.makedirs(args.out_dir, exist_ok=True)
-    report_grid = FrequencyGrid.log_spaced(fs, size=512)
+    report_grid = FrequencyGrid.log_spaced(fs)
     manifest = {"fs": fs, "m_ref": fitted.m_ref, "lines": []}
     for k, (m_k, (params, cascade)) in enumerate(zip(delays, lines)):
         stem = f"line{k:02d}_m{m_k}"
@@ -300,15 +294,16 @@ def cmd_render(args) -> int:
     fs = fitted.fs
     delays = _resolve_delays(args, fs)
     n_lines = len(delays)
+    if args.duration is not None and args.duration <= 0:
+        raise _fail(f"duration must be > 0 seconds, got {args.duration}")
 
-    grid = FrequencyGrid.log_spaced(fs, size=512)
-    t60_profile = achieved_t60(fitted.params, fitted.m_ref, fs, grid.freqs)
-
-    if args.duration is not None:
-        if args.duration <= 0:
-            raise _fail(f"duration must be > 0 seconds, got {args.duration}")
-        duration = args.duration
-    else:
+    cascades = tuple(_line_cascade(fitted, m_k)[1] for m_k in delays)
+    duration = args.duration
+    if duration is None:
+        # The default length needs the longest T60 the fit achieves at its
+        # reference delay, so a fit at or above 0 dB from 20 Hz up has none.
+        grid = FrequencyGrid.log_spaced(fs)
+        t60_profile = achieved_t60(fitted.params, fitted.m_ref, fs, grid.freqs)
         duration = default_render_duration(float(np.max(t60_profile)))
 
     input_gains, output_gains = default_gains(n_lines)
@@ -316,9 +311,7 @@ def cmd_render(args) -> int:
         delays=tuple(delays),
         fs=fs,
         feedback=householder_matrix(n_lines),
-        cascades=tuple(
-            _line_cascade(fitted, m_k)[1] for m_k in delays
-        ),
+        cascades=cascades,
         input_gains=input_gains,
         output_gains=output_gains,
         duration_s=duration,
@@ -457,6 +450,9 @@ def build_parser() -> _Parser:
         help="LO:HI range the per-curve delays are drawn from, seconds",
     )
     p_camp.add_argument("--workers", type=int, default=1)
+    p_camp.add_argument(
+        "--seed", type=int, default=0, help="seed of the synthetic curves and the delays"
+    )
     _add_common_fit_args(p_camp)
     p_camp.set_defaults(func=cmd_campaign)
 

@@ -14,9 +14,9 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .errors import CampaignError, InvalidParameterError, PeqFdnError
+from .errors import CampaignError, InvalidParameterError, NonDecayingResponseError, PeqFdnError
 from .optimize import FitConfig, fit
-from .peq import PeqParams, peq_log_magnitude, response_to_t60
+from .peq import PeqParams, peq_log_magnitude
 from .targets import FrequencyGrid, T60Curve, interpolate_to_grid
 
 __all__ = [
@@ -31,7 +31,7 @@ __all__ = [
     "run_campaign",
 ]
 
-DEFAULT_BIN_WIDTH_PCT = 1.0
+BIN_WIDTH_PCT = 1.0
 DEFAULT_DELAY_DRAW_S = (0.01, 0.3)
 MAX_FAILURE_FRACTION = 0.1
 ENVELOPE_PCT = 25.0
@@ -40,6 +40,12 @@ ENVELOPE_PCT = 25.0
 # and 4 additions; each band carries 3 trainable values (fc, gain, Q).
 OPS_PER_SECTION = 9
 PARAMS_PER_BAND = 3
+
+# Synthetic curves: third-octave-style points across the audio band, with
+# T60 values kept inside a range typical of rooms.
+SYNTH_POINTS = 31
+SYNTH_FREQ_RANGE_HZ = (20.0, 20000.0)
+SYNTH_T60_RANGE_S = (0.3, 5.0)
 
 
 @dataclass(frozen=True)
@@ -69,21 +75,19 @@ class ErrorDistribution:
         return int(self.counts.sum())
 
     @classmethod
-    def from_errors(cls, errors_pct, bin_width_pct: float = DEFAULT_BIN_WIDTH_PCT):
-        """Bin error points into integer-aligned bins covering their range."""
+    def from_errors(cls, errors_pct):
+        """Bin error points into 1 % wide, integer-aligned bins covering their range."""
         errors = np.asarray(errors_pct, dtype=np.float64).ravel()
         if errors.size == 0:
             raise InvalidParameterError("cannot build a distribution from zero points")
         if np.any(~np.isfinite(errors)):
             raise InvalidParameterError("error points must be finite")
-        if not (math.isfinite(bin_width_pct) and bin_width_pct > 0):
-            raise InvalidParameterError(f"bin width must be > 0, got {bin_width_pct}")
-        lo = math.floor(errors.min() / bin_width_pct) * bin_width_pct
-        hi = math.ceil(errors.max() / bin_width_pct) * bin_width_pct
+        lo = math.floor(errors.min() / BIN_WIDTH_PCT) * BIN_WIDTH_PCT
+        hi = math.ceil(errors.max() / BIN_WIDTH_PCT) * BIN_WIDTH_PCT
         if hi <= lo:
-            hi = lo + bin_width_pct
-        n_bins = int(round((hi - lo) / bin_width_pct))
-        edges = lo + bin_width_pct * np.arange(n_bins + 1)
+            hi = lo + BIN_WIDTH_PCT
+        n_bins = int(round((hi - lo) / BIN_WIDTH_PCT))
+        edges = lo + BIN_WIDTH_PCT * np.arange(n_bins + 1)
         counts, _ = np.histogram(errors, bins=edges)
         p5, median, p95 = np.percentile(errors, (5.0, 50.0, 95.0))
         return cls(
@@ -184,12 +188,25 @@ def t60_relative_error(target_s, achieved_s) -> np.ndarray:
 
 
 def achieved_t60(params: PeqParams, m_k: float, fs: float, freqs) -> np.ndarray:
-    """T60 implied by a PEQ's attenuation response on the given frequencies.
+    """T60 a delay line of m_k samples achieves with this PEQ, on freqs.
 
-    Raises when the response is not attenuating everywhere, since a
-    non-negative dB value means that frequency never decays.
+    Inverts the gain law: T60 = -60 m_k / (response dB * fs).  Raises when
+    the response is not attenuating everywhere, since a non-negative dB
+    value means that frequency never decays.
     """
-    return response_to_t60(peq_log_magnitude(params, freqs), m_k, fs)
+    if not (math.isfinite(m_k) and m_k >= 1):
+        raise InvalidParameterError(f"m_k must be >= 1 sample, got {m_k}")
+    if not (math.isfinite(fs) and fs > 0):
+        raise InvalidParameterError(f"fs must be > 0, got {fs}")
+    freqs = np.asarray(freqs, dtype=np.float64)
+    response_db = peq_log_magnitude(params, freqs)
+    if np.any(response_db >= 0):
+        worst = int(np.argmax(response_db))
+        raise NonDecayingResponseError(
+            f"response must be < 0 dB everywhere; it is {response_db[worst]:+.6g} dB "
+            f"at {freqs[worst]:.6g} Hz"
+        )
+    return -60.0 * m_k / (response_db * fs)
 
 
 def op_count(n_bands: int) -> CostReport:
@@ -202,33 +219,24 @@ def op_count(n_bands: int) -> CostReport:
     )
 
 
-def synthetic_smooth_curves(
-    n_curves: int,
-    seed: int = 0,
-    n_points: int = 31,
-    freq_range_hz: tuple[float, float] = (20.0, 20000.0),
-    t60_range_s: tuple[float, float] = (0.3, 5.0),
-) -> list[T60Curve]:
+def synthetic_smooth_curves(n_curves: int, seed: int = 0) -> list[T60Curve]:
     """Smooth random T60 curves on a third-octave-style log frequency grid.
 
     Shapes are low-order cosine series in log T60 over log frequency, so
     they undulate as gently as measured room curves do; amplitudes rescale
-    when needed to keep every value inside t60_range_s.
+    when needed to keep every value inside SYNTH_T60_RANGE_S.
     """
     if n_curves < 1:
         raise InvalidParameterError(f"need at least one curve, got {n_curves}")
-    lo, hi = t60_range_s
-    if not (0 < lo < hi):
-        raise InvalidParameterError(f"need 0 < lo < hi for T60 range, got {t60_range_s}")
     rng = np.random.default_rng(seed)
-    freqs = np.geomspace(freq_range_hz[0], freq_range_hz[1], n_points)
-    u = np.linspace(0.0, 1.0, n_points)
-    log_lo, log_hi = math.log(lo), math.log(hi)
+    freqs = np.geomspace(SYNTH_FREQ_RANGE_HZ[0], SYNTH_FREQ_RANGE_HZ[1], SYNTH_POINTS)
+    u = np.linspace(0.0, 1.0, SYNTH_POINTS)
+    log_lo, log_hi = math.log(SYNTH_T60_RANGE_S[0]), math.log(SYNTH_T60_RANGE_S[1])
     margin = 0.04 * (log_hi - log_lo)
     curves = []
     for i in range(n_curves):
         center = rng.uniform(log_lo + 0.3 * (log_hi - log_lo), log_hi - 0.3 * (log_hi - log_lo))
-        shape = np.zeros(n_points)
+        shape = np.zeros(SYNTH_POINTS)
         for k in (1, 2, 3, 4):
             amp = rng.normal(0.0, 0.8 / k**1.2)
             phase = rng.uniform(0.0, 2.0 * math.pi)

@@ -231,7 +231,6 @@ class DecayMeasurement:
 
     band_hz: float | None
     t60_s: float
-    fit_range_db: tuple[float, float]
     residual_db: float
 
 
@@ -281,12 +280,7 @@ def schroeder_t60(ir, fs: float, band_hz: float | None = None) -> DecayMeasureme
     if slope >= 0:
         raise InsufficientDecayError("energy decay curve is not decreasing over the fit range")
     residual = float(np.sqrt(np.mean((segment - (slope * t + intercept)) ** 2)))
-    return DecayMeasurement(
-        band_hz=band_hz,
-        t60_s=-60.0 / slope,
-        fit_range_db=FIT_RANGE_DB,
-        residual_db=residual,
-    )
+    return DecayMeasurement(band_hz=band_hz, t60_s=-60.0 / slope, residual_db=residual)
 
 
 def write_wav(path, ir: np.ndarray, fs: float) -> None:

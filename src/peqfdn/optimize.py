@@ -42,7 +42,12 @@ _DB_PER_LN = 10.0 / math.log(10.0)
 INIT_SHELF_LO_HZ = 80.0
 INIT_SHELF_HI_HZ = 8000.0
 INIT_Q = 0.7071
-INIT_GAIN_OVERLAP = 1.0
+
+# Adam moment decay rates and denominator guard, as recommended by
+# Kingma & Ba (ICLR 2015).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 PROGRESS_EVERY = 500
 
@@ -54,6 +59,8 @@ class FitConfig:
     n_bands: int = 12
     iterations: int = 10000
     learning_rate: float = 0.1
+    # A fit has a fixed start and ignores the seed; run_campaign draws its
+    # delays from it.
     seed: int = 0
     grid: FrequencyGrid | None = None
 
@@ -74,9 +81,6 @@ class AdamState:
     v: np.ndarray
     t: int
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def initial(cls, n_params: int, learning_rate: float) -> "AdamState":
@@ -228,27 +232,18 @@ def adam_step(state: AdamState, vec: np.ndarray, grad: np.ndarray) -> tuple[Adam
     if vec.shape != grad.shape or vec.shape != state.m.shape:
         raise InvalidParameterError("state, parameters, and gradient sizes must agree")
     t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new_vec = vec - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
-    new_state = AdamState(
-        m=m,
-        v=v,
-        t=t,
-        learning_rate=state.learning_rate,
-        beta1=state.beta1,
-        beta2=state.beta2,
-        eps=state.eps,
-    )
-    return new_state, new_vec
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    new_vec = vec - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return AdamState(m=m, v=v, t=t, learning_rate=state.learning_rate), new_vec
 
 
 def _initial_vector(n_bands: int, grid: FrequencyGrid, target_db: np.ndarray) -> np.ndarray:
     """Log-spaced corners with shelves at the preset edges, target-aware gains."""
     fc = np.geomspace(INIT_SHELF_LO_HZ, INIT_SHELF_HI_HZ, n_bands)
-    gain = np.interp(np.log10(fc), np.log10(grid.freqs), target_db) / INIT_GAIN_OVERLAP
+    gain = np.interp(np.log10(fc), np.log10(grid.freqs), target_db)
     q = np.full(n_bands, INIT_Q)
     return np.concatenate([np.log(fc), gain, np.log(q)])
 

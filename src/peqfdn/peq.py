@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidParameterError, NonDecayingResponseError
+from .errors import InvalidParameterError
 from .prototypes import BandKind, BandParams, band_magnitude
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "FittedPeq",
     "peq_log_magnitude",
     "scale_to_delay",
-    "response_to_t60",
 ]
 
 
@@ -134,22 +133,3 @@ def scale_to_delay(fitted: FittedPeq, m_k: float) -> PeqParams:
     factor = m_k / fitted.m_ref
     bands = tuple(replace(band, gain_db=band.gain_db * factor) for band in fitted.params.bands)
     return PeqParams(bands)
-
-
-def response_to_t60(response_db, m_k: float, fs: float) -> np.ndarray:
-    """Invert the gain law: the T60 a delay line of m_k samples achieves.
-
-    Every response value must be strictly negative (an actual attenuation),
-    otherwise the loop would sustain or grow.
-    """
-    response_db = np.asarray(response_db, dtype=np.float64)
-    if not (math.isfinite(m_k) and m_k >= 1):
-        raise InvalidParameterError(f"m_k must be >= 1 sample, got {m_k}")
-    if not (math.isfinite(fs) and fs > 0):
-        raise InvalidParameterError(f"fs must be > 0, got {fs}")
-    if np.any(response_db >= 0):
-        worst = int(np.argmax(response_db))
-        raise NonDecayingResponseError(
-            f"response must be < 0 dB everywhere; index {worst} is {response_db.flat[worst]:+.6g} dB"
-        )
-    return -60.0 * m_k / (response_db * fs)

@@ -88,25 +88,14 @@ class FrequencyGrid:
         return int(self.freqs.size)
 
     @classmethod
-    def log_spaced(
-        cls,
-        fs: float,
-        size: int = DEFAULT_GRID_SIZE,
-        f_lo: float = DEFAULT_F_LO,
-        f_hi: float | None = None,
-    ) -> "FrequencyGrid":
-        """Logarithmically spaced grid from f_lo up to just below Nyquist."""
-        if not (math.isfinite(fs) and fs > 0):
-            raise InvalidParameterError(f"fs must be > 0, got {fs}")
-        if f_hi is None:
-            f_hi = 0.5 * fs * NYQUIST_BACKOFF
-        if f_hi > 0.5 * fs:
-            raise InvalidParameterError(f"f_hi={f_hi} exceeds Nyquist for fs={fs}")
-        if not (0 < f_lo < f_hi):
-            raise InvalidParameterError(f"need 0 < f_lo < f_hi, got ({f_lo}, {f_hi})")
+    def log_spaced(cls, fs: float, size: int = DEFAULT_GRID_SIZE) -> "FrequencyGrid":
+        """Logarithmically spaced grid from 20 Hz up to just below Nyquist."""
+        f_hi = 0.5 * fs * NYQUIST_BACKOFF
+        if not (math.isfinite(fs) and f_hi > DEFAULT_F_LO):
+            raise InvalidParameterError(f"fs={fs} leaves no room above {DEFAULT_F_LO} Hz")
         if size < 2:
             raise InvalidParameterError(f"grid size must be >= 2, got {size}")
-        return cls(np.geomspace(f_lo, f_hi, size))
+        return cls(np.geomspace(DEFAULT_F_LO, f_hi, size))
 
 
 def load_t60_table(text: str, name: str = "") -> T60Curve:

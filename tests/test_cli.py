@@ -225,14 +225,14 @@ def test_corners_above_nyquist_export_and_render(tmp_path):
 @pytest.mark.parametrize(
     "bands",
     [
-        # Below -0.7 dB from 20 Hz up, so render's analog pre-check passes,
-        # but the low shelf lifts DC to +6 dB at the reference delay.
+        # Below -0.7 dB from 20 Hz up, but the low shelf lifts DC to +6 dB
+        # at the reference delay.
         [
             {"kind": "low_shelf", "fc_hz": 4.0, "gain_db": 6.0, "q": 0.7},
             {"kind": "bell", "fc_hz": 200.0, "gain_db": -6.0, "q": 0.2},
             {"kind": "high_shelf", "fc_hz": 8000.0, "gain_db": -6.0, "q": 0.7},
         ],
-        # Above 0 dB everywhere, so render's analog pre-check refuses it.
+        # Above 0 dB everywhere.
         [
             {"kind": "low_shelf", "fc_hz": 100.0, "gain_db": 1.0, "q": 0.7},
             {"kind": "bell", "fc_hz": 1000.0, "gain_db": 3.0, "q": 0.7},
@@ -248,8 +248,10 @@ def test_export_and_render_refuse_a_cascade_that_does_not_decay(tmp_path, capsys
     wav_path = tmp_path / "ir.wav"
     assert cli.main(["export", "--fit", str(fit_path), "--out-dir", str(out_dir)]) == 2
     assert "would not decay" in capsys.readouterr().err
+    # With --duration set, render refuses by the same line rule as export.
     assert cli.main(["render", "--fit", str(fit_path), "--out", str(wav_path),
                      "--duration", "0.5"]) == 2
+    assert "would not decay" in capsys.readouterr().err
     assert not out_dir.exists()
     assert not wav_path.exists()
 

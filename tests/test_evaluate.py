@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from peqfdn import (
+    BandKind,
+    BandParams,
     CampaignError,
     ErrorDistribution,
     FitConfig,
     InvalidParameterError,
+    NonDecayingResponseError,
+    PeqParams,
     T60Curve,
     achieved_t60,
     op_count,
@@ -54,9 +58,38 @@ def test_t60_relative_error_sign_and_value():
         t60_relative_error(np.array([0.0]), np.array([1.0]))
 
 
+def bell_peq(gain_db):
+    # Flat shelves around one bell: the response at the bell's 1 kHz
+    # center is exactly its gain.
+    return PeqParams(
+        (
+            BandParams(BandKind.LOW_SHELF, 80.0, 0.0, 0.7),
+            BandParams(BandKind.BELL, 1000.0, gain_db, 1.0),
+            BandParams(BandKind.HIGH_SHELF, 8000.0, 0.0, 0.7),
+        )
+    )
+
+
+def test_achieved_t60_inverts_gain_law():
+    # -6 dB per 4800 samples at 48 kHz decays 60 dB in one second.
+    t60 = [achieved_t60(bell_peq(g), 4800.0, 48000.0, [1000.0])[0] for g in (-6.0, -12.0, -3.0)]
+    assert t60 == pytest.approx([1.0, 0.5, 2.0])
+    with pytest.raises(InvalidParameterError):
+        achieved_t60(bell_peq(-6.0), 0.5, 48000.0, [1000.0])
+    with pytest.raises(InvalidParameterError):
+        achieved_t60(bell_peq(-6.0), 4800.0, 0.0, [1000.0])
+
+
+def test_achieved_t60_rejects_non_decaying():
+    with pytest.raises(NonDecayingResponseError):
+        achieved_t60(bell_peq(0.0), 4800.0, 48000.0, [100.0, 1000.0])
+    with pytest.raises(NonDecayingResponseError, match=r"\+1 dB at 1000 Hz"):
+        achieved_t60(bell_peq(1.0), 4800.0, 48000.0, [100.0, 1000.0, 5000.0])
+
+
 def test_error_distribution_binning():
     errors = np.array([-2.4, -0.3, 0.2, 0.9, 3.1])
-    dist = ErrorDistribution.from_errors(errors, bin_width_pct=1.0)
+    dist = ErrorDistribution.from_errors(errors)
     assert dist.bin_edges_pct[0] == -3.0
     assert dist.bin_edges_pct[-1] == 4.0
     assert dist.n_points == errors.size
@@ -73,8 +106,6 @@ def test_error_distribution_validation():
         ErrorDistribution.from_errors(np.array([]))
     with pytest.raises(InvalidParameterError):
         ErrorDistribution.from_errors(np.array([np.nan]))
-    with pytest.raises(InvalidParameterError):
-        ErrorDistribution.from_errors(np.array([1.0]), bin_width_pct=0.0)
 
 
 def test_synthetic_curves_are_deterministic_and_bounded():

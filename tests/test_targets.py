@@ -73,7 +73,7 @@ def test_log_spaced_grid_validation():
     with pytest.raises(InvalidParameterError):
         FrequencyGrid.log_spaced(-48000.0)
     with pytest.raises(InvalidParameterError):
-        FrequencyGrid.log_spaced(48000.0, f_hi=30000.0)
+        FrequencyGrid.log_spaced(40.0)  # Nyquist at the 20 Hz floor
     with pytest.raises(InvalidParameterError):
         FrequencyGrid(np.array([100.0, 100.0, 200.0]))
 
