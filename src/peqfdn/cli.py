@@ -1,5 +1,13 @@
 """Command-line front end: fit, export, render, and campaign subcommands.
 
+It parses arguments and sequences library calls.  The library (or the
+OS) refuses out-of-domain values before any numerical work: a delay below
+one sample, a range outside 0 < lo <= hi, a count below one, a path that
+is not a directory.  This module refuses only what they cannot see in
+time: a malformed delay list or LO:HI range, a directory without CSV
+tables, a --duration of zero or less, and a line cascade that would not
+decay.  A refused run writes no file.
+
 Exit codes: 0 on success, 1 for bad arguments or unreadable/malformed
 inputs, 2 when the numerics give up (diverging fit, a fit or cascade that
 would not decay, unstable render, campaign with too many failed curves).
@@ -67,11 +75,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _fail(message: str) -> SystemExit:
-    sys.stderr.write(f"error: {message}\n")
-    return SystemExit(EXIT_USAGE)
-
-
 def _write_atomic(path: str, data: str | Callable[[BinaryIO], object]) -> None:
     """Atomically write text (as UTF-8), or what data(handle) writes, to path.
 
@@ -120,51 +123,35 @@ def _load_fitted(path: str) -> FittedPeq:
         raise ParseError(f"{path}: not a fit result ({exc})") from exc
 
 
-def _resolve_m_ref(args, fs: float) -> int:
+def _resolve_m_ref(args) -> int:
     """Reference delay in samples from --delay-ms / --delay-samples."""
     if args.delay_samples is not None:
-        m_ref = int(round(args.delay_samples))
-    elif args.delay_ms is not None:
-        m_ref = int(round(args.delay_ms * 1e-3 * fs))
-    else:
-        m_ref = int(round(0.1 * fs))  # 100 ms reference
-    if m_ref < 1:
-        raise _fail(f"reference delay must be at least one sample, got {m_ref}")
-    return m_ref
+        return int(round(args.delay_samples))
+    if args.delay_ms is not None:
+        return int(round(args.delay_ms * 1e-3 * args.fs))
+    return int(round(0.1 * args.fs))  # 100 ms reference
 
 
 def _parse_delay_list(text: str) -> list[int]:
     items = [part.strip() for part in text.split(",") if part.strip()]
     if not items:
-        raise _fail("delay list is empty")
+        raise InvalidParameterError("delay list is empty")
     try:
-        delays = [int(part) for part in items]
+        return [int(part) for part in items]
     except ValueError:
-        raise _fail(f"delay list must be comma-separated integers, got {text!r}")
-    if any(m < 1 for m in delays):
-        raise _fail("delays must be >= 1 sample")
-    return delays
+        raise InvalidParameterError(
+            f"delay list must be comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _parse_range(text: str) -> tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
-        raise _fail(f"range must look like LO:HI, got {text!r}")
+        raise InvalidParameterError(f"range must look like LO:HI, got {text!r}")
     try:
-        lo, hi = float(parts[0]), float(parts[1])
+        return float(parts[0]), float(parts[1])
     except ValueError:
-        raise _fail(f"range must be numeric, got {text!r}")
-    if not (0 < lo <= hi):
-        raise _fail(f"range must satisfy 0 < lo <= hi, got {text!r}")
-    return lo, hi
-
-
-def _resolve_delays(args, fs: float) -> list[int]:
-    """Delay lengths in samples from --delay-samples, else --lines/--delay-range."""
-    if args.delay_samples is not None:
-        return _parse_delay_list(args.delay_samples)
-    lo, hi = _parse_range(args.delay_range)
-    return list(default_delays(args.lines, lo, hi, fs))
+        raise InvalidParameterError(f"range must be numeric, got {text!r}") from None
 
 
 # Attenuation check grid as fractions of fs: DC, then log spaced from 1e-6
@@ -192,6 +179,39 @@ def _line_cascade(fitted: FittedPeq, m_k: int):
     return params, cascade
 
 
+def _checked_lines(args):
+    """The fit, its delays in samples, and each line's checked (params, cascade).
+
+    Delays come from --delay-samples, else --lines over --delay-range.
+    """
+    fitted = _load_fitted(args.fit)
+    if args.delay_samples is not None:
+        delays = _parse_delay_list(args.delay_samples)
+    else:
+        lo, hi = _parse_range(args.delay_range)
+        delays = default_delays(args.lines, lo, hi, fitted.fs)
+    return fitted, delays, [_line_cascade(fitted, m_k) for m_k in delays]
+
+
+def _fit_config(args, seed: int = 0) -> FitConfig:
+    return FitConfig(
+        n_bands=args.bands,
+        iterations=args.iterations,
+        learning_rate=args.lr,
+        seed=seed,
+        grid=FrequencyGrid.log_spaced(args.fs, size=args.grid),
+    )
+
+
+def _cost_fields(n_bands: int) -> dict:
+    cost = op_count(n_bands)
+    return {"ops_per_sample": cost.ops_per_sample, "parameters": cost.parameters}
+
+
+def _band_label(band_hz: float | None) -> str:
+    return "broadband" if band_hz is None else f"{band_hz:.0f} Hz"
+
+
 def _add_delay_args(parser) -> None:
     parser.add_argument("--lines", type=int, default=8, help="delay line count")
     parser.add_argument(
@@ -215,14 +235,8 @@ def _add_common_fit_args(parser) -> None:
 
 def cmd_fit(args) -> int:
     curve = _load_curve(args.t60)
-    m_ref = _resolve_m_ref(args, args.fs)
-    grid = FrequencyGrid.log_spaced(args.fs, size=args.grid)
-    cfg = FitConfig(
-        n_bands=args.bands,
-        iterations=args.iterations,
-        learning_rate=args.lr,
-        grid=grid,
-    )
+    m_ref = _resolve_m_ref(args)
+    cfg = _fit_config(args)
 
     progress = None
     if not args.quiet:
@@ -239,9 +253,7 @@ def cmd_fit(args) -> int:
     report_doc = report.to_dict()
     report_doc["curve"] = curve.name
     report_doc["m_ref"] = m_ref
-    cost = op_count(args.bands)
-    report_doc["ops_per_sample"] = cost.ops_per_sample
-    report_doc["parameters"] = cost.parameters
+    report_doc.update(_cost_fields(args.bands))
     _write_atomic(report_path, _json_dumps(report_doc))
     if not args.quiet:
         sys.stderr.write(
@@ -252,15 +264,11 @@ def cmd_fit(args) -> int:
 
 
 def cmd_export(args) -> int:
-    fitted = _load_fitted(args.fit)
-    fs = fitted.fs
-    delays = _resolve_delays(args, fs)
-
-    lines = [_line_cascade(fitted, m_k) for m_k in delays]
+    fitted, delays, lines = _checked_lines(args)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    report_grid = FrequencyGrid.log_spaced(fs)
-    manifest = {"fs": fs, "m_ref": fitted.m_ref, "lines": []}
+    report_grid = FrequencyGrid.log_spaced(fitted.fs)
+    manifest = {"fs": fitted.fs, "m_ref": fitted.m_ref, "lines": []}
     for k, (m_k, (params, cascade)) in enumerate(zip(delays, lines)):
         stem = f"line{k:02d}_m{m_k}"
         csv_path = os.path.join(args.out_dir, stem + ".csv")
@@ -290,14 +298,12 @@ def cmd_export(args) -> int:
 
 
 def cmd_render(args) -> int:
-    fitted = _load_fitted(args.fit)
-    fs = fitted.fs
-    delays = _resolve_delays(args, fs)
-    n_lines = len(delays)
     if args.duration is not None and args.duration <= 0:
-        raise _fail(f"duration must be > 0 seconds, got {args.duration}")
+        raise InvalidParameterError(f"duration must be > 0 seconds, got {args.duration}")
+    fitted, delays, lines = _checked_lines(args)
+    fs = fitted.fs
+    n_lines = len(delays)
 
-    cascades = tuple(_line_cascade(fitted, m_k)[1] for m_k in delays)
     duration = args.duration
     if duration is None:
         # The default length needs the longest T60 the fit achieves at its
@@ -311,66 +317,50 @@ def cmd_render(args) -> int:
         delays=tuple(delays),
         fs=fs,
         feedback=householder_matrix(n_lines),
-        cascades=cascades,
+        cascades=tuple(cascade for _, cascade in lines),
         input_gains=input_gains,
         output_gains=output_gains,
         duration_s=duration,
     )
     ir = render_ir(cfg)
-    _write_atomic(args.out, lambda handle: write_wav(handle, ir, fs))
 
+    # Measure before writing, so a refused measurement leaves no WAV behind.
     measurements = []
-    try:
-        measurements.append(schroeder_t60(ir, fs))
-    except InsufficientDecayError as exc:
-        sys.stderr.write(f"warning: broadband decay unmeasurable: {exc}\n")
-    for fc in RENDER_OCTAVES_HZ:
-        if fc * np.sqrt(2.0) >= fs / 2:
+    for band_hz in (None,) + RENDER_OCTAVES_HZ:
+        if band_hz is not None and band_hz * np.sqrt(2.0) >= fs / 2:
             continue
         try:
-            measurements.append(schroeder_t60(ir, fs, band_hz=fc))
+            measurements.append(schroeder_t60(ir, fs, band_hz=band_hz))
         except InsufficientDecayError as exc:
-            sys.stderr.write(f"warning: {fc:.0f} Hz decay unmeasurable: {exc}\n")
+            sys.stderr.write(f"warning: {_band_label(band_hz)} decay unmeasurable: {exc}\n")
+    decay_csv = decay_measurements_to_csv(measurements)
 
     decay_path = args.decay_csv
     if decay_path is None:
         stem, _ = os.path.splitext(args.out)
         decay_path = stem + ".decay.csv"
-    _write_atomic(decay_path, decay_measurements_to_csv(measurements))
+    _write_atomic(args.out, lambda handle: write_wav(handle, ir, fs))
+    _write_atomic(decay_path, decay_csv)
     if not args.quiet:
         for meas in measurements:
-            label = "broadband" if meas.band_hz is None else f"{meas.band_hz:.0f} Hz"
-            sys.stderr.write(f"T60 {label}: {meas.t60_s:.3f} s\n")
+            sys.stderr.write(f"T60 {_band_label(meas.band_hz)}: {meas.t60_s:.3f} s\n")
     return EXIT_OK
 
 
 def cmd_campaign(args) -> int:
-    if (args.t60_dir is None) == (args.synthetic is None):
-        raise _fail("pass exactly one of --t60-dir or --synthetic")
     if args.t60_dir is not None:
-        if not os.path.isdir(args.t60_dir):
-            raise _fail(f"not a directory: {args.t60_dir}")
         paths = sorted(
             os.path.join(args.t60_dir, name)
             for name in os.listdir(args.t60_dir)
             if name.lower().endswith(".csv")
         )
         if not paths:
-            raise _fail(f"no .csv T60 tables in {args.t60_dir}")
+            raise InvalidParameterError(f"no .csv T60 tables in {args.t60_dir}")
         curves = [_load_curve(path) for path in paths]
     else:
-        if args.synthetic < 1:
-            raise _fail(f"--synthetic needs a positive count, got {args.synthetic}")
         curves = synthetic_smooth_curves(args.synthetic, seed=args.seed)
 
-    grid = FrequencyGrid.log_spaced(args.fs, size=args.grid)
-    cfg = FitConfig(
-        n_bands=args.bands,
-        iterations=args.iterations,
-        learning_rate=args.lr,
-        seed=args.seed,
-        grid=grid,
-    )
+    cfg = _fit_config(args, seed=args.seed)
     delay_range = _parse_range(args.delay_range)
     result = run_campaign(
         curves, cfg, delay_range_s=delay_range, fs=args.fs, workers=args.workers
@@ -379,9 +369,7 @@ def cmd_campaign(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     summary = result.to_summary_dict()
     summary["bands"] = args.bands
-    cost = op_count(args.bands)
-    summary["ops_per_sample"] = cost.ops_per_sample
-    summary["parameters"] = cost.parameters
+    summary.update(_cost_fields(args.bands))
     _write_atomic(os.path.join(args.out_dir, "summary.json"), _json_dumps(summary))
     _write_atomic(
         os.path.join(args.out_dir, "histogram.csv"), result.distribution.to_csv()
@@ -438,7 +426,7 @@ def build_parser() -> _Parser:
     p_render.set_defaults(func=cmd_render)
 
     p_camp = sub.add_parser("campaign", help="fit a batch of T60 tables")
-    source = p_camp.add_mutually_exclusive_group()
+    source = p_camp.add_mutually_exclusive_group(required=True)
     source.add_argument("--t60-dir", default=None, help="directory of T60 CSVs")
     source.add_argument(
         "--synthetic", type=int, default=None, help="generate N random smooth curves"
@@ -465,8 +453,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
-        # _Parser.error and _fail raise SystemExit; fold into the return code
-        # so in-process callers see an int rather than an exception.
+        # _Parser.error raises SystemExit; fold into the return code so
+        # in-process callers see an int rather than an exception.
         return 0 if exc.code is None else int(exc.code)
     except (ParseError, InvalidParameterError) as exc:
         sys.stderr.write(f"error: {exc}\n")

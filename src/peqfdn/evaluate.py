@@ -295,7 +295,6 @@ def run_campaign(
     else:
         with Pool(workers) as pool:
             outcomes = pool.map(_fit_one_curve, jobs)
-    outcomes.sort(key=lambda o: o[0])
     reports: list[CurveReport] = []
     failures: list[tuple[int, str, str]] = []
     error_blocks: list[np.ndarray] = []

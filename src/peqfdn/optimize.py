@@ -101,7 +101,6 @@ class FitReport:
     iterations: int
     loss_trace: np.ndarray
     wall_time_s: float
-    seed: int
 
     def to_dict(self) -> dict:
         return {
@@ -110,7 +109,6 @@ class FitReport:
             "iterations": self.iterations,
             "loss_trace_downsampled": [float(x) for x in self.loss_trace[::100]],
             "wall_time_s": self.wall_time_s,
-            "seed": self.seed,
         }
 
 
@@ -310,7 +308,6 @@ def fit(
         iterations=cfg.iterations,
         loss_trace=trace,
         wall_time_s=time.perf_counter() - started,
-        seed=cfg.seed,
     )
     if progress is not None:
         progress(cfg.iterations, best_loss)

@@ -312,6 +312,47 @@ def test_render_rejects_zero_duration(flat_csv, tmp_path):
     assert rc == 1
 
 
+# Inputs the library refuses, each with the parts of the bad value the
+# message must name.  {fit} and {table} are inputs; {out} is where the
+# command would write.  The last case is refused only after the render, so
+# it checks that render measures before it writes.
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["export", "--fit", "{fit}", "--out-dir", "{out}", "--delay-samples", "0,480"],
+         ["got 0"]),
+        (["render", "--fit", "{fit}", "--out", "{out}/ir.wav", "--delay-samples", "0,480"],
+         ["got 0"]),
+        (["export", "--fit", "{fit}", "--out-dir", "{out}", "--delay-range", "0.2:0.1"],
+         ["0.2", "0.1"]),
+        (["render", "--fit", "{fit}", "--out", "{out}/ir.wav", "--delay-range", "0.2:0.1"],
+         ["0.2", "0.1"]),
+        (["campaign", "--synthetic", "2", "--out-dir", "{out}", "--delay-range", "0.2:0.1"],
+         ["0.2", "0.1"]),
+        (["fit", "--t60", "{table}", "--out", "{out}/fit.json", "--delay-ms", "0"],
+         ["got 0"]),
+        (["campaign", "--synthetic", "0", "--out-dir", "{out}"], ["got 0"]),
+        (["campaign", "--t60-dir", "{table}", "--out-dir", "{out}"], ["{table}"]),
+        (["render", "--fit", "{fit}", "--out", "{out}/ir.wav", "--duration", "0.00003"],
+         ["too short"]),
+    ],
+    ids=[
+        "export_delay_0", "render_delay_0", "export_range", "render_range",
+        "campaign_range", "fit_delay_ms_0", "campaign_synthetic_0", "campaign_dir_is_file",
+        "render_too_short_to_measure",
+    ],
+)
+def test_library_refusals_exit_1_and_write_nothing(flat_csv, tmp_path, capsys, argv, named):
+    fields = {"fit": run_fit(flat_csv, tmp_path), "table": flat_csv, "out": str(tmp_path / "out")}
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert cli.main([arg.format(**fields) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    for part in named:
+        assert part.format(**fields) in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_campaign_synthetic_artifacts(tmp_path):
     out_dir = tmp_path / "campaign"
     rc = cli.main(
