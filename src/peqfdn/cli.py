@@ -5,8 +5,9 @@ OS) refuses out-of-domain values before any numerical work: a delay below
 one sample, a range outside 0 < lo <= hi, a count below one, a path that
 is not a directory.  This module refuses only what they cannot see in
 time: a malformed delay list or LO:HI range, a directory without CSV
-tables, a --duration of zero or less, and a line cascade that would not
-decay.  A refused run writes no file.
+tables, a --duration of zero or less, a line cascade that would not
+decay, and a render in which no band's decay can be measured.  A refused
+run writes no file.
 
 Exit codes: 0 on success, 1 for bad arguments or unreadable/malformed
 inputs, 2 when the numerics give up (diverging fit, a fit or cascade that
@@ -18,6 +19,7 @@ artifact behind.
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -123,13 +125,18 @@ def _load_fitted(path: str) -> FittedPeq:
         raise ParseError(f"{path}: not a fit result ({exc})") from exc
 
 
-def _resolve_m_ref(args) -> int:
-    """Reference delay in samples from --delay-ms / --delay-samples."""
+def _resolve_m_ref(args) -> int | float:
+    """Reference delay in samples from --delay-ms / --delay-samples.
+
+    A non-finite delay passes through unrounded, for the fit to refuse.
+    """
     if args.delay_samples is not None:
-        return int(round(args.delay_samples))
-    if args.delay_ms is not None:
-        return int(round(args.delay_ms * 1e-3 * args.fs))
-    return int(round(0.1 * args.fs))  # 100 ms reference
+        samples = args.delay_samples
+    elif args.delay_ms is not None:
+        samples = args.delay_ms * 1e-3 * args.fs
+    else:
+        samples = 0.1 * args.fs  # 100 ms reference
+    return int(round(samples)) if math.isfinite(samples) else samples
 
 
 def _parse_delay_list(text: str) -> list[int]:
@@ -333,6 +340,10 @@ def cmd_render(args) -> int:
             measurements.append(schroeder_t60(ir, fs, band_hz=band_hz))
         except InsufficientDecayError as exc:
             sys.stderr.write(f"warning: {_band_label(band_hz)} decay unmeasurable: {exc}\n")
+    if not measurements:
+        raise InvalidParameterError(
+            f"no band of the {duration:g} s impulse response has a measurable decay"
+        )
     decay_csv = decay_measurements_to_csv(measurements)
 
     decay_path = args.decay_csv

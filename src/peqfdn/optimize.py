@@ -1,18 +1,20 @@
 """Gradient-descent fitting of the PEQ to a target attenuation curve.
 
-The composite dB response and its exact partial derivatives with respect to
-every band parameter are one closed-form expression over bands x grid,
-whatever the band kind: each band's coefficients are powers of A read from
+The composite dB response and the exact loss gradient with respect to every
+band parameter are one closed-form expression over bands x grid, whatever
+the band kind: each band's coefficients are powers of A read from
 prototypes.COEFF_EXPONENTS.  The parameters live in log domain for fc and Q
 so they stay positive, and a self-contained Adam loop drives the
-mean-squared-error loss.  A central-finite-difference oracle in the test
-suite is the arbiter of gradient correctness.
+mean-squared-error loss.  fit evaluates the kernel in one workspace
+allocated per fit and updates the Adam moments and parameters in place;
+loss_and_gradient and adam_step run the same arithmetic on fresh arrays.
+A central-finite-difference oracle in the test suite is the arbiter of
+gradient correctness.
 """
 
 import math
 import time
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -128,66 +130,115 @@ def _vector_to_bands(vec: np.ndarray) -> list[BandParams]:
     ]
 
 
-@lru_cache(maxsize=16)
-def _layout_exponents(n_bands: int) -> np.ndarray:
-    """COEFF_EXPONENTS of the band layout, (c2, c1, c0) x (num, den) x N x 1."""
-    table = np.array([COEFF_EXPONENTS[kind] for kind in _band_kinds(n_bands)])
-    # C order keeps every (2, N, P) array of the kernel C-contiguous.
-    alpha = np.ascontiguousarray(table.T[..., None])
-    alpha.setflags(write=False)
-    return alpha
+class _Workspace:
+    """Every array one kernel evaluation writes, allocated once per (N, grid).
 
+    Each band contributes k ln(U/V), k = 10/ln 10, where U = (c0 - c2 X)^2 +
+    c1^2 X in X = (f/fc)^2 and V is the same in the denominator
+    coefficients.  With c = A^alpha (c1 also over Q), P = c0 - c2 X and
+    S = c1^2 X, U's partials are 2P(alpha0 c0 - alpha2 c2 X) + 2 alpha1 S in
+    ln A, S - 2P c2 X in ln X, and -2S in ln Q; ln A = G ln10/40 and
+    ln X = 2 ln f - 2 ln fc.  Over U every partial is a combination of the
+    three (2, N, P) arrays P/U, P c2 X/U and S/U with per-band coefficients,
+    so one matrix-vector product of their rows with the loss weight gives
+    every gradient entry, and no per-parameter partial is ever built.
 
-def _response_and_partials(vec: np.ndarray, freqs: np.ndarray):
-    """Composite dB response and its partials for every band parameter.
-
-    Returns (response (P,), d_lfc (N,P), d_gain (N,P), d_lq (N,P)) where the
-    partial rows are derivatives of the composite response with respect to
-    band i's log fc, dB gain, and log Q.  Each band contributes
-    k ln(U/V), k = 10/ln 10, where U = (c0 - c2 X)^2 + c1^2 X in X = (f/fc)^2
-    and V is the same in the denominator coefficients.  With c = A^alpha
-    (c1 also over Q) and P = c0 - c2 X, U's partials are
-    2P(alpha0 c0 - alpha2 c2 X) + 2 alpha1 c1^2 X in ln A, c1^2 X - 2P c2 X
-    in ln X, and -2 c1^2 X in ln Q; ln A = G ln10/40 and ln X = 2 ln f - 2 ln fc.
+    X is not stored either: c2 X = (c2/fc^2) f^2 and S = (c1^2/fc^2) f^2, and
+    the logs of c2/fc^2, c1^2/fc^2 and c0 are linear in the parameter
+    vector, so one product and one exp give all three for both sides.
     """
-    n = vec.size // 3
-    alpha2, alpha1, alpha0 = _layout_exponents(n)
-    fc = np.exp(vec[:n])[:, None]
-    a = 10.0 ** (vec[n : 2 * n, None] / 40.0)
-    q = np.exp(vec[2 * n :])[:, None]
-    c2 = a**alpha2
-    c1 = a**alpha1 / q
-    c0 = a**alpha0
 
-    # X is (N, P); the arrays after it are (2, N, P): numerator, denominator.
-    x = (freqs[None, :] / fc) ** 2
-    c2x = c2 * x
-    p = c0 - c2x
-    s = (c1 * c1) * x
-    u = p * p + s
-    inv_u = 1.0 / u
-    pc2x = p * c2x
-    # Half the ln A partial, the ln X partial and minus half the ln Q
-    # partial, each over U.
-    dla = ((alpha0 * c0) * p - alpha2 * pc2x + alpha1 * s) * inv_u
-    dlx = (s - 2.0 * pc2x) * inv_u
-    s_u = s * inv_u
+    def __init__(self, n_bands: int, freqs: np.ndarray, target_db: np.ndarray):
+        n = n_bands
+        table = np.array([COEFF_EXPONENTS[kind] for kind in _band_kinds(n)])
+        alpha2, alpha1, alpha0 = table.T  # each (num, den) x N
+        ln_a = math.log(10.0) / 40.0  # d ln A / d gain
+        eye = np.eye(n)
+        # ln(c2/fc^2), ln(c1^2/fc^2) and ln c0 over (log fc, gain, log Q).
+        log_map = np.zeros((3, 2, n, 3, n))
+        log_map[0, :, :, 0] = -2.0 * eye
+        log_map[0, :, :, 1] = ln_a * alpha2[..., None] * eye
+        log_map[1, :, :, 0] = -2.0 * eye
+        log_map[1, :, :, 1] = 2.0 * ln_a * alpha1[..., None] * eye
+        log_map[1, :, :, 2] = -2.0 * eye
+        log_map[2, :, :, 1] = ln_a * alpha0[..., None] * eye
+        self.log_map = log_map.reshape(6 * n, 3 * n)
+        self.coefs = np.empty(6 * n)
+        # (2, N, 1) views that broadcast over the grid.
+        self.c2_fc, self.c1sq_fc, self.c0 = self.coefs.reshape(3, 2, n, 1)
+        self.c0_flat = self.coefs[4 * n :]
 
-    # k ln10/40 = 1/4, and the 2 of the ln A partial makes it 1/2.
-    d_gain = 0.5 * (dla[0] - dla[1])
-    d_lfc = -2.0 * _DB_PER_LN * (dlx[0] - dlx[1])
-    d_lq = -2.0 * _DB_PER_LN * (s_u[0] - s_u[1])
-    response = _DB_PER_LN * np.log(u[0] / u[1]).sum(axis=0)
-    return response, d_lfc, d_gain, d_lq
+        self.freqs_sq = freqs * freqs
+        self.target_db = target_db
+        self.sum_db = np.full(n, _DB_PER_LN)
+        shape = (2, n, freqs.size)
+        self.c2x = np.empty(shape)
+        self.p = np.empty(shape)
+        self.s = np.empty(shape)
+        self.u = np.empty(shape)
+        self.log_ratio = np.empty(shape[1:])
+        self.residual = np.empty(freqs.size)
+        # P/U, P c2 X/U and S/U; C order makes each (array, side, band) one row.
+        self.basis = np.empty((3,) + shape)
+        self.rows = self.basis.reshape(6 * n, freqs.size)
+        self.projections = np.empty(6 * n)
+
+        # Gradient = to_grad @ projections.  Row (parameter, band i) weighs
+        # the three arrays of band i, numerator minus denominator.  The gain
+        # rows' P/U entries, alpha0 c0 / 2, follow the parameters.
+        side = np.array([1.0, -1.0])[:, None]
+        weights = np.zeros((3, 3, 2, n))  # (log fc, gain, log Q) x array x side x band
+        weights[0, 1] = 4.0 * _DB_PER_LN * side
+        weights[0, 2] = -2.0 * _DB_PER_LN * side
+        weights[1, 1] = -0.5 * alpha2 * side
+        weights[1, 2] = 0.5 * alpha1 * side
+        weights[2, 2] = -2.0 * _DB_PER_LN * side
+        band = np.arange(n)
+        to_grad = np.zeros((3, n, 3, 2, n))
+        to_grad[:, band, :, :, band] = np.moveaxis(weights, -1, 0)
+        self.to_grad = to_grad.reshape(3 * n, 6 * n)
+        entries = np.arange(to_grad.size).reshape(to_grad.shape)
+        self.gain_p_entries = entries[1, band, 0, :, band].T.ravel()  # side x band
+        self.half_alpha0 = (0.5 * alpha0 * side).ravel()
+        self.grad = np.empty(3 * n)
+
+    def evaluate(self, vec: np.ndarray) -> float:
+        """MSE loss at vec; its gradient is left in self.grad."""
+        np.matmul(self.log_map, vec, out=self.coefs)
+        np.exp(self.coefs, out=self.coefs)
+        c2x, p, s, u = self.c2x, self.p, self.s, self.u
+        np.multiply(self.c2_fc, self.freqs_sq, out=c2x)
+        np.subtract(self.c0, c2x, out=p)
+        np.multiply(self.c1sq_fc, self.freqs_sq, out=s)
+        np.multiply(p, p, out=u)
+        u += s
+        np.divide(u[0], u[1], out=self.log_ratio)
+        np.log(self.log_ratio, out=self.log_ratio)
+        residual = self.residual
+        np.matmul(self.sum_db, self.log_ratio, out=residual)
+        residual -= self.target_db
+        loss = float(residual @ residual) / residual.size
+
+        p_u, pc2x_u, s_u = self.basis
+        np.divide(p, u, out=p_u)
+        np.multiply(p_u, c2x, out=pc2x_u)
+        np.divide(s, u, out=s_u)
+        residual *= 2.0 / residual.size  # d loss / d response
+        np.matmul(self.rows, residual, out=self.projections)
+        self.to_grad.flat[self.gain_p_entries] = self.half_alpha0 * self.c0_flat
+        np.matmul(self.to_grad, self.projections, out=self.grad)
+        return loss
 
 
-def _first_bad_index(*stacks: np.ndarray) -> int:
-    for offset, stack in enumerate(stacks):
-        bad = ~np.isfinite(stack)
-        if bad.any():
-            row = int(np.argwhere(bad)[0][0])
-            return offset * stacks[0].shape[0] + row
-    return 0
+def _check_finite(vec: np.ndarray, loss: float, grad: np.ndarray) -> None:
+    """Raise NumericalFailureError if a parameter, gradient entry or the loss
+    is not finite, naming the first such parameter or gradient index."""
+    for what, values in (("parameter", vec), ("gradient entry", grad)):
+        if not np.isfinite(values).all():
+            idx = int(np.flatnonzero(~np.isfinite(values))[0])
+            raise NumericalFailureError(f"non-finite {what} at index {idx}", param_index=idx)
+    if not math.isfinite(loss):
+        raise NumericalFailureError(f"non-finite loss {loss}")
 
 
 def loss_and_gradient(vec, target_db, grid: FrequencyGrid) -> tuple[float, np.ndarray]:
@@ -204,38 +255,49 @@ def loss_and_gradient(vec, target_db, grid: FrequencyGrid) -> tuple[float, np.nd
         raise InvalidParameterError(
             f"target length {target_db.size} does not match grid size {grid.size}"
         )
-    if np.any(~np.isfinite(vec)):
-        idx = int(np.argwhere(~np.isfinite(vec))[0][0])
-        raise NumericalFailureError(f"non-finite parameter at index {idx}", param_index=idx)
-
-    # Overflow in exp/divide shows up as non-finite values that are detected
-    # and raised as typed errors below, so the transient warnings are noise.
+    work = _Workspace(vec.size // 3, grid.freqs, target_db)
+    # Overflow in exp/divide, and a non-finite parameter, show up as
+    # non-finite values that are detected and raised as typed errors below,
+    # so the transient warnings are noise.
     with np.errstate(all="ignore"):
-        response, d_lfc, d_gain, d_lq = _response_and_partials(vec, grid.freqs)
-        residual = response - target_db
-        loss = float(np.mean(residual * residual))
-        weight = (2.0 / residual.size) * residual
-        grad = np.concatenate([d_lfc @ weight, d_gain @ weight, d_lq @ weight])
+        loss = work.evaluate(vec)
+    _check_finite(vec, loss, work.grad)
+    return loss, work.grad
 
-    if not (math.isfinite(loss) and np.all(np.isfinite(grad))):
-        idx = _first_bad_index(d_lfc, d_gain, d_lq)
-        raise NumericalFailureError(
-            f"non-finite loss or gradient (parameter index {idx})", param_index=idx
-        )
-    return loss, grad
+
+def _adam_update(state: AdamState, vec: np.ndarray, grad: np.ndarray, scratch: np.ndarray) -> None:
+    """Advance state and vec in place by one bias-corrected Adam step.
+
+    scratch is a (2, n) work array; the arithmetic is the textbook update,
+    vec -= lr * m_hat / (sqrt(v_hat) + eps), one operation at a time.
+    """
+    step, denom = scratch
+    state.t += 1
+    state.m *= ADAM_BETA1
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=step)
+    state.m += step
+    state.v *= ADAM_BETA2
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=step)
+    step *= grad
+    state.v += step
+    np.divide(state.m, 1.0 - ADAM_BETA1**state.t, out=step)
+    step *= state.learning_rate
+    np.divide(state.v, 1.0 - ADAM_BETA2**state.t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    step /= denom
+    vec -= step
 
 
 def adam_step(state: AdamState, vec: np.ndarray, grad: np.ndarray) -> tuple[AdamState, np.ndarray]:
     """One bias-corrected Adam update; returns the new state and parameters."""
     if vec.shape != grad.shape or vec.shape != state.m.shape:
         raise InvalidParameterError("state, parameters, and gradient sizes must agree")
-    t = state.t + 1
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
-    new_vec = vec - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return AdamState(m=m, v=v, t=t, learning_rate=state.learning_rate), new_vec
+    # astype copies, so the caller's state and parameters stay as they were.
+    new_state = replace(state, m=state.m.astype(np.float64), v=state.v.astype(np.float64))
+    new_vec = vec.astype(np.float64)
+    _adam_update(new_state, new_vec, grad, np.empty((2, vec.size)))
+    return new_state, new_vec
 
 
 def _initial_vector(n_bands: int, grid: FrequencyGrid, target_db: np.ndarray) -> np.ndarray:
@@ -278,27 +340,32 @@ def fit(
     target_db = target_magnitude(t60_on_grid, m_ref, fs)
 
     vec = _initial_vector(cfg.n_bands, grid, target_db)
+    work = _Workspace(cfg.n_bands, grid.freqs, target_db)
     state = AdamState.initial(vec.size, cfg.learning_rate)
+    adam_scratch = np.empty((2, vec.size))
     trace = np.empty(cfg.iterations)
     best_loss = math.inf
-    best_vec = vec
+    best_vec = vec.copy()
     best_iteration = 0
 
-    for iteration in range(cfg.iterations):
-        try:
-            loss, grad = loss_and_gradient(vec, target_db, grid)
-        except NumericalFailureError as exc:
-            raise FitDivergenceError(
-                f"fit diverged at iteration {iteration}: {exc}", iteration=iteration
-            ) from exc
-        trace[iteration] = loss
-        if loss < best_loss:
-            best_loss = loss
-            best_vec = vec
-            best_iteration = iteration
-        if progress is not None and iteration % PROGRESS_EVERY == 0:
-            progress(iteration, loss)
-        state, vec = adam_step(state, vec, grad)
+    # The same warnings-as-noise rule as loss_and_gradient, entered once.
+    with np.errstate(all="ignore"):
+        for iteration in range(cfg.iterations):
+            loss = work.evaluate(vec)
+            try:
+                _check_finite(vec, loss, work.grad)
+            except NumericalFailureError as exc:
+                raise FitDivergenceError(
+                    f"fit diverged at iteration {iteration}: {exc}", iteration=iteration
+                ) from exc
+            trace[iteration] = loss
+            if loss < best_loss:
+                best_loss = loss
+                best_vec[:] = vec
+                best_iteration = iteration
+            if progress is not None and iteration % PROGRESS_EVERY == 0:
+                progress(iteration, loss)
+            _adam_update(state, vec, work.grad, adam_scratch)
 
     bands = _sorted_bands(_vector_to_bands(best_vec))
     fitted = FittedPeq(params=PeqParams(bands), m_ref=m_ref, fs=fs)

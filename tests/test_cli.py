@@ -314,8 +314,9 @@ def test_render_rejects_zero_duration(flat_csv, tmp_path):
 
 # Inputs the library refuses, each with the parts of the bad value the
 # message must name.  {fit} and {table} are inputs; {out} is where the
-# command would write.  The last case is refused only after the render, so
-# it checks that render measures before it writes.
+# command would write.  The render_too_short and render_nothing_measurable
+# cases are refused only after the render, so they check that render
+# measures before it writes.
 @pytest.mark.parametrize(
     "argv, named",
     [
@@ -335,11 +336,19 @@ def test_render_rejects_zero_duration(flat_csv, tmp_path):
         (["campaign", "--t60-dir", "{table}", "--out-dir", "{out}"], ["{table}"]),
         (["render", "--fit", "{fit}", "--out", "{out}/ir.wav", "--duration", "0.00003"],
          ["too short"]),
+        (["fit", "--t60", "{table}", "--out", "{out}/fit.json", "--delay-ms", "nan"],
+         ["got nan"]),
+        (["fit", "--t60", "{table}", "--out", "{out}/fit.json", "--delay-samples", "inf"],
+         ["got inf"]),
+        # Shorter than the shortest default delay: every band is silent.
+        (["render", "--fit", "{fit}", "--out", "{out}/ir.wav", "--duration", "0.015"],
+         ["no band", "measurable decay"]),
     ],
     ids=[
         "export_delay_0", "render_delay_0", "export_range", "render_range",
         "campaign_range", "fit_delay_ms_0", "campaign_synthetic_0", "campaign_dir_is_file",
-        "render_too_short_to_measure",
+        "render_too_short_to_measure", "fit_delay_ms_nan", "fit_delay_samples_inf",
+        "render_nothing_measurable",
     ],
 )
 def test_library_refusals_exit_1_and_write_nothing(flat_csv, tmp_path, capsys, argv, named):

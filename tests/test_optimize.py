@@ -18,6 +18,8 @@ from peqfdn import (
     loss_and_gradient,
     peq_log_magnitude,
 )
+from peqfdn.optimize import _initial_vector, _sorted_bands, _vector_to_bands
+from peqfdn.prototypes import COEFF_EXPONENTS
 from peqfdn.targets import FrequencyGrid, interpolate_to_grid, target_magnitude
 
 
@@ -53,6 +55,53 @@ def test_gradient_matches_finite_differences(rng):
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
         worst = max(worst, float(np.max(np.abs(analytic - numeric) / denom)))
     assert worst <= 1e-4
+
+
+def reference_loss_and_gradient(vec, target_db, freqs):
+    """The loss and gradient with every per-parameter partial built in full.
+
+    Band i adds k ln(U/V), k = 10/ln 10, with U = (c0 - c2 X)^2 + c1^2 X,
+    X = (f/fc)^2, c = A^alpha (c1 also over Q) and V alike; ln A = G ln10/40.
+    """
+    n = vec.size // 3
+    kinds = [BandKind.LOW_SHELF] + [BandKind.BELL] * (n - 2) + [BandKind.HIGH_SHELF]
+    alpha2, alpha1, alpha0 = np.array([COEFF_EXPONENTS[kind] for kind in kinds]).T[..., None]
+    fc = np.exp(vec[:n])[:, None]
+    a = 10.0 ** (vec[n : 2 * n, None] / 40.0)
+    q = np.exp(vec[2 * n :])[:, None]
+    c2, c1, c0 = a**alpha2, a**alpha1 / q, a**alpha0
+    x = (freqs / fc) ** 2
+    p = c0 - c2 * x
+    s = c1 * c1 * x
+    u = p * p + s
+    d_ln_a = (2.0 * p * (alpha0 * c0 - alpha2 * c2 * x) + 2.0 * alpha1 * s) / u
+    d_ln_x = (s - 2.0 * p * c2 * x) / u
+    d_ln_q = -2.0 * s / u
+    k = 10.0 / np.log(10.0)
+    residual = k * np.log(u[0] / u[1]).sum(axis=0) - target_db
+    weight = 2.0 * residual / residual.size
+    d_lfc = -2.0 * k * (d_ln_x[0] - d_ln_x[1])
+    d_gain = k * np.log(10.0) / 40.0 * (d_ln_a[0] - d_ln_a[1])
+    d_lq = k * (d_ln_q[0] - d_ln_q[1])
+    grad = np.concatenate([d_lfc @ weight, d_gain @ weight, d_lq @ weight])
+    return np.mean(residual**2), grad
+
+
+def test_gradient_matches_full_partials(rng):
+    # The kernel contracts the gradient without building the partials; both
+    # orders of arithmetic agree to rounding.
+    grid = FrequencyGrid.log_spaced(48000.0)
+    for n_bands in list(range(3, 14)) * 5:
+        vec = np.concatenate([
+            rng.uniform(np.log(20.0), np.log(20000.0), n_bands),
+            rng.uniform(-40.0, 12.0, n_bands),
+            rng.uniform(np.log(0.2), np.log(12.0), n_bands),
+        ])
+        target_db = rng.uniform(-30.0, -0.5, grid.size)
+        loss, grad = loss_and_gradient(vec, target_db, grid)
+        ref_loss, ref_grad = reference_loss_and_gradient(vec, target_db, grid.freqs)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
 
 
 @pytest.mark.parametrize("n_bands", [3, 4, 12])
@@ -142,10 +191,41 @@ def test_fit_reduces_initial_loss(median_curve):
     assert report.final_mse < report.loss_trace[0] * 0.1
 
 
+def public_steps(curve, cfg, m_ref=4800.0, fs=48000.0):
+    """Yield (loss, parameters) per step of loss_and_gradient and adam_step
+    from fit's starting vector."""
+    grid = FrequencyGrid.log_spaced(fs)
+    target_db = target_magnitude(interpolate_to_grid(curve, grid), m_ref, fs)
+    vec = _initial_vector(cfg.n_bands, grid, target_db)
+    state = AdamState.initial(vec.size, cfg.learning_rate)
+    for _ in range(cfg.iterations):
+        loss, grad = loss_and_gradient(vec, target_db, grid)
+        yield loss, vec
+        state, vec = adam_step(state, vec, grad)
+
+
+@pytest.mark.parametrize("n_bands", [3, 8, 12])
+def test_fit_shares_the_public_arithmetic(median_curve, n_bands):
+    cfg = FitConfig(n_bands=n_bands, iterations=300)
+    losses, vecs = zip(*public_steps(median_curve, cfg))
+    fitted, report = fit(median_curve, 4800.0, 48000.0, cfg)
+    assert report.loss_trace.tobytes() == np.array(losses).tobytes()
+    best = int(np.argmin(losses))
+    assert report.best_iteration == best
+    # fit updates its parameters in place, so an aliased best vector would
+    # return the last iterate's bands instead.
+    assert fitted.params.bands == _sorted_bands(_vector_to_bands(vecs[best]))
+
+
 def test_fit_diverges_with_absurd_learning_rate(flat_curve):
     cfg = FitConfig(n_bands=4, iterations=50, learning_rate=1e8, seed=0)
-    with pytest.raises(FitDivergenceError):
+    with pytest.raises(FitDivergenceError) as err:
         fit(flat_curve, 4800.0, 48000.0, cfg)
+    taken = 0
+    with pytest.raises(NumericalFailureError):
+        for _ in public_steps(flat_curve, cfg):
+            taken += 1
+    assert err.value.iteration == taken
 
 
 def test_fit_progress_callback_cadence(flat_curve):
