@@ -51,14 +51,9 @@ from .fdn import (
     schroeder_t60,
     write_wav,
 )
-from .optimize import AdamState, FitConfig, FitReport, adam_step, fit, loss_and_gradient
+from .optimize import FitConfig, FitReport, fit, loss_and_gradient
 from .peq import FittedPeq, PeqParams, peq_log_magnitude, scale_to_delay
-from .prototypes import (
-    BandKind,
-    BandParams,
-    band_magnitude,
-    db_to_linear_amp,
-)
+from .prototypes import BandKind, BandParams, band_magnitude
 from .targets import (
     FrequencyGrid,
     T60Curve,
@@ -70,7 +65,6 @@ from .targets import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState",
     "BandKind",
     "BandParams",
     "BiquadCoeffs",
@@ -97,10 +91,8 @@ __all__ = [
     "SosCascade",
     "T60Curve",
     "achieved_t60",
-    "adam_step",
     "band_magnitude",
     "band_to_biquad",
-    "db_to_linear_amp",
     "decay_measurements_to_csv",
     "default_delays",
     "default_gains",

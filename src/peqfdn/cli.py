@@ -56,7 +56,7 @@ from .fdn import (
 )
 from .optimize import FitConfig, fit
 from .peq import FittedPeq, scale_to_delay
-from .targets import DEFAULT_GRID_SIZE, FrequencyGrid, load_t60_table
+from .targets import FrequencyGrid, load_t60_table
 
 __all__ = ["main"]
 
@@ -206,7 +206,6 @@ def _fit_config(args, seed: int = 0) -> FitConfig:
         iterations=args.iterations,
         learning_rate=args.lr,
         seed=seed,
-        grid=FrequencyGrid.log_spaced(args.fs, size=args.grid),
     )
 
 
@@ -236,7 +235,6 @@ def _add_common_fit_args(parser) -> None:
     parser.add_argument("--bands", type=int, default=12, help="PEQ bands (>= 3)")
     parser.add_argument("--iterations", type=int, default=10000)
     parser.add_argument("--lr", type=float, default=0.1, help="Adam learning rate")
-    parser.add_argument("--grid", type=int, default=DEFAULT_GRID_SIZE, help="frequency grid size")
     parser.add_argument("--quiet", action="store_true", help="suppress progress lines")
 
 

@@ -280,6 +280,10 @@ def run_campaign(
     lo, hi = delay_range_s
     if not (0 < lo <= hi):
         raise InvalidParameterError(f"need 0 < lo <= hi for delays, got {delay_range_s}")
+    if not (math.isfinite(lo * fs) and math.isfinite(hi * fs)):
+        raise InvalidParameterError(
+            f"delay range {delay_range_s} s is not finite in samples at fs={fs}"
+        )
     if workers < 1:
         raise InvalidParameterError(f"need at least one worker, got {workers}")
     if cfg.grid is None:

@@ -63,6 +63,10 @@ def default_delays(n_lines: int, lo_s: float, hi_s: float, fs: float) -> list[in
         raise InvalidParameterError(f"need at least one delay line, got {n_lines}")
     if not (0 < lo_s <= hi_s):
         raise InvalidParameterError(f"need 0 < lo <= hi, got ({lo_s}, {hi_s})")
+    if not (math.isfinite(lo_s * fs) and math.isfinite(hi_s * fs)):
+        raise InvalidParameterError(
+            f"delay range ({lo_s}, {hi_s}) s is not finite in samples at fs={fs}"
+        )
     if n_lines > 1 and lo_s == hi_s:
         raise InvalidParameterError("a degenerate range cannot yield distinct delays")
     raw = np.geomspace(lo_s * fs, hi_s * fs, n_lines)
@@ -254,6 +258,9 @@ def schroeder_t60(ir, fs: float, band_hz: float | None = None) -> DecayMeasureme
     ir = np.asarray(ir, dtype=np.float64)
     if ir.size < 2:
         raise InvalidParameterError("impulse response is too short to analyze")
+    if not np.isfinite(ir).all():
+        idx = int(np.flatnonzero(~np.isfinite(ir))[0])
+        raise InvalidParameterError(f"impulse response sample {idx} is {ir[idx]}, must be finite")
     if band_hz is not None:
         ir = sosfilt(_octave_band_sos(band_hz, fs), ir)
     energy = np.cumsum((ir * ir)[::-1])[::-1]

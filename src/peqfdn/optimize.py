@@ -7,14 +7,15 @@ prototypes.COEFF_EXPONENTS.  The parameters live in log domain for fc and Q
 so they stay positive, and a self-contained Adam loop drives the
 mean-squared-error loss.  fit evaluates the kernel in one workspace
 allocated per fit and updates the Adam moments and parameters in place;
-loss_and_gradient and adam_step run the same arithmetic on fresh arrays.
+loss_and_gradient runs the same kernel on a fresh workspace, so stepping it
+with the same update reproduces a fit bit for bit.
 A central-finite-difference oracle in the test suite is the arbiter of
 gradient correctness.
 """
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -29,11 +30,9 @@ from .prototypes import COEFF_EXPONENTS, BandKind, BandParams
 from .targets import FrequencyGrid, T60Curve, interpolate_to_grid, target_magnitude
 
 __all__ = [
-    "AdamState",
     "FitConfig",
     "FitReport",
     "loss_and_gradient",
-    "adam_step",
     "fit",
 ]
 
@@ -73,25 +72,6 @@ class FitConfig:
             raise InvalidParameterError(f"iterations must be >= 1, got {self.iterations}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise InvalidParameterError(f"learning_rate must be > 0, got {self.learning_rate}")
-
-
-@dataclass
-class AdamState:
-    """Adam moment accumulators; advance with adam_step."""
-
-    m: np.ndarray
-    v: np.ndarray
-    t: int
-    learning_rate: float
-
-    @classmethod
-    def initial(cls, n_params: int, learning_rate: float) -> "AdamState":
-        return cls(
-            m=np.zeros(n_params),
-            v=np.zeros(n_params),
-            t=0,
-            learning_rate=learning_rate,
-        )
 
 
 @dataclass
@@ -255,6 +235,9 @@ def loss_and_gradient(vec, target_db, grid: FrequencyGrid) -> tuple[float, np.nd
         raise InvalidParameterError(
             f"target length {target_db.size} does not match grid size {grid.size}"
         )
+    if not np.isfinite(target_db).all():
+        idx = int(np.flatnonzero(~np.isfinite(target_db))[0])
+        raise InvalidParameterError(f"target_db[{idx}] is {target_db[idx]}, must be finite")
     work = _Workspace(vec.size // 3, grid.freqs, target_db)
     # Overflow in exp/divide, and a non-finite parameter, show up as
     # non-finite values that are detected and raised as typed errors below,
@@ -265,39 +248,28 @@ def loss_and_gradient(vec, target_db, grid: FrequencyGrid) -> tuple[float, np.nd
     return loss, work.grad
 
 
-def _adam_update(state: AdamState, vec: np.ndarray, grad: np.ndarray, scratch: np.ndarray) -> None:
-    """Advance state and vec in place by one bias-corrected Adam step.
+def _adam_update(m, v, t: int, learning_rate: float, vec, grad, scratch) -> None:
+    """Advance the moments m, v and the parameters vec in place by Adam step t.
 
-    scratch is a (2, n) work array; the arithmetic is the textbook update,
-    vec -= lr * m_hat / (sqrt(v_hat) + eps), one operation at a time.
+    t counts from 1; scratch is a (2, n) work array.  The arithmetic is the
+    textbook bias-corrected update, vec -= lr * m_hat / (sqrt(v_hat) + eps),
+    one operation at a time.
     """
     step, denom = scratch
-    state.t += 1
-    state.m *= ADAM_BETA1
+    m *= ADAM_BETA1
     np.multiply(grad, 1.0 - ADAM_BETA1, out=step)
-    state.m += step
-    state.v *= ADAM_BETA2
+    m += step
+    v *= ADAM_BETA2
     np.multiply(grad, 1.0 - ADAM_BETA2, out=step)
     step *= grad
-    state.v += step
-    np.divide(state.m, 1.0 - ADAM_BETA1**state.t, out=step)
-    step *= state.learning_rate
-    np.divide(state.v, 1.0 - ADAM_BETA2**state.t, out=denom)
+    v += step
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=step)
+    step *= learning_rate
+    np.divide(v, 1.0 - ADAM_BETA2**t, out=denom)
     np.sqrt(denom, out=denom)
     denom += ADAM_EPS
     step /= denom
     vec -= step
-
-
-def adam_step(state: AdamState, vec: np.ndarray, grad: np.ndarray) -> tuple[AdamState, np.ndarray]:
-    """One bias-corrected Adam update; returns the new state and parameters."""
-    if vec.shape != grad.shape or vec.shape != state.m.shape:
-        raise InvalidParameterError("state, parameters, and gradient sizes must agree")
-    # astype copies, so the caller's state and parameters stay as they were.
-    new_state = replace(state, m=state.m.astype(np.float64), v=state.v.astype(np.float64))
-    new_vec = vec.astype(np.float64)
-    _adam_update(new_state, new_vec, grad, np.empty((2, vec.size)))
-    return new_state, new_vec
 
 
 def _initial_vector(n_bands: int, grid: FrequencyGrid, target_db: np.ndarray) -> np.ndarray:
@@ -341,7 +313,8 @@ def fit(
 
     vec = _initial_vector(cfg.n_bands, grid, target_db)
     work = _Workspace(cfg.n_bands, grid.freqs, target_db)
-    state = AdamState.initial(vec.size, cfg.learning_rate)
+    adam_m = np.zeros(vec.size)
+    adam_v = np.zeros(vec.size)
     adam_scratch = np.empty((2, vec.size))
     trace = np.empty(cfg.iterations)
     best_loss = math.inf
@@ -365,7 +338,9 @@ def fit(
                 best_iteration = iteration
             if progress is not None and iteration % PROGRESS_EVERY == 0:
                 progress(iteration, loss)
-            _adam_update(state, vec, work.grad, adam_scratch)
+            _adam_update(
+                adam_m, adam_v, iteration + 1, cfg.learning_rate, vec, work.grad, adam_scratch
+            )
 
     bands = _sorted_bands(_vector_to_bands(best_vec))
     fitted = FittedPeq(params=PeqParams(bands), m_ref=m_ref, fs=fs)

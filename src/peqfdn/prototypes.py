@@ -20,7 +20,6 @@ __all__ = [
     "BandKind",
     "BandParams",
     "COEFF_EXPONENTS",
-    "db_to_linear_amp",
     "analog_coeffs",
     "band_magnitude",
 ]
@@ -66,17 +65,6 @@ class BandParams:
             raise InvalidParameterError(f"q must be finite and > 0, got {self.q}")
 
 
-def db_to_linear_amp(gain_db: float) -> float:
-    """Convert a dB gain to the linear amplitude factor A = 10^(G/40).
-
-    A is the square root of the linear gain at the band's reference point;
-    the full boost/cut there is A^2 = 10^(G/20).
-    """
-    if not math.isfinite(gain_db):
-        raise InvalidParameterError(f"gain_db must be finite, got {gain_db}")
-    return 10.0 ** (gain_db / 40.0)
-
-
 # Exponent of A in each coefficient, ((n2, n1, n0), (d2, d1, d0)) for
 # H(s) = (n2 s^2 + n1 s + n0) / (d2 s^2 + d1 s + d0); n1 and d1 are also
 # divided by Q.
@@ -98,7 +86,7 @@ def analog_coeffs(
     the high shelf the mirror image.  Both shelves pass through half the dB
     gain at fc for any Q.
     """
-    a = db_to_linear_amp(band.gain_db)
+    a = 10.0 ** (band.gain_db / 40.0)
     num, den = (
         (a**e2, a**e1 / band.q, a**e0) for e2, e1, e0 in COEFF_EXPONENTS[band.kind]
     )

@@ -61,10 +61,6 @@ class T60Curve:
         object.__setattr__(self, "freq_hz", freq)
         object.__setattr__(self, "t60_s", t60)
 
-    @property
-    def n_points(self) -> int:
-        return int(self.freq_hz.size)
-
 
 @dataclass(frozen=True)
 class FrequencyGrid:

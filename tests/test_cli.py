@@ -55,8 +55,6 @@ def run_fit(flat_csv, tmp_path, name="fit.json", extra=()):
             "4",
             "--iterations",
             "600",
-            "--grid",
-            "128",
             "--quiet",
             *extra,
         ]
@@ -95,7 +93,7 @@ def test_fit_progress_goes_to_stderr(flat_csv, tmp_path, capsys):
     out = str(tmp_path / "fit.json")
     rc = cli.main(
         ["fit", "--t60", flat_csv, "--out", out, "--bands", "4",
-         "--iterations", "600", "--grid", "128"]
+         "--iterations", "600"]
     )
     assert rc == 0
     captured = capsys.readouterr()
@@ -330,6 +328,12 @@ def test_render_rejects_zero_duration(flat_csv, tmp_path):
          ["0.2", "0.1"]),
         (["campaign", "--synthetic", "2", "--out-dir", "{out}", "--delay-range", "0.2:0.1"],
          ["0.2", "0.1"]),
+        (["export", "--fit", "{fit}", "--out-dir", "{out}", "--delay-range", "0.015:inf"],
+         ["0.015", "inf"]),
+        (["render", "--fit", "{fit}", "--out", "{out}/ir.wav", "--delay-range", "0.015:inf"],
+         ["0.015", "inf"]),
+        (["campaign", "--synthetic", "2", "--out-dir", "{out}", "--delay-range", "0.01:inf"],
+         ["0.01", "inf"]),
         (["fit", "--t60", "{table}", "--out", "{out}/fit.json", "--delay-ms", "0"],
          ["got 0"]),
         (["campaign", "--synthetic", "0", "--out-dir", "{out}"], ["got 0"]),
@@ -346,7 +350,8 @@ def test_render_rejects_zero_duration(flat_csv, tmp_path):
     ],
     ids=[
         "export_delay_0", "render_delay_0", "export_range", "render_range",
-        "campaign_range", "fit_delay_ms_0", "campaign_synthetic_0", "campaign_dir_is_file",
+        "campaign_range", "export_range_inf", "render_range_inf", "campaign_range_inf",
+        "fit_delay_ms_0", "campaign_synthetic_0", "campaign_dir_is_file",
         "render_too_short_to_measure", "fit_delay_ms_nan", "fit_delay_samples_inf",
         "render_nothing_measurable",
     ],
@@ -366,13 +371,13 @@ def test_campaign_synthetic_artifacts(tmp_path):
     out_dir = tmp_path / "campaign"
     rc = cli.main(
         ["campaign", "--synthetic", "3", "--out-dir", str(out_dir), "--bands", "4",
-         "--iterations", "300", "--grid", "96", "--quiet"]
+         "--iterations", "300", "--quiet"]
     )
     assert rc == 0
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["n_curves"] == 3
     assert summary["bands"] == 4
-    assert summary["n_points"] == 3 * 96
+    assert summary["n_points"] == 3 * 512
     histogram = (out_dir / "histogram.csv").read_text().strip().splitlines()
     assert histogram[0] == "bin_lo_pct,bin_hi_pct,count"
     assert sum(int(line.split(",")[2]) for line in histogram[1:]) == summary["n_points"]
@@ -388,7 +393,7 @@ def test_campaign_over_directory(flat_csv, tmp_path):
     out_dir = tmp_path / "campaign"
     rc = cli.main(
         ["campaign", "--t60-dir", str(table_dir), "--out-dir", str(out_dir),
-         "--bands", "4", "--iterations", "300", "--grid", "96", "--quiet"]
+         "--bands", "4", "--iterations", "300", "--quiet"]
     )
     assert rc == 0
     summary = json.loads((out_dir / "summary.json").read_text())

@@ -1,5 +1,7 @@
 """Campaign plumbing: error pooling, cost model, synthetic curves."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,8 @@ def test_run_campaign_validation():
     curves = synthetic_smooth_curves(1, seed=0)
     with pytest.raises(InvalidParameterError):
         run_campaign(curves, quick_cfg(), delay_range_s=(0.3, 0.01))
+    with pytest.raises(InvalidParameterError, match="inf"):
+        run_campaign(curves, quick_cfg(), delay_range_s=(0.01, math.inf))
     with pytest.raises(InvalidParameterError):
         run_campaign(curves, quick_cfg(), workers=0)
 

@@ -107,6 +107,9 @@ def test_default_delays_validation():
         default_delays(4, 0.1, 0.01, FS)
     with pytest.raises(InvalidParameterError):
         default_delays(4, 0.1, 0.1, FS)
+    # An infinite range end has no length in samples.
+    with pytest.raises(InvalidParameterError, match="inf"):
+        default_delays(8, 0.015, math.inf, FS)
 
 
 def test_default_gains_shape_and_magnitude():
@@ -293,6 +296,15 @@ def test_schroeder_rejects_silence_and_short_decay():
     # reach the bottom of the -5..-25 dB fit window.
     with pytest.raises(InsufficientDecayError):
         schroeder_t60(np.ones(100), FS)
+
+
+def test_schroeder_rejects_non_finite_samples():
+    with pytest.raises(InvalidParameterError, match="sample 0 is nan"):
+        schroeder_t60(np.full(100, np.nan), FS)
+    ir = np.exp(-np.arange(48000) / 4800.0)
+    ir[1000] = np.nan
+    with pytest.raises(InvalidParameterError, match="sample 1000 is nan"):
+        schroeder_t60(ir, FS)
 
 
 def test_write_wav_roundtrip(tmp_path):

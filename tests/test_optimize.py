@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from peqfdn import (
-    AdamState,
     BandKind,
     BandParams,
     FitConfig,
@@ -13,12 +12,11 @@ from peqfdn import (
     NumericalFailureError,
     PeqParams,
     T60Curve,
-    adam_step,
     fit,
     loss_and_gradient,
     peq_log_magnitude,
 )
-from peqfdn.optimize import _initial_vector, _sorted_bands, _vector_to_bands
+from peqfdn.optimize import _adam_update, _initial_vector, _sorted_bands, _vector_to_bands
 from peqfdn.prototypes import COEFF_EXPONENTS
 from peqfdn.targets import FrequencyGrid, interpolate_to_grid, target_magnitude
 
@@ -132,27 +130,33 @@ def test_loss_and_gradient_rejects_non_finite_params():
     assert err.value.param_index == 4
 
 
+def test_loss_and_gradient_refuses_non_finite_target():
+    grid = FrequencyGrid.log_spaced(48000.0, size=16)
+    target_db = np.full(16, -3.0)
+    target_db[5] = np.nan
+    with pytest.raises(InvalidParameterError, match=r"target_db\[5\] is nan"):
+        loss_and_gradient(np.zeros(9), target_db, grid)
+
+
+def adam_steps(vec, grad_of, learning_rate, steps):
+    """Run the private Adam update from zero moments; returns the parameters."""
+    vec = np.array(vec, dtype=np.float64)
+    m, v, scratch = np.zeros(vec.size), np.zeros(vec.size), np.empty((2, vec.size))
+    for t in range(1, steps + 1):
+        _adam_update(m, v, t, learning_rate, vec, grad_of(vec), scratch)
+    return vec
+
+
 def test_adam_first_step_size_is_learning_rate():
     # With zero history the bias-corrected update is lr * sign(grad).
-    state = AdamState.initial(3, learning_rate=0.05)
-    vec = np.zeros(3)
     grad = np.array([1.0, -2.0, 0.5])
-    _, new_vec = adam_step(state, vec, grad)
+    new_vec = adam_steps(np.zeros(3), lambda vec: grad, 0.05, 1)
     assert np.allclose(new_vec, -0.05 * np.sign(grad), rtol=1e-6)
 
 
 def test_adam_converges_on_quadratic():
-    state = AdamState.initial(2, learning_rate=0.1)
-    vec = np.array([3.0, -2.0])
-    for _ in range(2000):
-        state, vec = adam_step(state, vec, 2.0 * vec)
+    vec = adam_steps([3.0, -2.0], lambda vec: 2.0 * vec, 0.1, 2000)
     assert np.abs(vec).max() < 1e-3
-
-
-def test_adam_shape_mismatch_rejected():
-    state = AdamState.initial(3, learning_rate=0.1)
-    with pytest.raises(InvalidParameterError):
-        adam_step(state, np.zeros(2), np.zeros(2))
 
 
 def test_fit_flat_target_converges_fast(flat_curve):
@@ -192,16 +196,17 @@ def test_fit_reduces_initial_loss(median_curve):
 
 
 def public_steps(curve, cfg, m_ref=4800.0, fs=48000.0):
-    """Yield (loss, parameters) per step of loss_and_gradient and adam_step
-    from fit's starting vector."""
+    """Yield (loss, parameters) per step of loss_and_gradient and the Adam
+    update from fit's starting vector."""
     grid = FrequencyGrid.log_spaced(fs)
     target_db = target_magnitude(interpolate_to_grid(curve, grid), m_ref, fs)
     vec = _initial_vector(cfg.n_bands, grid, target_db)
-    state = AdamState.initial(vec.size, cfg.learning_rate)
-    for _ in range(cfg.iterations):
+    m, v, scratch = np.zeros(vec.size), np.zeros(vec.size), np.empty((2, vec.size))
+    for t in range(1, cfg.iterations + 1):
         loss, grad = loss_and_gradient(vec, target_db, grid)
         yield loss, vec
-        state, vec = adam_step(state, vec, grad)
+        vec = vec.copy()  # the update is in place; keep the yielded vector
+        _adam_update(m, v, t, cfg.learning_rate, vec, grad, scratch)
 
 
 @pytest.mark.parametrize("n_bands", [3, 8, 12])

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from peqfdn import (
-    BandKind,
-    BandParams,
-    InvalidParameterError,
-    band_magnitude,
-    db_to_linear_amp,
-)
+from peqfdn import BandKind, BandParams, InvalidParameterError, band_magnitude
 
 # Far enough from fc that the asymptotic value holds to well under 1e-6.
 FAR_FACTOR = 1e6
@@ -22,14 +16,6 @@ def random_band(rng, kind):
         gain_db=float(rng.uniform(-30.0, 6.0)),
         q=float(rng.uniform(0.3, 10.0)),
     )
-
-
-def test_db_to_linear_amp_known_values():
-    assert db_to_linear_amp(0.0) == 1.0
-    assert db_to_linear_amp(40.0) == pytest.approx(10.0, rel=1e-12)
-    assert db_to_linear_amp(-40.0) == pytest.approx(0.1, rel=1e-12)
-    with pytest.raises(InvalidParameterError):
-        db_to_linear_amp(float("nan"))
 
 
 def test_bell_peak_equals_full_gain(rng):
