@@ -233,7 +233,13 @@ def _add_delay_args(parser) -> None:
 def _add_common_fit_args(parser) -> None:
     parser.add_argument("--fs", type=float, default=48000.0, help="sample rate in Hz")
     parser.add_argument("--bands", type=int, default=12, help="PEQ bands (>= 3)")
-    parser.add_argument("--iterations", type=int, default=10000)
+    parser.add_argument(
+        "--iterations",
+        type=int,
+        default=10000,
+        help="fit budget in Adam steps: Adam takes the first 2000, then every 26 "
+        "left buy one Levenberg-Marquardt polish evaluation",
+    )
     parser.add_argument("--lr", type=float, default=0.1, help="Adam learning rate")
     parser.add_argument("--quiet", action="store_true", help="suppress progress lines")
 

@@ -57,7 +57,8 @@ def default_delays(n_lines: int, lo_s: float, hi_s: float, fs: float) -> list[in
     """Log-spaced delay lengths in samples, nudged to mutually coprime integers.
 
     Coprime lengths keep the modal pattern of the network dense instead of
-    letting delay-line periods coincide.
+    letting delay-line periods coincide.  Every delay lies inside the range;
+    a range that does not hold n_lines distinct coprime integers is refused.
     """
     if n_lines < 1:
         raise InvalidParameterError(f"need at least one delay line, got {n_lines}")
@@ -69,19 +70,27 @@ def default_delays(n_lines: int, lo_s: float, hi_s: float, fs: float) -> list[in
         )
     if n_lines > 1 and lo_s == hi_s:
         raise InvalidParameterError("a degenerate range cannot yield distinct delays")
+    first, last = max(1, math.ceil(lo_s * fs)), math.floor(hi_s * fs)
     raw = np.geomspace(lo_s * fs, hi_s * fs, n_lines)
     delays: list[int] = []
     for value in raw:
         base = max(1, round(float(value)))
-        for step in range(0, 1000):
+        for step in range(last - first + 2):
             for candidate in ({base} if step == 0 else {base + step, base - step}):
-                if candidate >= 1 and all(gcd(candidate, other) == 1 for other in delays):
+                if (
+                    first <= candidate <= last
+                    and candidate not in delays
+                    and all(gcd(candidate, other) == 1 for other in delays)
+                ):
                     break
             else:
                 continue
             break
         else:
-            raise InvalidParameterError("could not find coprime delay lengths")
+            raise InvalidParameterError(
+                f"delay range ({lo_s}, {hi_s}) s does not hold {n_lines} distinct "
+                f"coprime delays at fs={fs}"
+            )
         delays.append(candidate)
     return delays
 

@@ -8,7 +8,9 @@ so they stay positive, and a self-contained Adam loop drives the
 mean-squared-error loss.  fit evaluates the kernel in one workspace
 allocated per fit and updates the Adam moments and parameters in place;
 loss_and_gradient runs the same kernel on a fresh workspace, so stepping it
-with the same update reproduces a fit bit for bit.
+with the same update reproduces a fit bit for bit.  A fit with budget left
+after 2000 Adam steps polishes their result by damped Levenberg-Marquardt on
+the same kernel's residuals and Jacobian.
 A central-finite-difference oracle in the test suite is the arbiter of
 gradient correctness.
 """
@@ -19,12 +21,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.optimize import least_squares
 
 from .errors import (
     FitDivergenceError,
     InvalidParameterError,
     NumericalFailureError,
 )
+from .fdn import DEFAULT_DELAY_RANGE_S
 from .peq import FittedPeq, PeqParams
 from .prototypes import COEFF_EXPONENTS, BandKind, BandParams
 from .targets import FrequencyGrid, T60Curve, interpolate_to_grid, target_magnitude
@@ -52,12 +56,30 @@ ADAM_EPS = 1e-8
 
 PROGRESS_EVERY = 500
 
+# A fit's budget is cfg.iterations Adam steps.  Adam takes up to
+# WARM_START_STEPS of them; every STEPS_PER_EVALUATION steps left buy one
+# evaluation of the Levenberg-Marquardt polish, which costs about as much.
+WARM_START_STEPS = 2000
+STEPS_PER_EVALUATION = 26
+
+# The polish's extra rows (see _Polish).  The prior weighs log fc, gain dB
+# and log Q: it holds the corners and Q, which can run off (to fc = inf),
+# and barely the gains, whose dB response is nearly linear.  The hinge is
+# checked at DC and below the grid's 20 Hz floor, and over the top octave,
+# at HINGE_SCALES gain scales.
+PRIOR_WEIGHTS = (0.01, 0.001, 0.01)
+HINGE_WEIGHT = 10.0
+HINGE_SCALES = 5
+HINGE_LOW_HZ = np.concatenate(([0.0], np.geomspace(0.5, 19.0, 24)))
+HINGE_TOP_OCTAVE_POINTS = 6
+
 
 @dataclass(frozen=True)
 class FitConfig:
     """Knobs of one fitting run."""
 
     n_bands: int = 12
+    # A budget in Adam steps: see fit for how the polish spends it.
     iterations: int = 10000
     learning_rate: float = 0.1
     # A fit has a fixed start and ignores the seed; run_campaign draws its
@@ -80,7 +102,7 @@ class FitReport:
 
     final_mse: float
     best_iteration: int
-    iterations: int
+    iterations: int  # Adam steps plus polish evaluations: the trace's length
     loss_trace: np.ndarray
     wall_time_s: float
 
@@ -182,8 +204,12 @@ class _Workspace:
         self.half_alpha0 = (0.5 * alpha0 * side).ravel()
         self.grad = np.empty(3 * n)
 
-    def evaluate(self, vec: np.ndarray) -> float:
-        """MSE loss at vec; its gradient is left in self.grad."""
+    def respond(self, vec: np.ndarray) -> np.ndarray:
+        """Response minus target at vec, in self.residual.
+
+        Also leaves the basis rows and to_grad at vec, for evaluate's
+        gradient and for jacobian.
+        """
         np.matmul(self.log_map, vec, out=self.coefs)
         np.exp(self.coefs, out=self.coefs)
         c2x, p, s, u = self.c2x, self.p, self.s, self.u
@@ -197,17 +223,26 @@ class _Workspace:
         residual = self.residual
         np.matmul(self.sum_db, self.log_ratio, out=residual)
         residual -= self.target_db
-        loss = float(residual @ residual) / residual.size
 
         p_u, pc2x_u, s_u = self.basis
         np.divide(p, u, out=p_u)
         np.multiply(p_u, c2x, out=pc2x_u)
         np.divide(s, u, out=s_u)
+        self.to_grad.flat[self.gain_p_entries] = self.half_alpha0 * self.c0_flat
+        return residual
+
+    def evaluate(self, vec: np.ndarray) -> float:
+        """MSE loss at vec; its gradient is left in self.grad."""
+        residual = self.respond(vec)
+        loss = float(residual @ residual) / residual.size
         residual *= 2.0 / residual.size  # d loss / d response
         np.matmul(self.rows, residual, out=self.projections)
-        self.to_grad.flat[self.gain_p_entries] = self.half_alpha0 * self.c0_flat
         np.matmul(self.to_grad, self.projections, out=self.grad)
         return loss
+
+    def jacobian(self, out: np.ndarray) -> np.ndarray:
+        """d response / d vec at the last respond, as a (P, 3N) array in out."""
+        return np.matmul(self.rows.T, self.to_grad.T, out=out)
 
 
 def _check_finite(vec: np.ndarray, loss: float, grad: np.ndarray) -> None:
@@ -291,6 +326,98 @@ def _sorted_bands(bands: list[BandParams]) -> tuple[BandParams, ...]:
     return tuple(low + bells + high)
 
 
+class _Polish:
+    """Residual rows and Jacobian of the damped least-squares polish.
+
+    The rows, in order:
+    - the grid's P residuals, response minus target;
+    - PRIOR_WEIGHTS (vec - warm), which damps the polish toward the Adam
+      warm start and keeps the Jacobian's columns independent;
+    - HINGE_WEIGHT max(0, H_s(f) - s cap) at each check frequency f and gain
+      scale s.  H_s is the response with every gain times s, as
+      scale_to_delay gives a line s m_ref samples long; the scales span the
+      default delay range.  cap is half the target at the grid edge nearest
+      f, so every default line keeps a margin below 0 dB where the grid does
+      not look.
+
+    residuals records each evaluation's grid MSE and keeps the parameters of
+    the lowest total cost seen.
+    """
+
+    def __init__(self, work: _Workspace, warm: np.ndarray, m_ref: float, fs: float):
+        top = np.geomspace(fs / 4.0, fs / 2.0, HINGE_TOP_OCTAVE_POINTS)
+        check_freqs = np.concatenate((HINGE_LOW_HZ, top))
+        cap = 0.5 * np.repeat(work.target_db[[0, -1]], (HINGE_LOW_HZ.size, top.size))
+        lo_s, hi_s = DEFAULT_DELAY_RANGE_S
+        self.scales = np.geomspace(lo_s * fs / m_ref, hi_s * fs / m_ref, HINGE_SCALES)
+        self.caps = self.scales[:, None] * cap  # (scale, check frequency)
+        self.active = np.empty(self.caps.shape, dtype=bool)
+        n = warm.size // 3
+        self.hinges = [_Workspace(n, check_freqs, np.zeros(check_freqs.size)) for _ in self.scales]
+        self.work = work
+        self.warm = warm.copy()
+        self.prior = np.repeat(PRIOR_WEIGHTS, n)
+        self.gains = slice(n, 2 * n)
+        self.grid_end = work.residual.size
+        self.prior_end = self.grid_end + warm.size
+        self.n_rows = self.prior_end + self.caps.size
+        self.at = None
+        self.losses: list[float] = []
+        self.best_cost = math.inf
+        self.best_vec = self.warm.copy()
+        self.best_index = 0
+
+    def _respond(self, vec: np.ndarray) -> np.ndarray:
+        rows = np.empty(self.n_rows)
+        rows[: self.grid_end] = self.work.respond(vec)
+        rows[self.grid_end : self.prior_end] = self.prior * (vec - self.warm)
+        excess = rows[self.prior_end :].reshape(self.caps.shape)
+        scaled = vec.copy()
+        for k, hinge in enumerate(self.hinges):
+            scaled[self.gains] = self.scales[k] * vec[self.gains]
+            excess[k] = hinge.respond(scaled)
+        excess -= self.caps
+        np.greater(excess, 0.0, out=self.active)
+        excess[~self.active] = 0.0
+        excess *= HINGE_WEIGHT
+        self.at = vec.copy()
+        return rows
+
+    def residuals(self, vec: np.ndarray) -> np.ndarray:
+        """Every row at vec; raises FitDivergenceError if one is not finite."""
+        rows = self._respond(vec)
+        iteration = WARM_START_STEPS + len(self.losses)
+        if not np.isfinite(rows).all():
+            row = int(np.flatnonzero(~np.isfinite(rows))[0])
+            raise FitDivergenceError(
+                f"fit diverged at iteration {iteration}: non-finite polish residual at row {row}",
+                iteration=iteration,
+            )
+        grid = rows[: self.grid_end]
+        self.losses.append(float(grid @ grid) / grid.size)
+        cost = float(rows @ rows)
+        if cost < self.best_cost:
+            self.best_cost = cost
+            self.best_vec[:] = vec
+            self.best_index = len(self.losses) - 1
+        return rows
+
+    def jacobian(self, vec: np.ndarray) -> np.ndarray:
+        """d rows / d vec, an (n_rows, 3N) array."""
+        if not np.array_equal(vec, self.at):
+            self._respond(vec)
+        jac = np.zeros((self.n_rows, vec.size))
+        self.work.jacobian(jac[: self.grid_end])
+        np.fill_diagonal(jac[self.grid_end : self.prior_end], self.prior)
+        hinge_jac = jac[self.prior_end :].reshape(self.caps.shape + (vec.size,))
+        for k, hinge in enumerate(self.hinges):
+            hinge.jacobian(hinge_jac[k])
+        hinge_jac[:, :, self.gains] *= self.scales[:, None, None]
+        hinge_jac[~self.active] = 0.0
+        hinge_jac *= HINGE_WEIGHT
+        return jac
+
+
 def fit(
     target: T60Curve,
     m_ref: float,
@@ -300,11 +427,21 @@ def fit(
 ) -> tuple[FittedPeq, FitReport]:
     """Fit one PEQ to a T60 curve at reference delay m_ref samples.
 
-    Runs cfg.iterations Adam steps on the MSE between the composite analog
-    response and the target attenuation on the grid, and returns the
+    cfg.iterations is a budget counted in Adam steps on the MSE between the
+    composite analog response and the target attenuation on the grid.
+    Adam takes the first min(cfg.iterations, 2000) steps and keeps the
     best-loss parameters seen (the lr-0.1 endgame oscillates, so the last
-    iterate is not necessarily the best).  ``progress``, if given, is called
-    every 500 iterations with (iteration, current loss).
+    iterate is not necessarily the best).  Each 26 steps left buy one
+    evaluation of a damped Levenberg-Marquardt polish from those parameters
+    (MINPACK's, through scipy.optimize.least_squares), which may stop
+    earlier on MINPACK's convergence tests; see _Polish for its rows.  The
+    fit then returns the lowest-cost parameters the polish evaluated.
+
+    The report's loss trace holds each Adam step's grid MSE, then each
+    polish evaluation's; final_mse is the grid MSE of the returned
+    parameters, and best_iteration their index in the trace.  ``progress``,
+    if given, is called every 500 Adam steps with (step, current loss), and
+    once at the end with (trace length, final MSE).
     """
     started = time.perf_counter()
     grid = cfg.grid if cfg.grid is not None else FrequencyGrid.log_spaced(fs)
@@ -316,14 +453,15 @@ def fit(
     adam_m = np.zeros(vec.size)
     adam_v = np.zeros(vec.size)
     adam_scratch = np.empty((2, vec.size))
-    trace = np.empty(cfg.iterations)
+    steps = min(cfg.iterations, WARM_START_STEPS)
+    trace = np.empty(steps)
     best_loss = math.inf
     best_vec = vec.copy()
     best_iteration = 0
 
     # The same warnings-as-noise rule as loss_and_gradient, entered once.
     with np.errstate(all="ignore"):
-        for iteration in range(cfg.iterations):
+        for iteration in range(steps):
             loss = work.evaluate(vec)
             try:
                 _check_finite(vec, loss, work.grad)
@@ -342,15 +480,31 @@ def fit(
                 adam_m, adam_v, iteration + 1, cfg.learning_rate, vec, work.grad, adam_scratch
             )
 
+        evaluations = (cfg.iterations - steps) // STEPS_PER_EVALUATION
+        if evaluations:
+            polish = _Polish(work, best_vec, m_ref, fs)
+            least_squares(
+                polish.residuals,
+                best_vec,
+                jac=polish.jacobian,
+                method="lm",
+                x_scale="jac",
+                max_nfev=evaluations,
+            )
+            trace = np.concatenate((trace, polish.losses))
+            best_vec = polish.best_vec
+            best_iteration = steps + polish.best_index
+            best_loss = float(trace[best_iteration])
+
     bands = _sorted_bands(_vector_to_bands(best_vec))
     fitted = FittedPeq(params=PeqParams(bands), m_ref=m_ref, fs=fs)
     report = FitReport(
         final_mse=best_loss,
         best_iteration=best_iteration,
-        iterations=cfg.iterations,
+        iterations=trace.size,
         loss_trace=trace,
         wall_time_s=time.perf_counter() - started,
     )
     if progress is not None:
-        progress(cfg.iterations, best_loss)
+        progress(trace.size, best_loss)
     return fitted, report

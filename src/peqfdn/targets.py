@@ -27,6 +27,12 @@ __all__ = [
 NYQUIST_BACKOFF = 1.0 - 2.0**-20
 DEFAULT_F_LO = 20.0
 DEFAULT_GRID_SIZE = 512
+# The deepest target a fit can follow, in dB per pass of the delay line.
+# The fit starts each band at the target gain G, and past about -6470 dB a
+# shelf's coefficient A^2 = 10^(G/20) underflows to zero, so the response
+# and its squared error cannot stay finite.  In T60 terms the bound asks
+# for T60 >= m_k / (100 fs), one hundredth of the delay.
+MIN_TARGET_DB = -6000.0
 
 
 @dataclass(frozen=True)
@@ -139,7 +145,11 @@ def interpolate_to_grid(curve: T60Curve, grid: FrequencyGrid) -> np.ndarray:
 
 
 def target_magnitude(t60_s, m_k: float, fs: float) -> np.ndarray:
-    """Per-delay-line attenuation target in dB: -60 * m_k / (T60 * fs)."""
+    """Per-delay-line attenuation target in dB: -60 * m_k / (T60 * fs).
+
+    A T60 whose target lies below MIN_TARGET_DB (-6000 dB, a T60 under
+    m_k / (100 fs)) is refused.
+    """
     t60_s = np.asarray(t60_s, dtype=np.float64)
     if not (math.isfinite(m_k) and m_k >= 1):
         raise InvalidParameterError(f"m_k must be >= 1 sample, got {m_k}")
@@ -147,4 +157,11 @@ def target_magnitude(t60_s, m_k: float, fs: float) -> np.ndarray:
         raise InvalidParameterError(f"fs must be > 0, got {fs}")
     if np.any(~np.isfinite(t60_s)) or np.any(t60_s <= 0):
         raise InvalidParameterError("T60 values must be finite and > 0")
-    return -60.0 * m_k / (t60_s * fs)
+    target = -60.0 * m_k / (t60_s * fs)
+    if np.min(target) < MIN_TARGET_DB:
+        raise InvalidParameterError(
+            f"T60 {np.min(t60_s):g} s asks for {np.min(target):.4g} dB per pass of a "
+            f"{m_k:g}-sample delay at fs={fs:g}; a fit follows targets down to "
+            f"{MIN_TARGET_DB:g} dB, so T60 must be >= {m_k / (100.0 * fs):g} s"
+        )
+    return target

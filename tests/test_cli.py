@@ -347,13 +347,16 @@ def test_render_rejects_zero_duration(flat_csv, tmp_path):
         # Shorter than the shortest default delay: every band is silent.
         (["render", "--fit", "{fit}", "--out", "{out}/ir.wav", "--duration", "0.015"],
          ["no band", "measurable decay"]),
+        # Under one sample: no integer delay fits inside the range.
+        (["export", "--fit", "{fit}", "--out-dir", "{out}", "--delay-range", "1e-9:1e-8",
+          "--lines", "8"], ["1e-09", "1e-08", "8 distinct"]),
     ],
     ids=[
         "export_delay_0", "render_delay_0", "export_range", "render_range",
         "campaign_range", "export_range_inf", "render_range_inf", "campaign_range_inf",
         "fit_delay_ms_0", "campaign_synthetic_0", "campaign_dir_is_file",
         "render_too_short_to_measure", "fit_delay_ms_nan", "fit_delay_samples_inf",
-        "render_nothing_measurable",
+        "render_nothing_measurable", "export_range_below_one_sample",
     ],
 )
 def test_library_refusals_exit_1_and_write_nothing(flat_csv, tmp_path, capsys, argv, named):
@@ -365,6 +368,41 @@ def test_library_refusals_exit_1_and_write_nothing(flat_csv, tmp_path, capsys, a
     for part in named:
         assert part.format(**fields) in err
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_fit_refuses_a_vanishing_t60(tmp_path, capsys):
+    # The target of a 1e-300 s T60 is -6e300 dB: its squared error overflows.
+    table = tmp_path / "vanishing.csv"
+    table.write_text("freq_hz,t60_s\n100,1e-300\n1000,1.0\n")
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(["fit", "--t60", str(table), "--out", str(tmp_path / "fit.json")]) == 1
+    err = capsys.readouterr().err
+    assert "T60 1e-300 s" in err and "-6000 dB" in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+# design workload seed 11's second synthetic table: T60 at 31 log-spaced
+# points from 20 Hz to 20 kHz, falling to 0.33 s and rising to 2.5 s.
+SEED_11_SYNTH1_T60 = (
+    0.445482, 0.43187, 0.417733, 0.403204, 0.388609, 0.374401, 0.361099, 0.349242,
+    0.33936, 0.331961, 0.327531, 0.326553, 0.329521, 0.336973, 0.349514, 0.367855,
+    0.392834, 0.425451, 0.466897, 0.518588, 0.582209, 0.659765, 0.753645, 0.866688,
+    1.00223, 1.16413, 1.35658, 1.58384, 1.84952, 2.15544, 2.5,
+)
+
+
+def test_default_fit_decays_below_the_grid(tmp_path):
+    # A fit free below 20 Hz lifted this table's 720-sample line to +3.7 dB
+    # at 8 Hz, and export refused it.
+    table = tmp_path / "synth1.csv"
+    table.write_text("freq_hz,t60_s\n" + "".join(
+        f"{f:.6g},{t:.6g}\n" for f, t in zip(np.geomspace(20.0, 20000.0, 31), SEED_11_SYNTH1_T60)
+    ))
+    fit_path = str(tmp_path / "fit.json")
+    assert cli.main(["fit", "--t60", str(table), "--out", fit_path, "--quiet"]) == 0
+    out_dir = tmp_path / "sos"
+    assert cli.main(["export", "--fit", fit_path, "--out-dir", str(out_dir), "--quiet"]) == 0
+    assert len(json.loads((out_dir / "manifest.json").read_text())["lines"]) == 8
 
 
 def test_campaign_synthetic_artifacts(tmp_path):

@@ -94,7 +94,7 @@ def test_default_delays_properties():
     delays = default_delays(8, 0.015, 0.12, FS)
     assert len(delays) == 8
     assert len(set(delays)) == 8
-    assert all(0.015 * FS * 0.95 <= m <= 0.12 * FS * 1.05 for m in delays)
+    assert all(0.015 * FS <= m <= 0.12 * FS for m in delays)
     for i, a in enumerate(delays):
         for b in delays[i + 1 :]:
             assert math.gcd(a, b) == 1
@@ -110,6 +110,11 @@ def test_default_delays_validation():
     # An infinite range end has no length in samples.
     with pytest.raises(InvalidParameterError, match="inf"):
         default_delays(8, 0.015, math.inf, FS)
+    # 48 to 52.8 samples hold five integers; under one sample holds none.
+    with pytest.raises(InvalidParameterError, match="8 distinct coprime"):
+        default_delays(8, 0.001, 0.0011, FS)
+    with pytest.raises(InvalidParameterError, match="8 distinct coprime"):
+        default_delays(8, 1e-9, 1e-8, FS)
 
 
 def test_default_gains_shape_and_magnitude():

@@ -16,7 +16,15 @@ from peqfdn import (
     loss_and_gradient,
     peq_log_magnitude,
 )
-from peqfdn.optimize import _adam_update, _initial_vector, _sorted_bands, _vector_to_bands
+from peqfdn.optimize import (
+    WARM_START_STEPS,
+    _adam_update,
+    _initial_vector,
+    _Polish,
+    _sorted_bands,
+    _vector_to_bands,
+    _Workspace,
+)
 from peqfdn.prototypes import COEFF_EXPONENTS
 from peqfdn.targets import FrequencyGrid, interpolate_to_grid, target_magnitude
 
@@ -220,6 +228,54 @@ def test_fit_shares_the_public_arithmetic(median_curve, n_bands):
     # fit updates its parameters in place, so an aliased best vector would
     # return the last iterate's bands instead.
     assert fitted.params.bands == _sorted_bands(_vector_to_bands(vecs[best]))
+
+
+@pytest.mark.parametrize("n_bands", [3, 8, 12])
+def test_polish_jacobian_matches_central_differences(rng, median_curve, n_bands):
+    grid = FrequencyGrid.log_spaced(48000.0)
+    target_db = target_magnitude(interpolate_to_grid(median_curve, grid), 4800.0, 48000.0)
+    vec = random_vector(rng, n_bands)
+    polish = _Polish(_Workspace(n_bands, grid.freqs, target_db), vec + 0.1, 4800.0, 48000.0)
+    analytic = polish.jacobian(vec)
+    h = 1e-6
+    numeric = np.empty_like(analytic)
+    for i in range(vec.size):
+        step = np.zeros(vec.size)
+        step[i] = h
+        numeric[:, i] = (polish.residuals(vec + step) - polish.residuals(vec - step)) / (2.0 * h)
+    polish.residuals(vec)
+    # Every hinge row is checked at a gain scale s != 1; rows within 1e-3 dB
+    # of the hinge's kink are left out, where a difference straddles it.
+    excess = np.concatenate(
+        [hinge.residual - cap for hinge, cap in zip(polish.hinges, polish.caps)]
+    )
+    assert not np.any(polish.scales == 1.0)
+    assert 0 < np.count_nonzero(excess > 0) < excess.size
+    keep = np.ones(polish.n_rows, dtype=bool)
+    keep[polish.prior_end :] = np.abs(excess) > 1e-3
+    err = np.abs(analytic - numeric)[keep]
+    assert err.max() <= 1e-6 * np.abs(analytic).max()
+
+
+def test_fit_past_the_warm_start_polishes(median_curve):
+    polished_cfg = FitConfig(n_bands=8, iterations=WARM_START_STEPS + 26 * 40)
+    fitted, report = fit(median_curve, 4800.0, 48000.0, polished_cfg)
+    _, warm = fit(median_curve, 4800.0, 48000.0, FitConfig(n_bands=8, iterations=WARM_START_STEPS))
+    # Adam's steps are the same; then each polish evaluation adds one loss.
+    assert report.loss_trace[:WARM_START_STEPS].tobytes() == warm.loss_trace.tobytes()
+    assert WARM_START_STEPS < report.loss_trace.size <= WARM_START_STEPS + 41
+    assert report.iterations == report.loss_trace.size
+    assert report.final_mse == report.loss_trace[report.best_iteration]
+    assert report.final_mse < 0.8 * warm.final_mse
+    vec = np.concatenate([
+        np.log([band.fc_hz for band in fitted.params.bands]),
+        [band.gain_db for band in fitted.params.bands],
+        np.log([band.q for band in fitted.params.bands]),
+    ])
+    grid = FrequencyGrid.log_spaced(48000.0)
+    target_db = target_magnitude(interpolate_to_grid(median_curve, grid), 4800.0, 48000.0)
+    loss, _ = loss_and_gradient(vec, target_db, grid)
+    assert loss == pytest.approx(report.final_mse, rel=1e-12)
 
 
 def test_fit_diverges_with_absurd_learning_rate(flat_curve):

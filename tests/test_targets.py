@@ -117,3 +117,11 @@ def test_target_magnitude_validation():
         target_magnitude(-1.0, 4800.0, 48000.0)
     with pytest.raises(InvalidParameterError):
         target_magnitude(1.0, 4800.0, 0.0)
+
+
+def test_target_magnitude_refuses_a_target_below_minus_6000_db():
+    # T60 = m_k / (100 fs) asks for exactly -6000 dB per pass.
+    assert target_magnitude(np.array([1.0, 0.001]), 4800.0, 48000.0)[1] == pytest.approx(-6000.0)
+    for t60 in (0.0009, 1e-300):
+        with pytest.raises(InvalidParameterError, match=f"T60 {t60:g} s"):
+            target_magnitude(np.array([1.0, t60]), 4800.0, 48000.0)
