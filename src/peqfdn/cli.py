@@ -237,8 +237,8 @@ def _add_common_fit_args(parser) -> None:
         "--iterations",
         type=int,
         default=10000,
-        help="fit budget in Adam steps: Adam takes the first 2000, then every 26 "
-        "left buy one Levenberg-Marquardt polish evaluation",
+        help="fit budget in Adam steps: Adam takes the first fifth (at most 2000), "
+        "then every 26 left buy one Levenberg-Marquardt polish evaluation",
     )
     parser.add_argument("--lr", type=float, default=0.1, help="Adam learning rate")
     parser.add_argument("--quiet", action="store_true", help="suppress progress lines")

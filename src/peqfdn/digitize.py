@@ -134,7 +134,10 @@ def _score_trials(p, w, m2, g0, gp, g1, c_start):
         c = np.maximum(-((v * a) @ b) / (v @ (b * b)), c_min)
     cw = c[:, None] * w
     ratio = (num0 + gp * gp * cw) / ((den0 + cw) * m2)
-    worst = np.maximum(ratio.max(axis=1), 1.0 / ratio.min(axis=1))
+    # A trial whose magnitude reaches 0 on the grid is infinitely off.
+    low = ratio.min(axis=1)
+    inverse = np.divide(1.0, low, out=np.full_like(low, np.inf), where=low != 0.0)
+    worst = np.maximum(ratio.max(axis=1), inverse)
     return c, np.maximum(e0 + gp * gp * c, 0.0), worst
 
 

@@ -9,8 +9,9 @@ mean-squared-error loss.  fit evaluates the kernel in one workspace
 allocated per fit and updates the Adam moments and parameters in place;
 loss_and_gradient runs the same kernel on a fresh workspace, so stepping it
 with the same update reproduces a fit bit for bit.  A fit with budget left
-after 2000 Adam steps polishes their result by damped Levenberg-Marquardt on
-the same kernel's residuals and Jacobian.
+after its Adam warm start (a fifth of the budget, at most 2000 steps)
+polishes that result by damped Levenberg-Marquardt on the same kernel's
+residuals and Jacobian.
 A central-finite-difference oracle in the test suite is the arbiter of
 gradient correctness.
 """
@@ -56,9 +57,11 @@ ADAM_EPS = 1e-8
 
 PROGRESS_EVERY = 500
 
-# A fit's budget is cfg.iterations Adam steps.  Adam takes up to
-# WARM_START_STEPS of them; every STEPS_PER_EVALUATION steps left buy one
-# evaluation of the Levenberg-Marquardt polish, which costs about as much.
+# A fit's budget is cfg.iterations Adam steps.  Adam takes a fifth of them,
+# rounded up, and at most WARM_START_STEPS; every STEPS_PER_EVALUATION steps
+# left buy one evaluation of the Levenberg-Marquardt polish.  An evaluation
+# costs about 8 Adam steps; the charge stays at 26 because any other value
+# would change every default (10k-step) fit.
 WARM_START_STEPS = 2000
 STEPS_PER_EVALUATION = 26
 
@@ -79,7 +82,8 @@ class FitConfig:
     """Knobs of one fitting run."""
 
     n_bands: int = 12
-    # A budget in Adam steps: see fit for how the polish spends it.
+    # A budget in Adam steps: Adam warm-starts on a fifth of it (at most
+    # 2000 steps) and the polish spends the rest; see fit.
     iterations: int = 10000
     learning_rate: float = 0.1
     # A fit has a fixed start and ignores the seed; run_campaign draws its
@@ -341,10 +345,11 @@ class _Polish:
       not look.
 
     residuals records each evaluation's grid MSE and keeps the parameters of
-    the lowest total cost seen.
+    the lowest total cost seen.  start is the number of Adam steps before
+    the polish, so evaluation k is iteration start + k of the fit.
     """
 
-    def __init__(self, work: _Workspace, warm: np.ndarray, m_ref: float, fs: float):
+    def __init__(self, work: _Workspace, warm: np.ndarray, start: int, m_ref: float, fs: float):
         top = np.geomspace(fs / 4.0, fs / 2.0, HINGE_TOP_OCTAVE_POINTS)
         check_freqs = np.concatenate((HINGE_LOW_HZ, top))
         cap = 0.5 * np.repeat(work.target_db[[0, -1]], (HINGE_LOW_HZ.size, top.size))
@@ -355,6 +360,7 @@ class _Polish:
         n = warm.size // 3
         self.hinges = [_Workspace(n, check_freqs, np.zeros(check_freqs.size)) for _ in self.scales]
         self.work = work
+        self.start = start
         self.warm = warm.copy()
         self.prior = np.repeat(PRIOR_WEIGHTS, n)
         self.gains = slice(n, 2 * n)
@@ -386,7 +392,7 @@ class _Polish:
     def residuals(self, vec: np.ndarray) -> np.ndarray:
         """Every row at vec; raises FitDivergenceError if one is not finite."""
         rows = self._respond(vec)
-        iteration = WARM_START_STEPS + len(self.losses)
+        iteration = self.start + len(self.losses)
         if not np.isfinite(rows).all():
             row = int(np.flatnonzero(~np.isfinite(rows))[0])
             raise FitDivergenceError(
@@ -429,13 +435,15 @@ def fit(
 
     cfg.iterations is a budget counted in Adam steps on the MSE between the
     composite analog response and the target attenuation on the grid.
-    Adam takes the first min(cfg.iterations, 2000) steps and keeps the
-    best-loss parameters seen (the lr-0.1 endgame oscillates, so the last
-    iterate is not necessarily the best).  Each 26 steps left buy one
-    evaluation of a damped Levenberg-Marquardt polish from those parameters
-    (MINPACK's, through scipy.optimize.least_squares), which may stop
-    earlier on MINPACK's convergence tests; see _Polish for its rows.  The
-    fit then returns the lowest-cost parameters the polish evaluated.
+    Adam takes the first fifth of it, rounded up and at most 2000 steps,
+    and keeps the best-loss parameters seen (the lr-0.1 endgame oscillates,
+    so the last iterate is not necessarily the best).  Each 26 steps left
+    buy one evaluation of a damped Levenberg-Marquardt polish from those
+    parameters (MINPACK's, through scipy.optimize.least_squares), which may
+    stop earlier on MINPACK's convergence tests; see _Polish for its rows.
+    The fit then returns the lowest-cost parameters the polish evaluated.
+    A budget that leaves fewer than two evaluations (below 65 steps) runs
+    Adam alone for all of it.
 
     The report's loss trace holds each Adam step's grid MSE, then each
     polish evaluation's; final_mse is the grid MSE of the returned
@@ -453,7 +461,10 @@ def fit(
     adam_m = np.zeros(vec.size)
     adam_v = np.zeros(vec.size)
     adam_scratch = np.empty((2, vec.size))
-    steps = min(cfg.iterations, WARM_START_STEPS)
+    steps = min(math.ceil(cfg.iterations / 5), WARM_START_STEPS)
+    evaluations = (cfg.iterations - steps) // STEPS_PER_EVALUATION
+    if evaluations < 2:
+        steps, evaluations = cfg.iterations, 0
     trace = np.empty(steps)
     best_loss = math.inf
     best_vec = vec.copy()
@@ -480,9 +491,8 @@ def fit(
                 adam_m, adam_v, iteration + 1, cfg.learning_rate, vec, work.grad, adam_scratch
             )
 
-        evaluations = (cfg.iterations - steps) // STEPS_PER_EVALUATION
         if evaluations:
-            polish = _Polish(work, best_vec, m_ref, fs)
+            polish = _Polish(work, best_vec, steps, m_ref, fs)
             least_squares(
                 polish.residuals,
                 best_vec,

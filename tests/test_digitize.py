@@ -1,6 +1,7 @@
 """Biquad conversion: anchor matching, stability, cascade response, export."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,28 @@ def test_band_to_biquad_rejects_bad_rates():
     band = BandParams(BandKind.BELL, 1000.0, -3.0, 1.0)
     with pytest.raises(InvalidParameterError):
         band_to_biquad(band, 0.0)
+
+
+def test_trial_that_reaches_zero_scores_without_a_warning():
+    # A -0.77 dB bell from a 971-sample line of a fitted design: one of its
+    # trial sections reaches 0 on the design grid, which used to divide by 0.
+    band = BandParams(
+        BandKind.BELL,
+        float.fromhex("0x1.d0c0c2892ce3cp+7"),
+        float.fromhex("-0x1.8a6136784135ep-1"),
+        float.fromhex("0x1.79708f53a73d7p-1"),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coeffs = band_to_biquad(band, 48000.0)
+    got = [coeffs.b0, coeffs.b1, coeffs.b2, coeffs.a1, coeffs.a2]
+    assert [value.hex() for value in got] == [
+        "0x1.ff1334cfb86e2p-1",
+        "-0x1.f4f383bcbd946p+0",
+        "0x1.eb4a874acb92dp-1",
+        "-0x1.f4f57ac3b506dp+0",
+        "0x1.ea61aa2872e5cp-1",
+    ]
 
 
 def test_band_to_biquad_matches_analog_at_anchors(rng):

@@ -1,5 +1,7 @@
 """Gradient correctness, Adam behavior, and the end-to-end fit loop."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,9 @@ from peqfdn import (
     loss_and_gradient,
     peq_log_magnitude,
 )
+from peqfdn.evaluate import synthetic_smooth_curves
 from peqfdn.optimize import (
+    STEPS_PER_EVALUATION,
     WARM_START_STEPS,
     _adam_update,
     _initial_vector,
@@ -167,15 +171,34 @@ def test_adam_converges_on_quadratic():
     assert np.abs(vec).max() < 1e-3
 
 
+def warm_start_steps(budget):
+    """Adam's share of a fit budget: a fifth, rounded up, at most 2000 steps."""
+    return min(math.ceil(budget / 5), WARM_START_STEPS)
+
+
 def test_fit_flat_target_converges_fast(flat_curve):
     cfg = FitConfig(n_bands=4, iterations=800, learning_rate=0.1, seed=0)
     fitted, report = fit(flat_curve, 4800.0, 48000.0, cfg)
     assert report.final_mse < 1e-2
     assert fitted.params.n_bands == 4
-    assert report.loss_trace.size == cfg.iterations
+    # 160 Adam steps, then the polish evaluations it took, at most 24.
+    steps = warm_start_steps(cfg.iterations)
+    evaluations = (cfg.iterations - steps) // STEPS_PER_EVALUATION
+    assert steps < report.loss_trace.size <= steps + evaluations
+    assert report.iterations == report.loss_trace.size
     # Best-seen loss is what's reported, and it bounds the trace tail.
     assert report.final_mse == pytest.approx(np.min(report.loss_trace))
-    assert 0 <= report.best_iteration < cfg.iterations
+    assert 0 <= report.best_iteration < report.loss_trace.size
+
+
+def test_fit_polishes_from_a_budget_of_65(flat_curve):
+    # 64 would leave the polish one evaluation, so Adam takes all of it; 65
+    # leaves two after 13 Adam steps.
+    _, report = fit(flat_curve, 4800.0, 48000.0, FitConfig(n_bands=4, iterations=64))
+    assert report.loss_trace.size == 64
+    _, report = fit(flat_curve, 4800.0, 48000.0, FitConfig(n_bands=4, iterations=65))
+    assert warm_start_steps(65) == 13
+    assert 13 < report.loss_trace.size <= 15
 
 
 def test_fit_output_layout_is_valid(median_curve):
@@ -219,7 +242,8 @@ def public_steps(curve, cfg, m_ref=4800.0, fs=48000.0):
 
 @pytest.mark.parametrize("n_bands", [3, 8, 12])
 def test_fit_shares_the_public_arithmetic(median_curve, n_bands):
-    cfg = FitConfig(n_bands=n_bands, iterations=300)
+    # A budget of 64 leaves the polish one evaluation, so Adam takes all of it.
+    cfg = FitConfig(n_bands=n_bands, iterations=64)
     losses, vecs = zip(*public_steps(median_curve, cfg))
     fitted, report = fit(median_curve, 4800.0, 48000.0, cfg)
     assert report.loss_trace.tobytes() == np.array(losses).tobytes()
@@ -228,6 +252,12 @@ def test_fit_shares_the_public_arithmetic(median_curve, n_bands):
     # fit updates its parameters in place, so an aliased best vector would
     # return the last iterate's bands instead.
     assert fitted.params.bands == _sorted_bands(_vector_to_bands(vecs[best]))
+    # A budget of 300 warm-starts the polish with the same 60 Adam steps.
+    warm_cfg = FitConfig(n_bands=n_bands, iterations=60)
+    losses = [loss for loss, _ in public_steps(median_curve, warm_cfg)]
+    _, report = fit(median_curve, 4800.0, 48000.0, FitConfig(n_bands=n_bands, iterations=300))
+    assert report.loss_trace[:60].tobytes() == np.array(losses).tobytes()
+    assert report.loss_trace.size > 60
 
 
 @pytest.mark.parametrize("n_bands", [3, 8, 12])
@@ -235,7 +265,7 @@ def test_polish_jacobian_matches_central_differences(rng, median_curve, n_bands)
     grid = FrequencyGrid.log_spaced(48000.0)
     target_db = target_magnitude(interpolate_to_grid(median_curve, grid), 4800.0, 48000.0)
     vec = random_vector(rng, n_bands)
-    polish = _Polish(_Workspace(n_bands, grid.freqs, target_db), vec + 0.1, 4800.0, 48000.0)
+    polish = _Polish(_Workspace(n_bands, grid.freqs, target_db), vec + 0.1, 0, 4800.0, 48000.0)
     analytic = polish.jacobian(vec)
     h = 1e-6
     numeric = np.empty_like(analytic)
@@ -257,16 +287,32 @@ def test_polish_jacobian_matches_central_differences(rng, median_curve, n_bands)
     assert err.max() <= 1e-6 * np.abs(analytic).max()
 
 
+def test_polish_names_the_diverging_fit_iteration(median_curve):
+    # Polish evaluation k is fit iteration start + k, whatever Adam's share.
+    grid = FrequencyGrid.log_spaced(48000.0)
+    target_db = target_magnitude(interpolate_to_grid(median_curve, grid), 4800.0, 48000.0)
+    warm = _initial_vector(8, grid, target_db)
+    polish = _Polish(_Workspace(8, grid.freqs, target_db), warm, 123, 4800.0, 48000.0)
+    polish.residuals(warm)
+    bad = warm.copy()
+    bad[3] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(FitDivergenceError) as err:
+        polish.residuals(bad)
+    assert err.value.iteration == 124
+
+
 def test_fit_past_the_warm_start_polishes(median_curve):
     polished_cfg = FitConfig(n_bands=8, iterations=WARM_START_STEPS + 26 * 40)
     fitted, report = fit(median_curve, 4800.0, 48000.0, polished_cfg)
-    _, warm = fit(median_curve, 4800.0, 48000.0, FitConfig(n_bands=8, iterations=WARM_START_STEPS))
-    # Adam's steps are the same; then each polish evaluation adds one loss.
-    assert report.loss_trace[:WARM_START_STEPS].tobytes() == warm.loss_trace.tobytes()
-    assert WARM_START_STEPS < report.loss_trace.size <= WARM_START_STEPS + 41
+    steps = warm_start_steps(polished_cfg.iterations)
+    evaluations = (polished_cfg.iterations - steps) // STEPS_PER_EVALUATION
+    adam = [loss for loss, _ in public_steps(median_curve, FitConfig(n_bands=8, iterations=steps))]
+    # Adam's steps are the public ones; then each polish evaluation adds one loss.
+    assert report.loss_trace[:steps].tobytes() == np.array(adam).tobytes()
+    assert steps < report.loss_trace.size <= steps + evaluations
     assert report.iterations == report.loss_trace.size
     assert report.final_mse == report.loss_trace[report.best_iteration]
-    assert report.final_mse < 0.8 * warm.final_mse
+    assert report.final_mse < 0.8 * min(adam)
     vec = np.concatenate([
         np.log([band.fc_hz for band in fitted.params.bands]),
         [band.gain_db for band in fitted.params.bands],
@@ -291,10 +337,22 @@ def test_fit_diverges_with_absurd_learning_rate(flat_curve):
 
 def test_fit_progress_callback_cadence(flat_curve):
     calls = []
-    cfg = FitConfig(n_bands=4, iterations=1200, learning_rate=0.1, seed=0)
-    fit(flat_curve, 4800.0, 48000.0, cfg, progress=lambda i, loss: calls.append(i))
-    assert calls[:3] == [0, 500, 1000]
-    assert calls[-1] == 1200
+    # 1200 Adam steps call at 0, 500 and 1000; the end call gets the trace length.
+    cfg = FitConfig(n_bands=4, iterations=6000, learning_rate=0.1, seed=0)
+    _, report = fit(flat_curve, 4800.0, 48000.0, cfg, progress=lambda i, loss: calls.append(i))
+    assert calls == [0, 500, 1000, report.iterations]
+    assert report.iterations > 1200
+
+
+def test_campaign_budget_fit_beats_its_adam_steps():
+    # A 2000-step budget spends four fifths on the polish, and ends no worse
+    # than the best of 2000 Adam steps.
+    cfg = FitConfig(n_bands=8, iterations=2000)
+    for curve in synthetic_smooth_curves(3, seed=0):
+        _, report = fit(curve, 4800.0, 48000.0, cfg)
+        adam_best = min(loss for loss, _ in public_steps(curve, cfg))
+        assert report.iterations > 400
+        assert report.final_mse <= adam_best
 
 
 def test_fit_config_validation():
