@@ -5,9 +5,8 @@ OS) refuses out-of-domain values before any numerical work: a delay below
 one sample, a range outside 0 < lo <= hi, a count below one, a path that
 is not a directory.  This module refuses only what they cannot see in
 time: a malformed delay list or LO:HI range, a directory without CSV
-tables, a --duration of zero or less, a line cascade that would not
-decay, and a render in which no band's decay can be measured.  A refused
-run writes no file.
+tables, a line cascade that would not decay, and a render in which no
+band's decay can be measured.  A refused run writes no file.
 
 Exit codes: 0 on success, 1 for bad arguments or unreadable/malformed
 inputs, 2 when the numerics give up (diverging fit, a fit or cascade that
@@ -35,13 +34,7 @@ from .errors import (
     ParseError,
     PeqFdnError,
 )
-from .evaluate import (
-    DEFAULT_DELAY_DRAW_S,
-    achieved_t60,
-    op_count,
-    run_campaign,
-    synthetic_smooth_curves,
-)
+from .evaluate import achieved_t60, op_count, run_campaign, synthetic_smooth_curves
 from .fdn import (
     DEFAULT_DELAY_RANGE_S,
     FdnConfig,
@@ -51,6 +44,7 @@ from .fdn import (
     default_render_duration,
     householder_matrix,
     render_ir,
+    render_length,
     schroeder_t60,
     write_wav,
 )
@@ -174,7 +168,13 @@ def _line_cascade(fitted: FittedPeq, m_k: int):
     only from 20 Hz up, so a fitted band can still reach 0 dB below that.
     """
     params = scale_to_delay(fitted, m_k)
-    cascade = peq_to_sos(params, fitted.fs)
+    # A band too deep to digitize overflows in its design, which then
+    # refuses it, so the warnings are noise.
+    try:
+        with np.errstate(all="ignore"):
+            cascade = peq_to_sos(params, fitted.fs)
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"delay line of {m_k} samples: {exc}") from None
     freqs = fitted.fs * _ATTENUATION_GRID
     gain = digital_magnitude(cascade, freqs)
     peak = int(np.argmax(gain))
@@ -186,27 +186,16 @@ def _line_cascade(fitted: FittedPeq, m_k: int):
     return params, cascade
 
 
-def _checked_lines(args):
-    """The fit, its delays in samples, and each line's checked (params, cascade).
+def _fit_and_delays(args):
+    """The fit, and its delays in samples.
 
     Delays come from --delay-samples, else --lines over --delay-range.
     """
     fitted = _load_fitted(args.fit)
     if args.delay_samples is not None:
-        delays = _parse_delay_list(args.delay_samples)
-    else:
-        lo, hi = _parse_range(args.delay_range)
-        delays = default_delays(args.lines, lo, hi, fitted.fs)
-    return fitted, delays, [_line_cascade(fitted, m_k) for m_k in delays]
-
-
-def _fit_config(args, seed: int = 0) -> FitConfig:
-    return FitConfig(
-        n_bands=args.bands,
-        iterations=args.iterations,
-        learning_rate=args.lr,
-        seed=seed,
-    )
+        return fitted, _parse_delay_list(args.delay_samples)
+    lo, hi = _parse_range(args.delay_range)
+    return fitted, default_delays(args.lines, lo, hi, fitted.fs)
 
 
 def _cost_fields(n_bands: int) -> dict:
@@ -240,14 +229,13 @@ def _add_common_fit_args(parser) -> None:
         help="fit budget in Adam steps: Adam takes the first fifth (at most 2000), "
         "then every 26 left buy one Levenberg-Marquardt polish evaluation",
     )
-    parser.add_argument("--lr", type=float, default=0.1, help="Adam learning rate")
     parser.add_argument("--quiet", action="store_true", help="suppress progress lines")
 
 
 def cmd_fit(args) -> int:
     curve = _load_curve(args.t60)
     m_ref = _resolve_m_ref(args)
-    cfg = _fit_config(args)
+    cfg = FitConfig(n_bands=args.bands, iterations=args.iterations, learning_rate=args.lr)
 
     progress = None
     if not args.quiet:
@@ -275,7 +263,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_export(args) -> int:
-    fitted, delays, lines = _checked_lines(args)
+    fitted, delays = _fit_and_delays(args)
+    lines = [_line_cascade(fitted, m_k) for m_k in delays]
 
     os.makedirs(args.out_dir, exist_ok=True)
     report_grid = FrequencyGrid.log_spaced(fitted.fs)
@@ -309,9 +298,10 @@ def cmd_export(args) -> int:
 
 
 def cmd_render(args) -> int:
-    if args.duration is not None and args.duration <= 0:
-        raise InvalidParameterError(f"duration must be > 0 seconds, got {args.duration}")
-    fitted, delays, lines = _checked_lines(args)
+    fitted, delays = _fit_and_delays(args)
+    if args.duration is not None:
+        render_length(args.duration, fitted.fs, delays)  # refused before any digitizing
+    lines = [_line_cascade(fitted, m_k) for m_k in delays]
     fs = fitted.fs
     n_lines = len(delays)
 
@@ -363,6 +353,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_campaign(args) -> int:
+    # Built first, so it refuses a negative seed before the curves draw from it.
+    cfg = FitConfig(n_bands=args.bands, iterations=args.iterations, seed=args.seed)
     if args.t60_dir is not None:
         paths = sorted(
             os.path.join(args.t60_dir, name)
@@ -374,12 +366,7 @@ def cmd_campaign(args) -> int:
         curves = [_load_curve(path) for path in paths]
     else:
         curves = synthetic_smooth_curves(args.synthetic, seed=args.seed)
-
-    cfg = _fit_config(args, seed=args.seed)
-    delay_range = _parse_range(args.delay_range)
-    result = run_campaign(
-        curves, cfg, delay_range_s=delay_range, fs=args.fs, workers=args.workers
-    )
+    result = run_campaign(curves, cfg, fs=args.fs, workers=args.workers)
 
     os.makedirs(args.out_dir, exist_ok=True)
     summary = result.to_summary_dict()
@@ -420,6 +407,7 @@ def build_parser() -> _Parser:
     delay.add_argument("--delay-ms", type=float, default=None)
     delay.add_argument("--delay-samples", type=float, default=None)
     _add_common_fit_args(p_fit)
+    p_fit.add_argument("--lr", type=float, default=0.1, help="Adam learning rate")
     p_fit.set_defaults(func=cmd_fit)
 
     p_export = sub.add_parser("export", help="emit per-line biquad coefficients")
@@ -447,11 +435,6 @@ def build_parser() -> _Parser:
         "--synthetic", type=int, default=None, help="generate N random smooth curves"
     )
     p_camp.add_argument("--out-dir", required=True)
-    p_camp.add_argument(
-        "--delay-range",
-        default=f"{DEFAULT_DELAY_DRAW_S[0]}:{DEFAULT_DELAY_DRAW_S[1]}",
-        help="LO:HI range the per-curve delays are drawn from, seconds",
-    )
     p_camp.add_argument("--workers", type=int, default=1)
     p_camp.add_argument(
         "--seed", type=int, default=0, help="seed of the synthetic curves and the delays"

@@ -188,9 +188,22 @@ def band_to_biquad(band: BandParams, fs: float) -> BiquadCoeffs:
 
     bz = warp(g1 * p_best, math.sqrt(e_best), g0)
     az = warp(p_best, math.sqrt(c_best), 1.0)
-    return BiquadCoeffs(
-        bz[0] / az[0], bz[1] / az[0], bz[2] / az[0], az[1] / az[0], az[2] / az[0], fs
-    )
+    # Measured at fs = 48 kHz on 50 x 25 log-spaced corners from 1 Hz to
+    # 48 kHz and Q from 0.02 to 50: every bell down to -236 dB and every
+    # shelf within +-306 dB gives a finite, stable section.  The first
+    # failures are bells of -238 dB and shelves of +-308 dB with a 1 Hz
+    # corner; at a 1 kHz corner and Q 0.7 they lie past 300 dB.  fs was
+    # checked above, so a refusal here is the band's.
+    try:
+        return BiquadCoeffs(
+            bz[0] / az[0], bz[1] / az[0], bz[2] / az[0], az[1] / az[0], az[2] / az[0], fs
+        )
+    except InvalidParameterError:
+        raise InvalidParameterError(
+            f"a {band.kind.value} band of {band.gain_db:.6g} dB at {fc:.6g} Hz (Q {band.q:.6g}) "
+            f"is past the gains the digitizer designs: bells down to about -230 dB, "
+            f"shelves within about +-300 dB"
+        ) from None
 
 
 def digital_magnitude(sos: SosCascade, freqs) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import CampaignError, InvalidParameterError, NonDecayingResponseError, PeqFdnError
 from .optimize import FitConfig, fit
 from .peq import PeqParams, peq_log_magnitude
-from .targets import FrequencyGrid, T60Curve, interpolate_to_grid
+from .targets import FrequencyGrid, T60Curve, check_fs, interpolate_to_grid
 
 __all__ = [
     "ErrorDistribution",
@@ -126,7 +126,10 @@ class CurveReport:
     delay_samples: int
     final_mse: float
     max_abs_error_pct: float
-    within_envelope: bool
+
+    @property
+    def within_envelope(self) -> bool:
+        return self.max_abs_error_pct <= ENVELOPE_PCT
 
 
 @dataclass(frozen=True)
@@ -265,31 +268,25 @@ def _fit_one_curve(job) -> tuple[int, str, int, float, np.ndarray | None, str | 
 def run_campaign(
     curves: list[T60Curve],
     cfg: FitConfig,
-    delay_range_s: tuple[float, float] = DEFAULT_DELAY_DRAW_S,
     fs: float = 48000.0,
     workers: int = 1,
 ) -> CampaignResult:
     """Fit every curve at one random delay each and pool the T60 errors.
 
-    Delays draw upfront from cfg.seed, so results are deterministic and
-    independent of worker scheduling.  Individual fit failures are recorded
-    and skipped; more than 10% of them aborts the campaign.
+    Delays draw upfront from cfg.seed, uniformly over DEFAULT_DELAY_DRAW_S
+    seconds, so results are deterministic and independent of worker
+    scheduling.  Individual fit failures are recorded and skipped; more than
+    10% of them aborts the campaign.
     """
     if not curves:
         raise InvalidParameterError("campaign needs at least one curve")
-    lo, hi = delay_range_s
-    if not (0 < lo <= hi):
-        raise InvalidParameterError(f"need 0 < lo <= hi for delays, got {delay_range_s}")
-    if not (math.isfinite(lo * fs) and math.isfinite(hi * fs)):
-        raise InvalidParameterError(
-            f"delay range {delay_range_s} s is not finite in samples at fs={fs}"
-        )
+    check_fs(fs)
     if workers < 1:
         raise InvalidParameterError(f"need at least one worker, got {workers}")
     if cfg.grid is None:
         cfg = replace(cfg, grid=FrequencyGrid.log_spaced(fs))
     rng = np.random.default_rng(cfg.seed)
-    delays_s = rng.uniform(lo, hi, len(curves))
+    delays_s = rng.uniform(*DEFAULT_DELAY_DRAW_S, len(curves))
     jobs = []
     for i, curve in enumerate(curves):
         m_samples = max(1, int(round(delays_s[i] * fs)))
@@ -306,15 +303,13 @@ def run_campaign(
         if errors is None:
             failures.append((index, name, reason))
             continue
-        max_abs = float(np.abs(errors).max())
         reports.append(
             CurveReport(
                 index=index,
                 name=name,
                 delay_samples=m_samples,
                 final_mse=mse,
-                max_abs_error_pct=max_abs,
-                within_envelope=max_abs <= ENVELOPE_PCT,
+                max_abs_error_pct=float(np.abs(errors).max()),
             )
         )
         error_blocks.append(errors)

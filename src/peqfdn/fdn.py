@@ -44,6 +44,9 @@ ORTHOGONALITY_TOL = 1e-9
 FIT_RANGE_DB = (-5.0, -25.0)
 MAX_RENDER_S = 10.0
 DEFAULT_DELAY_RANGE_S = (0.015, 0.12)
+# The most samples one render holds, its output and every delay line
+# together: 2**26 float64 values are 512 MiB, 23 minutes of output at 48 kHz.
+MAX_RENDER_SAMPLES = 2**26
 
 
 def householder_matrix(n_lines: int) -> np.ndarray:
@@ -117,6 +120,26 @@ def default_render_duration(max_t60_s: float) -> float:
     return min(2.0 * max_t60_s, MAX_RENDER_S)
 
 
+def render_length(duration_s: float, fs: float, delays) -> int:
+    """Output samples of a duration_s render at fs through lines of these delays.
+
+    Refuses, before anything is allocated, a duration that is not finite
+    and > 0, and a render whose output and delay lines together would hold
+    more than MAX_RENDER_SAMPLES samples.
+    """
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise InvalidParameterError(f"duration must be finite and > 0 seconds, got {duration_s}")
+    samples = duration_s * fs
+    held = samples + sum(delays)
+    if held > MAX_RENDER_SAMPLES:
+        raise InvalidParameterError(
+            f"a {duration_s:g} s render at fs={fs:g} through delay lines of "
+            f"{sum(delays)} samples in all holds {held:.4g} samples, more than "
+            f"the {MAX_RENDER_SAMPLES} (2**26) a render may hold"
+        )
+    return int(round(samples))
+
+
 @dataclass(frozen=True)
 class FdnConfig:
     """Everything needed to render one FDN impulse response."""
@@ -159,8 +182,7 @@ class FdnConfig:
             if gains.shape != (n,):
                 raise InvalidParameterError(f"{name} must have length {n}, got {gains.shape}")
             object.__setattr__(self, name, gains)
-        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
-            raise InvalidParameterError(f"duration_s must be > 0, got {self.duration_s}")
+        render_length(self.duration_s, self.fs, delays)
 
     @property
     def n_lines(self) -> int:
@@ -198,7 +220,7 @@ def render_ir(cfg: FdnConfig) -> np.ndarray:
     earliest sample at which any line or the output is non-finite, so a
     render cut just before that sample is all finite.
     """
-    n_total = int(round(cfg.duration_s * cfg.fs))
+    n_total = render_length(cfg.duration_s, cfg.fs, cfg.delays)
     if n_total < 1:
         raise InvalidParameterError("duration is shorter than one sample")
     n_lines = cfg.n_lines

@@ -18,7 +18,7 @@ gradient correctness.
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -98,6 +98,15 @@ class FitConfig:
             raise InvalidParameterError(f"iterations must be >= 1, got {self.iterations}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise InvalidParameterError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
+        # The grid's residuals cannot determine more parameters than it has
+        # points; refusing here also refuses before any workspace is sized.
+        if self.grid is not None and 3 * self.n_bands > self.grid.size:
+            raise InvalidParameterError(
+                f"{self.n_bands} bands have {3 * self.n_bands} parameters, more than "
+                f"the {self.grid.size} grid points can determine"
+            )
 
 
 @dataclass
@@ -106,9 +115,13 @@ class FitReport:
 
     final_mse: float
     best_iteration: int
-    iterations: int  # Adam steps plus polish evaluations: the trace's length
     loss_trace: np.ndarray
     wall_time_s: float
+
+    @property
+    def iterations(self) -> int:
+        """Adam steps plus polish evaluations: the trace's length."""
+        return self.loss_trace.size
 
     def to_dict(self) -> dict:
         return {
@@ -344,12 +357,14 @@ class _Polish:
       f, so every default line keeps a margin below 0 dB where the grid does
       not look.
 
-    residuals records each evaluation's grid MSE and keeps the parameters of
-    the lowest total cost seen.  start is the number of Adam steps before
-    the polish, so evaluation k is iteration start + k of the fit.
+    residuals records each finite evaluation's grid MSE and keeps the
+    parameters of the lowest total cost seen.  An evaluation with a
+    non-finite row, say a trial step that overflows the kernel, is left out
+    of that record; MINPACK rejects it as a step that does not lower the
+    cost, so the polish never returns worse than its warm start.
     """
 
-    def __init__(self, work: _Workspace, warm: np.ndarray, start: int, m_ref: float, fs: float):
+    def __init__(self, work: _Workspace, warm: np.ndarray, m_ref: float, fs: float):
         top = np.geomspace(fs / 4.0, fs / 2.0, HINGE_TOP_OCTAVE_POINTS)
         check_freqs = np.concatenate((HINGE_LOW_HZ, top))
         cap = 0.5 * np.repeat(work.target_db[[0, -1]], (HINGE_LOW_HZ.size, top.size))
@@ -360,7 +375,6 @@ class _Polish:
         n = warm.size // 3
         self.hinges = [_Workspace(n, check_freqs, np.zeros(check_freqs.size)) for _ in self.scales]
         self.work = work
-        self.start = start
         self.warm = warm.copy()
         self.prior = np.repeat(PRIOR_WEIGHTS, n)
         self.gains = slice(n, 2 * n)
@@ -373,7 +387,7 @@ class _Polish:
         self.best_vec = self.warm.copy()
         self.best_index = 0
 
-    def _respond(self, vec: np.ndarray) -> np.ndarray:
+    def respond(self, vec: np.ndarray) -> np.ndarray:
         rows = np.empty(self.n_rows)
         rows[: self.grid_end] = self.work.respond(vec)
         rows[self.grid_end : self.prior_end] = self.prior * (vec - self.warm)
@@ -390,15 +404,10 @@ class _Polish:
         return rows
 
     def residuals(self, vec: np.ndarray) -> np.ndarray:
-        """Every row at vec; raises FitDivergenceError if one is not finite."""
-        rows = self._respond(vec)
-        iteration = self.start + len(self.losses)
+        """Every row at vec, recorded if all of them are finite."""
+        rows = self.respond(vec)
         if not np.isfinite(rows).all():
-            row = int(np.flatnonzero(~np.isfinite(rows))[0])
-            raise FitDivergenceError(
-                f"fit diverged at iteration {iteration}: non-finite polish residual at row {row}",
-                iteration=iteration,
-            )
+            return rows
         grid = rows[: self.grid_end]
         self.losses.append(float(grid @ grid) / grid.size)
         cost = float(rows @ rows)
@@ -411,7 +420,7 @@ class _Polish:
     def jacobian(self, vec: np.ndarray) -> np.ndarray:
         """d rows / d vec, an (n_rows, 3N) array."""
         if not np.array_equal(vec, self.at):
-            self._respond(vec)
+            self.respond(vec)
         jac = np.zeros((self.n_rows, vec.size))
         self.work.jacobian(jac[: self.grid_end])
         np.fill_diagonal(jac[self.grid_end : self.prior_end], self.prior)
@@ -452,7 +461,9 @@ def fit(
     once at the end with (trace length, final MSE).
     """
     started = time.perf_counter()
-    grid = cfg.grid if cfg.grid is not None else FrequencyGrid.log_spaced(fs)
+    if cfg.grid is None:
+        cfg = replace(cfg, grid=FrequencyGrid.log_spaced(fs))
+    grid = cfg.grid
     t60_on_grid = interpolate_to_grid(target, grid)
     target_db = target_magnitude(t60_on_grid, m_ref, fs)
 
@@ -492,26 +503,28 @@ def fit(
             )
 
         if evaluations:
-            polish = _Polish(work, best_vec, steps, m_ref, fs)
-            least_squares(
-                polish.residuals,
-                best_vec,
-                jac=polish.jacobian,
-                method="lm",
-                x_scale="jac",
-                max_nfev=evaluations,
-            )
-            trace = np.concatenate((trace, polish.losses))
-            best_vec = polish.best_vec
-            best_iteration = steps + polish.best_index
-            best_loss = float(trace[best_iteration])
+            polish = _Polish(work, best_vec, m_ref, fs)
+            # least_squares refuses a start whose rows are not finite; the fit
+            # then returns its warm start.
+            if np.isfinite(polish.respond(best_vec)).all():
+                least_squares(
+                    polish.residuals,
+                    best_vec,
+                    jac=polish.jacobian,
+                    method="lm",
+                    x_scale="jac",
+                    max_nfev=evaluations,
+                )
+                trace = np.concatenate((trace, polish.losses))
+                best_vec = polish.best_vec
+                best_iteration = steps + polish.best_index
+                best_loss = float(trace[best_iteration])
 
     bands = _sorted_bands(_vector_to_bands(best_vec))
     fitted = FittedPeq(params=PeqParams(bands), m_ref=m_ref, fs=fs)
     report = FitReport(
         final_mse=best_loss,
         best_iteration=best_iteration,
-        iterations=trace.size,
         loss_trace=trace,
         wall_time_s=time.perf_counter() - started,
     )

@@ -33,6 +33,10 @@ DEFAULT_GRID_SIZE = 512
 # and its squared error cannot stay finite.  In T60 terms the bound asks
 # for T60 >= m_k / (100 fs), one hundredth of the delay.
 MIN_TARGET_DB = -6000.0
+# The highest sample rate a fit accepts, 10 MHz, fifty times the highest
+# audio rate.  Far past it the fit kernel's (f/fc)^4 terms overflow: a fit
+# at fs = 1e50 Hz converges and one at 1e100 Hz diverges at its first step.
+MAX_FS_HZ = 1e7
 
 
 @dataclass(frozen=True)
@@ -144,17 +148,22 @@ def interpolate_to_grid(curve: T60Curve, grid: FrequencyGrid) -> np.ndarray:
     return np.interp(np.log10(grid.freqs), np.log10(curve.freq_hz), curve.t60_s)
 
 
+def check_fs(fs: float) -> None:
+    """Refuse a sample rate that is not in (0, MAX_FS_HZ]."""
+    if not (0 < fs <= MAX_FS_HZ):
+        raise InvalidParameterError(f"fs must be > 0 and <= {MAX_FS_HZ:g} Hz, got {fs}")
+
+
 def target_magnitude(t60_s, m_k: float, fs: float) -> np.ndarray:
     """Per-delay-line attenuation target in dB: -60 * m_k / (T60 * fs).
 
     A T60 whose target lies below MIN_TARGET_DB (-6000 dB, a T60 under
-    m_k / (100 fs)) is refused.
+    m_k / (100 fs)) is refused, as is an fs above MAX_FS_HZ.
     """
     t60_s = np.asarray(t60_s, dtype=np.float64)
     if not (math.isfinite(m_k) and m_k >= 1):
         raise InvalidParameterError(f"m_k must be >= 1 sample, got {m_k}")
-    if not (math.isfinite(fs) and fs > 0):
-        raise InvalidParameterError(f"fs must be > 0, got {fs}")
+    check_fs(fs)
     if np.any(~np.isfinite(t60_s)) or np.any(t60_s <= 0):
         raise InvalidParameterError("T60 values must be finite and > 0")
     target = -60.0 * m_k / (t60_s * fs)

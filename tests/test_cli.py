@@ -328,14 +328,10 @@ def test_render_rejects_zero_duration(flat_csv, tmp_path):
          ["0.2", "0.1"]),
         (["render", "--fit", "{fit}", "--out", "{out}/ir.wav", "--delay-range", "0.2:0.1"],
          ["0.2", "0.1"]),
-        (["campaign", "--synthetic", "2", "--out-dir", "{out}", "--delay-range", "0.2:0.1"],
-         ["0.2", "0.1"]),
         (["export", "--fit", "{fit}", "--out-dir", "{out}", "--delay-range", "0.015:inf"],
          ["0.015", "inf"]),
         (["render", "--fit", "{fit}", "--out", "{out}/ir.wav", "--delay-range", "0.015:inf"],
          ["0.015", "inf"]),
-        (["campaign", "--synthetic", "2", "--out-dir", "{out}", "--delay-range", "0.01:inf"],
-         ["0.01", "inf"]),
         (["fit", "--t60", "{table}", "--out", "{out}/fit.json", "--delay-ms", "0"],
          ["got 0"]),
         (["campaign", "--synthetic", "0", "--out-dir", "{out}"], ["got 0"]),
@@ -352,13 +348,35 @@ def test_render_rejects_zero_duration(flat_csv, tmp_path):
         # Under one sample: no integer delay fits inside the range.
         (["export", "--fit", "{fit}", "--out-dir", "{out}", "--delay-range", "1e-9:1e-8",
           "--lines", "8"], ["1e-09", "1e-08", "8 distinct"]),
+        # A 48-million-sample line scales the bands past what the digitizer
+        # designs; the refusal names the line and the band gain, not NaNs.
+        (["export", "--fit", "{fit}", "--out-dir", "{out}", "--lines", "2",
+          "--delay-range", "0.015:1e3"], ["delay line of 4799999", " dB at "]),
+        # Sizes refused before any digitizing or allocation.
+        (["render", "--fit", "{fit}", "--out", "{out}/ir.wav", "--duration", "1e300"],
+         ["1e+300 s render", "2**26"]),
+        (["render", "--fit", "{fit}", "--out", "{out}/ir.wav", "--duration", "1e6"],
+         ["1e+06 s render", "2**26"]),
+        (["fit", "--t60", "{table}", "--out", "{out}/fit.json", "--bands", "100000"],
+         ["100000 bands", "512 grid points"]),
+        (["campaign", "--synthetic", "2", "--out-dir", "{out}", "--bands", "100000"],
+         ["100000 bands", "512 grid points"]),
+        (["fit", "--t60", "{table}", "--out", "{out}/fit.json", "--fs", "1e300"],
+         ["got 1e+300"]),
+        (["campaign", "--synthetic", "2", "--out-dir", "{out}", "--fs", "1e300"],
+         ["got 1e+300"]),
+        (["campaign", "--synthetic", "2", "--out-dir", "{out}", "--seed", "-1"],
+         ["seed", "got -1"]),
     ],
     ids=[
         "export_delay_0", "render_delay_0", "export_range", "render_range",
-        "campaign_range", "export_range_inf", "render_range_inf", "campaign_range_inf",
+        "export_range_inf", "render_range_inf",
         "fit_delay_ms_0", "campaign_synthetic_0", "campaign_dir_is_file",
         "render_too_short_to_measure", "fit_delay_ms_nan", "fit_delay_samples_inf",
         "render_nothing_measurable", "export_range_below_one_sample",
+        "export_line_too_deep_to_digitize", "render_duration_1e300", "render_duration_1e6",
+        "fit_bands_100000", "campaign_bands_100000", "fit_fs_1e300", "campaign_fs_1e300",
+        "campaign_seed_negative",
     ],
 )
 def test_library_refusals_exit_1_and_write_nothing(flat_csv, tmp_path, capsys, argv, named):
@@ -405,6 +423,22 @@ def test_default_fit_decays_below_the_grid(tmp_path):
     out_dir = tmp_path / "sos"
     assert cli.main(["export", "--fit", fit_path, "--out-dir", str(out_dir), "--quiet"]) == 0
     assert len(json.loads((out_dir / "manifest.json").read_text())["lines"]) == 8
+
+
+@pytest.mark.parametrize("t60_s", ["0.15", "0.05"])
+def test_short_t60_tables_fit_at_cli_defaults(tmp_path, t60_s):
+    # Polish trial steps on these tables overflow the kernel; they used to end
+    # the fit with exit 2.
+    table = tmp_path / "short.csv"
+    table.write_text(f"freq_hz,t60_s\n100,{t60_s}\n10000,{t60_s}\n")
+    fit_path = tmp_path / "fit.json"
+    assert cli.main(["fit", "--t60", str(table), "--out", str(fit_path), "--quiet"]) == 0
+    report_text = (tmp_path / "fit.report.json").read_text()
+    for text in (fit_path.read_text(), report_text):
+        assert "NaN" not in text and "Infinity" not in text
+    report = json.loads(report_text)
+    # The first 20 downsampled losses are every 100th of the 2000 Adam steps.
+    assert report["final_mse"] <= min(report["loss_trace_downsampled"][:20])
 
 
 def test_campaign_synthetic_artifacts(tmp_path):

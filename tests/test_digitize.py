@@ -94,6 +94,19 @@ def test_band_to_biquad_rejects_bad_rates():
         band_to_biquad(band, 0.0)
 
 
+@pytest.mark.parametrize(
+    "kind, gain_db",
+    [(BandKind.BELL, -600.0), (BandKind.HIGH_SHELF, -600.0), (BandKind.LOW_SHELF, -1000.0)],
+)
+def test_band_to_biquad_refuses_a_gain_it_cannot_design(kind, gain_db):
+    # These designs come out non-finite; the refusal names the band, not NaNs.
+    band = BandParams(kind, 1000.0, gain_db, 0.7)
+    with np.errstate(all="ignore"), pytest.raises(InvalidParameterError) as err:
+        band_to_biquad(band, FS)
+    assert f"{kind.value} band of {gain_db:g} dB at 1000 Hz" in str(err.value)
+    assert "nan" not in str(err.value)
+
+
 def test_trial_that_reaches_zero_scores_without_a_warning():
     # A -0.77 dB bell from a 971-sample line of a fitted design: one of its
     # trial sections reaches 0 on the design grid, which used to divide by 0.

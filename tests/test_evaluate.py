@@ -21,6 +21,7 @@ from peqfdn import (
     synthetic_smooth_curves,
     t60_relative_error,
 )
+from peqfdn.evaluate import DEFAULT_DELAY_DRAW_S
 from peqfdn.targets import FrequencyGrid
 
 # Small grid and iteration counts keep campaign tests quick; quality
@@ -187,18 +188,20 @@ def test_run_campaign_validation():
     with pytest.raises(InvalidParameterError):
         run_campaign([], quick_cfg())
     curves = synthetic_smooth_curves(1, seed=0)
-    with pytest.raises(InvalidParameterError):
-        run_campaign(curves, quick_cfg(), delay_range_s=(0.3, 0.01))
     with pytest.raises(InvalidParameterError, match="inf"):
-        run_campaign(curves, quick_cfg(), delay_range_s=(0.01, math.inf))
+        run_campaign(curves, quick_cfg(), fs=math.inf)
+    with pytest.raises(InvalidParameterError, match="1e\\+300"):
+        run_campaign(curves, quick_cfg(), fs=1e300)
     with pytest.raises(InvalidParameterError):
         run_campaign(curves, quick_cfg(), workers=0)
+    # 3N parameters need at least 3N grid points; refused before any fit.
+    with pytest.raises(InvalidParameterError, match="grid points"):
+        run_campaign(curves, FitConfig(n_bands=171))
 
 
 def test_campaign_delay_draw_respects_range():
     curves = synthetic_smooth_curves(6, seed=9)
-    result = run_campaign(
-        curves, quick_cfg(iterations=50), delay_range_s=(0.05, 0.06), fs=48000.0
-    )
+    result = run_campaign(curves, quick_cfg(iterations=50), fs=48000.0)
+    lo, hi = DEFAULT_DELAY_DRAW_S
     for report in result.curve_reports:
-        assert 0.05 * 48000.0 * 0.99 <= report.delay_samples <= 0.06 * 48000.0 * 1.01
+        assert round(lo * 48000.0) <= report.delay_samples <= round(hi * 48000.0)

@@ -32,6 +32,8 @@ from peqfdn import (
     write_wav,
 )
 
+from peqfdn.fdn import MAX_RENDER_SAMPLES
+
 FS = 48000.0
 
 
@@ -153,6 +155,12 @@ def test_fdn_config_validation():
         FdnConfig(**{**good, "input_gains": np.array([1.0, -1.0, 1.0])})
     with pytest.raises(InvalidParameterError):
         FdnConfig(**{**good, "duration_s": 0.0})
+    # The output and the 201 delay-line samples may hold 2**26 samples in all;
+    # past that the sizes alone refuse, before anything is allocated.
+    FdnConfig(**{**good, "duration_s": (MAX_RENDER_SAMPLES - 201) / FS})
+    for duration_s in (MAX_RENDER_SAMPLES / FS, 1e300):
+        with pytest.raises(InvalidParameterError, match=r"2\*\*26"):
+            FdnConfig(**{**good, "duration_s": duration_s})
 
 
 def test_render_ir_shape_and_energy():

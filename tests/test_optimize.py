@@ -265,7 +265,7 @@ def test_polish_jacobian_matches_central_differences(rng, median_curve, n_bands)
     grid = FrequencyGrid.log_spaced(48000.0)
     target_db = target_magnitude(interpolate_to_grid(median_curve, grid), 4800.0, 48000.0)
     vec = random_vector(rng, n_bands)
-    polish = _Polish(_Workspace(n_bands, grid.freqs, target_db), vec + 0.1, 0, 4800.0, 48000.0)
+    polish = _Polish(_Workspace(n_bands, grid.freqs, target_db), vec + 0.1, 4800.0, 48000.0)
     analytic = polish.jacobian(vec)
     h = 1e-6
     numeric = np.empty_like(analytic)
@@ -287,18 +287,41 @@ def test_polish_jacobian_matches_central_differences(rng, median_curve, n_bands)
     assert err.max() <= 1e-6 * np.abs(analytic).max()
 
 
-def test_polish_names_the_diverging_fit_iteration(median_curve):
-    # Polish evaluation k is fit iteration start + k, whatever Adam's share.
+def test_polish_leaves_a_non_finite_trial_out(median_curve):
+    # A trial step that overflows the kernel returns its non-finite rows, for
+    # MINPACK to reject, and is neither recorded nor kept as the best.
     grid = FrequencyGrid.log_spaced(48000.0)
     target_db = target_magnitude(interpolate_to_grid(median_curve, grid), 4800.0, 48000.0)
     warm = _initial_vector(8, grid, target_db)
-    polish = _Polish(_Workspace(8, grid.freqs, target_db), warm, 123, 4800.0, 48000.0)
+    polish = _Polish(_Workspace(8, grid.freqs, target_db), warm, 4800.0, 48000.0)
     polish.residuals(warm)
     bad = warm.copy()
     bad[3] = np.inf
-    with np.errstate(invalid="ignore"), pytest.raises(FitDivergenceError) as err:
-        polish.residuals(bad)
-    assert err.value.iteration == 124
+    with np.errstate(invalid="ignore"):
+        assert not np.isfinite(polish.residuals(bad)).all()
+    assert len(polish.losses) == 1
+    assert (polish.best_index, polish.best_vec.tobytes()) == (0, warm.tobytes())
+
+
+def test_fit_returns_a_warm_start_the_polish_cannot_start_from(median_curve, monkeypatch):
+    # least_squares refuses a start with non-finite rows; the fit then
+    # returns its Adam steps' best, as a budget too small to polish does.
+    adam = list(public_steps(median_curve, FitConfig(n_bands=4, iterations=60)))
+    monkeypatch.setattr(_Polish, "respond", lambda self, vec: np.full(self.n_rows, np.nan))
+    fitted, report = fit(median_curve, 4800.0, 48000.0, FitConfig(n_bands=4, iterations=300))
+    assert report.loss_trace.tobytes() == np.array([loss for loss, _ in adam]).tobytes()
+    assert report.final_mse == min(loss for loss, _ in adam)
+
+
+@pytest.mark.parametrize("t60_s", [0.15, 0.05])
+def test_short_t60_polish_ends_at_or_below_its_warm_start(t60_s):
+    # Trial steps on these tables overflow the kernel; they are rejected
+    # steps, not a diverged fit.
+    curve = T60Curve(np.array([100.0, 10000.0]), np.array([t60_s, t60_s]))
+    _, report = fit(curve, 4800.0, 48000.0, FitConfig())
+    assert report.iterations > WARM_START_STEPS
+    assert np.isfinite(report.loss_trace).all()
+    assert report.final_mse <= report.loss_trace[:WARM_START_STEPS].min()
 
 
 def test_fit_past_the_warm_start_polishes(median_curve):
@@ -362,6 +385,12 @@ def test_fit_config_validation():
         FitConfig(n_bands=4, iterations=0)
     with pytest.raises(InvalidParameterError):
         FitConfig(n_bands=4, learning_rate=0.0)
+    with pytest.raises(InvalidParameterError, match="seed"):
+        FitConfig(seed=-1)
+    # 171 bands have 513 parameters, one more than the default grid's points.
+    FitConfig(n_bands=170, grid=FrequencyGrid.log_spaced(48000.0))
+    with pytest.raises(InvalidParameterError, match="171 bands"):
+        FitConfig(n_bands=171, grid=FrequencyGrid.log_spaced(48000.0))
 
 
 def test_fit_matches_target_in_t60_terms(median_curve):

@@ -117,6 +117,11 @@ def test_target_magnitude_validation():
         target_magnitude(-1.0, 4800.0, 48000.0)
     with pytest.raises(InvalidParameterError):
         target_magnitude(1.0, 4800.0, 0.0)
+    # A fit at 1e300 Hz overflows its kernel; the rate is refused as input.
+    assert target_magnitude(1.0, 1e6, 1e7) == pytest.approx(-6.0)
+    for fs in (1.0000001e7, 1e300, float("inf"), float("nan")):
+        with pytest.raises(InvalidParameterError, match="fs must be"):
+            target_magnitude(1.0, 4800.0, fs)
 
 
 def test_target_magnitude_refuses_a_target_below_minus_6000_db():
