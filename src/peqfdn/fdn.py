@@ -220,7 +220,7 @@ def render_ir(cfg: FdnConfig) -> np.ndarray:
     earliest sample at which any line or the output is non-finite, so a
     render cut just before that sample is all finite.
     """
-    n_total = render_length(cfg.duration_s, cfg.fs, cfg.delays)
+    n_total = int(round(cfg.duration_s * cfg.fs))
     if n_total < 1:
         raise InvalidParameterError("duration is shorter than one sample")
     n_lines = cfg.n_lines
