@@ -1,14 +1,14 @@
 """Scalable parametric-EQ attenuation filters for FDN reverberators.
 
 Fits a low-shelf + bells + high-shelf cascade to a frequency-dependent
-reverberation-time target with Adam on an analytic analog magnitude model,
-rescales the fitted gains to each delay-line length, converts the result to
-digital biquads, and renders/measures feedback delay network impulse
-responses to verify the achieved decay.
+reverberation-time target on an analytic analog magnitude model (an Adam
+warm start, then a damped Levenberg-Marquardt polish), rescales the fitted
+gains to each delay-line length, converts the result to a cascade of
+digital second-order sections, and renders/measures feedback delay network
+impulse responses to verify the achieved decay.
 """
 
 from .digitize import (
-    BiquadCoeffs,
     SosCascade,
     band_to_biquad,
     digital_magnitude,
@@ -67,7 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BandKind",
     "BandParams",
-    "BiquadCoeffs",
     "CampaignError",
     "CampaignResult",
     "CostReport",

@@ -24,7 +24,6 @@ from .peq import PeqParams, peq_log_magnitude
 from .prototypes import BandParams, analog_coeffs, band_magnitude
 
 __all__ = [
-    "BiquadCoeffs",
     "SosCascade",
     "band_to_biquad",
     "digital_magnitude",
@@ -34,62 +33,59 @@ __all__ = [
     "digitization_report",
 ]
 
-
-@dataclass(frozen=True)
-class BiquadCoeffs:
-    """Digital second-order section, a0 normalized to 1, poles inside |z| = 1."""
-
-    b0: float
-    b1: float
-    b2: float
-    a1: float
-    a2: float
-    fs: float
-
-    def __post_init__(self):
-        coeffs = (self.b0, self.b1, self.b2, self.a1, self.a2)
-        if not all(math.isfinite(c) for c in coeffs):
-            raise InvalidParameterError(f"biquad coefficients must be finite, got {coeffs}")
-        if not (math.isfinite(self.fs) and self.fs > 0):
-            raise InvalidParameterError(f"fs must be > 0, got {self.fs}")
-        # Triangle stability conditions for z^2 + a1 z + a2.
-        if not (abs(self.a2) < 1.0 and abs(self.a1) < 1.0 + self.a2):
-            raise InvalidParameterError(
-                f"unstable biquad: a1={self.a1}, a2={self.a2} has poles on or outside the unit circle"
-            )
+_SOS_COLUMNS = ("b0", "b1", "b2", "a0", "a1", "a2")
 
 
 @dataclass(frozen=True)
 class SosCascade:
-    """Ordered second-order sections sharing one sample rate."""
+    """Second-order sections in order, at one sample rate.
 
-    sections: tuple[BiquadCoeffs, ...]
+    sections is a read-only, C-contiguous float64 (n, 6) array with one row
+    [b0 b1 b2 a0 a1 a2] per section, the layout scipy's sosfilt takes.
+    Every row has a0 = 1 and its poles inside |z| = 1.
+    """
+
+    sections: np.ndarray
+    fs: float
 
     def __post_init__(self):
-        object.__setattr__(self, "sections", tuple(self.sections))
-        if not self.sections:
-            raise InvalidParameterError("a cascade needs at least one section")
-        fs = self.sections[0].fs
-        if any(sec.fs != fs for sec in self.sections):
-            raise InvalidParameterError("all sections must share one sample rate")
+        sections = np.array(self.sections, dtype=np.float64, order="C")
+        if sections.ndim != 2 or sections.shape[0] < 1 or sections.shape[1] != 6:
+            raise InvalidParameterError(
+                f"a cascade needs an (n >= 1, 6) array of sections, got shape {sections.shape}"
+            )
+        if not np.isfinite(sections).all():
+            raise InvalidParameterError(
+                f"biquad coefficients must be finite, got {sections.tolist()}"
+            )
+        if not (math.isfinite(self.fs) and self.fs > 0):
+            raise InvalidParameterError(f"fs must be > 0, got {self.fs}")
+        if np.any(sections[:, 3] != 1.0):
+            raise InvalidParameterError(
+                f"every section needs a0 = 1, got {sections[:, 3].tolist()}"
+            )
+        # Triangle stability conditions for z^2 + a1 z + a2.
+        a1, a2 = sections[:, 4], sections[:, 5]
+        unstable = ~((np.abs(a2) < 1.0) & (np.abs(a1) < 1.0 + a2))
+        if unstable.any():
+            k = int(np.argmax(unstable))
+            raise InvalidParameterError(
+                f"unstable biquad: section {k} (a1={a1[k]}, a2={a2[k]}) has poles on or "
+                f"outside the unit circle"
+            )
+        sections.setflags(write=False)
+        object.__setattr__(self, "sections", sections)
 
-    @property
-    def fs(self) -> float:
-        return self.sections[0].fs
 
-    def to_array(self) -> np.ndarray:
-        """(n_sections, 6) array [b0 b1 b2 a0 a1 a2] for scipy-style filtering."""
-        return np.array(
-            [[s.b0, s.b1, s.b2, 1.0, s.a1, s.a2] for s in self.sections], dtype=np.float64
-        )
+def _biquad_mag_db(cascade: SosCascade, freqs: np.ndarray) -> np.ndarray:
+    """Cascade magnitude in dB, the sum of its sections' in order; no range check."""
+    zinv = np.exp(-2j * np.pi * freqs / cascade.fs)
 
+    def section_db(b0, b1, b2, a0, a1, a2):
+        h = (b0 + b1 * zinv + b2 * zinv * zinv) / (a0 + a1 * zinv + a2 * zinv * zinv)
+        return 20.0 * np.log10(np.abs(h))
 
-def _biquad_mag_db(coeffs: BiquadCoeffs, freqs: np.ndarray) -> np.ndarray:
-    zinv = np.exp(-2j * np.pi * freqs / coeffs.fs)
-    h = (coeffs.b0 + coeffs.b1 * zinv + coeffs.b2 * zinv * zinv) / (
-        1.0 + coeffs.a1 * zinv + coeffs.a2 * zinv * zinv
-    )
-    return 20.0 * np.log10(np.abs(h))
+    return sum(section_db(*row) for row in cascade.sections.tolist())
 
 
 # Design grid: points per band, log spaced from min(10 Hz, fc / 8) up to
@@ -141,8 +137,8 @@ def _score_trials(p, w, m2, g0, gp, g1, c_start):
     return c, np.maximum(e0 + gp * gp * c, 0.0), worst
 
 
-def band_to_biquad(band: BandParams, fs: float) -> BiquadCoeffs:
-    """Digitize one prototype band to a biquad tracking the analog magnitude.
+def band_to_biquad(band: BandParams, fs: float) -> SosCascade:
+    """Digitize one prototype band to a one-section cascade tracking the analog magnitude.
 
     The section is the bilinear image, with f_pin prewarped, of
     |H|^2 = ((g0 - g1 p W)^2 + e W) / ((1 - p W)^2 + c W),
@@ -157,7 +153,7 @@ def band_to_biquad(band: BandParams, fs: float) -> BiquadCoeffs:
     if not (math.isfinite(fs) and fs > 0):
         raise InvalidParameterError(f"fs must be > 0, got {fs}")
     if band.gain_db == 0.0:
-        return BiquadCoeffs(1.0, 0.0, 0.0, 0.0, 0.0, fs)
+        return SosCascade(np.array([[1.0, 0.0, 0.0, 1.0, 0.0, 0.0]]), fs)
     nyquist = 0.5 * fs
     fc = band.fc_hz
     f_pin = fc if fc < nyquist else 0.7 * nyquist
@@ -195,9 +191,7 @@ def band_to_biquad(band: BandParams, fs: float) -> BiquadCoeffs:
     # corner; at a 1 kHz corner and Q 0.7 they lie past 300 dB.  fs was
     # checked above, so a refusal here is the band's.
     try:
-        return BiquadCoeffs(
-            bz[0] / az[0], bz[1] / az[0], bz[2] / az[0], az[1] / az[0], az[2] / az[0], fs
-        )
+        return SosCascade(np.array([bz + az]) / az[0], fs)
     except InvalidParameterError:
         raise InvalidParameterError(
             f"a {band.kind.value} band of {band.gain_db:.6g} dB at {fc:.6g} Hz (Q {band.q:.6g}) "
@@ -213,20 +207,20 @@ def digital_magnitude(sos: SosCascade, freqs) -> np.ndarray:
         raise InvalidParameterError(
             f"frequencies must lie inside [0, {0.5 * sos.fs}] Hz"
         )
-    return sum(_biquad_mag_db(sec, freqs) for sec in sos.sections)
+    return _biquad_mag_db(sos, freqs)
 
 
 def peq_to_sos(params: PeqParams, fs: float) -> SosCascade:
     """Digitize every band in order; one biquad per band."""
-    return SosCascade(tuple(band_to_biquad(band, fs) for band in params.bands))
+    rows = [band_to_biquad(band, fs).sections for band in params.bands]
+    return SosCascade(np.concatenate(rows), fs)
 
 
 def sos_to_csv(sos: SosCascade) -> str:
     """CSV export, one row per section, 17 significant digits."""
     out = io.StringIO()
-    out.write("b0,b1,b2,a0,a1,a2\n")
-    for sec in sos.sections:
-        row = (sec.b0, sec.b1, sec.b2, 1.0, sec.a1, sec.a2)
+    out.write(",".join(_SOS_COLUMNS) + "\n")
+    for row in sos.sections.tolist():
         out.write(",".join(f"{value:.17g}" for value in row) + "\n")
     return out.getvalue()
 
@@ -235,10 +229,7 @@ def sos_to_dict(sos: SosCascade) -> dict:
     """JSON-ready export embedding fs."""
     return {
         "fs": sos.fs,
-        "sections": [
-            {"b0": s.b0, "b1": s.b1, "b2": s.b2, "a0": 1.0, "a1": s.a1, "a2": s.a2}
-            for s in sos.sections
-        ],
+        "sections": [dict(zip(_SOS_COLUMNS, row)) for row in sos.sections.tolist()],
     }
 
 

@@ -50,62 +50,66 @@ SYNTH_T60_RANGE_S = (0.3, 5.0)
 
 @dataclass(frozen=True)
 class ErrorDistribution:
-    """Histogram of relative T60 errors in percent, with summary statistics."""
+    """Relative T60 errors in percent, with their histogram and summary statistics.
 
-    bin_edges_pct: np.ndarray
-    counts: np.ndarray
-    median_pct: float
-    p5_pct: float
-    p95_pct: float
-    p95_abs_pct: float
-    max_abs_pct: float
+    errors_pct is a read-only, non-empty, finite 1-D array; every other
+    figure is computed from it.
+    """
+
+    errors_pct: np.ndarray
 
     def __post_init__(self):
-        edges = np.asarray(self.bin_edges_pct, dtype=np.float64)
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if edges.ndim != 1 or counts.ndim != 1 or edges.size != counts.size + 1:
-            raise InvalidParameterError("need n+1 bin edges for n counts")
-        edges.setflags(write=False)
-        counts.setflags(write=False)
-        object.__setattr__(self, "bin_edges_pct", edges)
-        object.__setattr__(self, "counts", counts)
+        errors = np.array(self.errors_pct, dtype=np.float64)
+        if errors.ndim != 1 or errors.size == 0:
+            raise InvalidParameterError(f"need a non-empty 1-D array of errors, got {errors.shape}")
+        if not np.isfinite(errors).all():
+            raise InvalidParameterError("error points must be finite")
+        errors.setflags(write=False)
+        object.__setattr__(self, "errors_pct", errors)
 
     @property
     def n_points(self) -> int:
-        return int(self.counts.sum())
+        return self.errors_pct.size
 
-    @classmethod
-    def from_errors(cls, errors_pct):
-        """Bin error points into 1 % wide, integer-aligned bins covering their range."""
-        errors = np.asarray(errors_pct, dtype=np.float64).ravel()
-        if errors.size == 0:
-            raise InvalidParameterError("cannot build a distribution from zero points")
-        if np.any(~np.isfinite(errors)):
-            raise InvalidParameterError("error points must be finite")
-        lo = math.floor(errors.min() / BIN_WIDTH_PCT) * BIN_WIDTH_PCT
-        hi = math.ceil(errors.max() / BIN_WIDTH_PCT) * BIN_WIDTH_PCT
+    @property
+    def bin_edges_pct(self) -> np.ndarray:
+        """Edges of 1 % wide, integer-aligned bins covering the errors' range."""
+        lo = math.floor(self.errors_pct.min() / BIN_WIDTH_PCT) * BIN_WIDTH_PCT
+        hi = math.ceil(self.errors_pct.max() / BIN_WIDTH_PCT) * BIN_WIDTH_PCT
         if hi <= lo:
             hi = lo + BIN_WIDTH_PCT
         n_bins = int(round((hi - lo) / BIN_WIDTH_PCT))
-        edges = lo + BIN_WIDTH_PCT * np.arange(n_bins + 1)
-        counts, _ = np.histogram(errors, bins=edges)
-        p5, median, p95 = np.percentile(errors, (5.0, 50.0, 95.0))
-        return cls(
-            bin_edges_pct=edges,
-            counts=counts,
-            median_pct=float(median),
-            p5_pct=float(p5),
-            p95_pct=float(p95),
-            p95_abs_pct=float(np.percentile(np.abs(errors), 95.0)),
-            max_abs_pct=float(np.abs(errors).max()),
-        )
+        return lo + BIN_WIDTH_PCT * np.arange(n_bins + 1)
+
+    @property
+    def counts(self) -> np.ndarray:
+        return np.histogram(self.errors_pct, bins=self.bin_edges_pct)[0]
+
+    @property
+    def median_pct(self) -> float:
+        return float(np.percentile(self.errors_pct, 50.0))
+
+    @property
+    def p5_pct(self) -> float:
+        return float(np.percentile(self.errors_pct, 5.0))
+
+    @property
+    def p95_pct(self) -> float:
+        return float(np.percentile(self.errors_pct, 95.0))
+
+    @property
+    def p95_abs_pct(self) -> float:
+        return float(np.percentile(np.abs(self.errors_pct), 95.0))
+
+    @property
+    def max_abs_pct(self) -> float:
+        return float(np.abs(self.errors_pct).max())
 
     def to_csv(self) -> str:
+        edges, counts = self.bin_edges_pct, self.counts
         lines = ["bin_lo_pct,bin_hi_pct,count"]
-        for i, count in enumerate(self.counts):
-            lines.append(
-                f"{self.bin_edges_pct[i]:.17g},{self.bin_edges_pct[i + 1]:.17g},{int(count)}"
-            )
+        for i, count in enumerate(counts):
+            lines.append(f"{edges[i]:.17g},{edges[i + 1]:.17g},{int(count)}")
         return "\n".join(lines) + "\n"
 
 
@@ -142,10 +146,6 @@ class CampaignResult:
     grid_size: int
 
     @property
-    def n_points(self) -> int:
-        return self.distribution.n_points
-
-    @property
     def flagged(self) -> tuple[CurveReport, ...]:
         return tuple(r for r in self.curve_reports if not r.within_envelope)
 
@@ -154,7 +154,7 @@ class CampaignResult:
         return {
             "n_curves": len(self.curve_reports) + len(self.failures),
             "n_failed": len(self.failures),
-            "n_points": self.n_points,
+            "n_points": d.n_points,
             "grid_size": self.grid_size,
             "median_pct": d.median_pct,
             "p5_pct": d.p5_pct,
@@ -291,10 +291,12 @@ def run_campaign(
     for i, curve in enumerate(curves):
         m_samples = max(1, int(round(delays_s[i] * fs)))
         jobs.append((i, curve, m_samples, cfg, fs))
-    if workers == 1:
+    # A worker beyond one per curve would only start and idle.
+    processes = min(workers, len(jobs))
+    if processes == 1:
         outcomes = [_fit_one_curve(job) for job in jobs]
     else:
-        with Pool(workers) as pool:
+        with Pool(processes) as pool:
             outcomes = pool.map(_fit_one_curve, jobs)
     reports: list[CurveReport] = []
     failures: list[tuple[int, str, str]] = []
@@ -318,9 +320,8 @@ def run_campaign(
         raise CampaignError(
             f"{len(failures)} of {len(curves)} fits failed, campaign not meaningful ({detail})"
         )
-    distribution = ErrorDistribution.from_errors(np.concatenate(error_blocks))
     return CampaignResult(
-        distribution=distribution,
+        distribution=ErrorDistribution(np.concatenate(error_blocks)),
         curve_reports=tuple(reports),
         failures=tuple(failures),
         grid_size=cfg.grid.size,

@@ -71,29 +71,35 @@ def default_delays(n_lines: int, lo_s: float, hi_s: float, fs: float) -> list[in
         raise InvalidParameterError(
             f"delay range ({lo_s}, {hi_s}) s is not finite in samples at fs={fs}"
         )
-    if n_lines > 1 and lo_s == hi_s:
-        raise InvalidParameterError("a degenerate range cannot yield distinct delays")
     first, last = max(1, math.ceil(lo_s * fs)), math.floor(hi_s * fs)
+    refusal = (
+        f"delay range ({lo_s}, {hi_s}) s does not hold {n_lines} distinct "
+        f"coprime delays at fs={fs}"
+    )
+    # Refused before anything is sized by n_lines.
+    if n_lines > last - first + 1:
+        raise InvalidParameterError(f"{refusal}: it spans {max(0, last - first + 1)} integers")
     raw = np.geomspace(lo_s * fs, hi_s * fs, n_lines)
     delays: list[int] = []
+    # A candidate is coprime to every chosen delay when it is coprime to
+    # their product; only a repeated delay of 1 would pass that test too.
+    product = 1
     for value in raw:
         base = max(1, round(float(value)))
         for step in range(last - first + 2):
             for candidate in ({base} if step == 0 else {base + step, base - step}):
                 if (
                     first <= candidate <= last
+                    and gcd(candidate, product) == 1
                     and candidate not in delays
-                    and all(gcd(candidate, other) == 1 for other in delays)
                 ):
                     break
             else:
                 continue
             break
         else:
-            raise InvalidParameterError(
-                f"delay range ({lo_s}, {hi_s}) s does not hold {n_lines} distinct "
-                f"coprime delays at fs={fs}"
-            )
+            raise InvalidParameterError(refusal)
+        product *= candidate
         delays.append(candidate)
     return delays
 
@@ -225,10 +231,11 @@ def render_ir(cfg: FdnConfig) -> np.ndarray:
         raise InvalidParameterError("duration is shorter than one sample")
     n_lines = cfg.n_lines
     rings = [np.zeros(m) for m in cfg.delays]
-    # to_array is C-contiguous float64 with a0 = 1, and SosCascade has
-    # already checked finite, stable sections: all that sosfilt would check
-    # on every call before running the same kernel.
-    sos_arrays = [c.to_array() for c in cfg.cascades]
+    # SosCascade has already checked C-contiguous float64, a0 = 1, finite,
+    # stable sections: all that sosfilt would check on every call before
+    # running the same kernel.  The kernel refuses a read-only buffer, so
+    # each line filters with a copy.
+    sos_arrays = [np.array(c.sections) for c in cfg.cascades]
     states = [np.zeros((1, arr.shape[0], 2)) for arr in sos_arrays]
     block = min(cfg.delays)
     out = np.zeros(n_total)

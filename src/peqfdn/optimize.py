@@ -64,6 +64,8 @@ PROGRESS_EVERY = 500
 # would change every default (10k-step) fit.
 WARM_START_STEPS = 2000
 STEPS_PER_EVALUATION = 26
+# MINPACK counts evaluations in a C int.
+MAX_EVALUATIONS = 2**31 - 1
 
 # The polish's extra rows (see _Polish).  The prior weighs log fc, gain dB
 # and log Q: it holds the corners and Q, which can run off (to fc = inf),
@@ -75,6 +77,15 @@ HINGE_WEIGHT = 10.0
 HINGE_SCALES = 5
 HINGE_LOW_HZ = np.concatenate(([0.0], np.geomspace(0.5, 19.0, 24)))
 HINGE_TOP_OCTAVE_POINTS = 6
+
+
+def _budget(iterations: int) -> tuple[int, int]:
+    """(Adam steps, polish evaluations) that a budget of iterations buys; see fit."""
+    steps = min(-(-iterations // 5), WARM_START_STEPS)
+    evaluations = (iterations - steps) // STEPS_PER_EVALUATION
+    if evaluations < 2:
+        return iterations, 0
+    return steps, evaluations
 
 
 @dataclass(frozen=True)
@@ -96,6 +107,12 @@ class FitConfig:
             raise InvalidParameterError(f"n_bands must be >= 3, got {self.n_bands}")
         if self.iterations < 1:
             raise InvalidParameterError(f"iterations must be >= 1, got {self.iterations}")
+        _, evaluations = _budget(self.iterations)
+        if evaluations > MAX_EVALUATIONS:
+            raise InvalidParameterError(
+                f"iterations {self.iterations} buy {evaluations} polish evaluations, more "
+                f"than the {MAX_EVALUATIONS} (2**31 - 1) the polish can count"
+            )
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise InvalidParameterError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.seed < 0:
@@ -113,10 +130,14 @@ class FitConfig:
 class FitReport:
     """Outcome of one fit: loss trajectory and bookkeeping."""
 
-    final_mse: float
     best_iteration: int
     loss_trace: np.ndarray
     wall_time_s: float
+
+    @property
+    def final_mse(self) -> float:
+        """Grid MSE of the returned parameters."""
+        return float(self.loss_trace[self.best_iteration])
 
     @property
     def iterations(self) -> int:
@@ -472,10 +493,7 @@ def fit(
     adam_m = np.zeros(vec.size)
     adam_v = np.zeros(vec.size)
     adam_scratch = np.empty((2, vec.size))
-    steps = min(math.ceil(cfg.iterations / 5), WARM_START_STEPS)
-    evaluations = (cfg.iterations - steps) // STEPS_PER_EVALUATION
-    if evaluations < 2:
-        steps, evaluations = cfg.iterations, 0
+    steps, evaluations = _budget(cfg.iterations)
     trace = np.empty(steps)
     best_loss = math.inf
     best_vec = vec.copy()
@@ -518,16 +536,14 @@ def fit(
                 trace = np.concatenate((trace, polish.losses))
                 best_vec = polish.best_vec
                 best_iteration = steps + polish.best_index
-                best_loss = float(trace[best_iteration])
 
     bands = _sorted_bands(_vector_to_bands(best_vec))
     fitted = FittedPeq(params=PeqParams(bands), m_ref=m_ref, fs=fs)
     report = FitReport(
-        final_mse=best_loss,
         best_iteration=best_iteration,
         loss_trace=trace,
         wall_time_s=time.perf_counter() - started,
     )
     if progress is not None:
-        progress(trace.size, best_loss)
+        progress(trace.size, report.final_mse)
     return fitted, report

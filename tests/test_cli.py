@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from peqfdn import BiquadCoeffs, FittedPeq, SosCascade, cli, digitize, scale_to_delay
+from peqfdn import FittedPeq, SosCascade, cli, digitize, scale_to_delay
 from peqfdn.digitize import digitization_report
 from peqfdn.targets import FrequencyGrid
 
@@ -176,12 +176,8 @@ def test_export_designs_each_section_once(flat_csv, tmp_path, monkeypatch):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     for entry in manifest["lines"]:
         doc = json.loads((out_dir / entry["json"]).read_text())
-        cascade = SosCascade(
-            tuple(
-                BiquadCoeffs(s["b0"], s["b1"], s["b2"], s["a1"], s["a2"], doc["fs"])
-                for s in doc["sections"]
-            )
-        )
+        columns = ("b0", "b1", "b2", "a0", "a1", "a2")
+        cascade = SosCascade([[s[c] for c in columns] for s in doc["sections"]], doc["fs"])
         params = scale_to_delay(fitted, entry["delay_samples"])
         assert doc["digitization"] == digitization_report(params, cascade, freqs)
 
@@ -367,6 +363,19 @@ def test_render_rejects_zero_duration(flat_csv, tmp_path):
          ["got 1e+300"]),
         (["campaign", "--synthetic", "2", "--out-dir", "{out}", "--seed", "-1"],
          ["seed", "got -1"]),
+        # Budgets whose polish evaluations MINPACK cannot count.
+        (["fit", "--t60", "{table}", "--out", "{out}/fit.json",
+          "--iterations", "99999999999999999999"], ["2**31 - 1"]),
+        (["campaign", "--synthetic", "2", "--out-dir", "{out}",
+          "--iterations", "99999999999999999999"], ["2**31 - 1"]),
+        # The default range spans 5041 integer delays; 800 of them are not
+        # pairwise coprime either.
+        (["export", "--fit", "{fit}", "--out-dir", "{out}", "--lines", "99999999999999999999"],
+         ["99999999999999999999 distinct", "5041 integers"]),
+        (["render", "--fit", "{fit}", "--out", "{out}/ir.wav", "--lines", "6000"],
+         ["6000 distinct", "5041 integers"]),
+        (["export", "--fit", "{fit}", "--out-dir", "{out}", "--lines", "800"],
+         ["800 distinct coprime"]),
     ],
     ids=[
         "export_delay_0", "render_delay_0", "export_range", "render_range",
@@ -376,7 +385,8 @@ def test_render_rejects_zero_duration(flat_csv, tmp_path):
         "render_nothing_measurable", "export_range_below_one_sample",
         "export_line_too_deep_to_digitize", "render_duration_1e300", "render_duration_1e6",
         "fit_bands_100000", "campaign_bands_100000", "fit_fs_1e300", "campaign_fs_1e300",
-        "campaign_seed_negative",
+        "campaign_seed_negative", "fit_iterations_huge", "campaign_iterations_huge",
+        "export_lines_huge", "render_lines_6000", "export_lines_800",
     ],
 )
 def test_library_refusals_exit_1_and_write_nothing(flat_csv, tmp_path, capsys, argv, named):

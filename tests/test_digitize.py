@@ -9,7 +9,6 @@ import pytest
 from peqfdn import (
     BandKind,
     BandParams,
-    BiquadCoeffs,
     FitConfig,
     InvalidParameterError,
     PeqParams,
@@ -59,33 +58,45 @@ def analog_db(band, f):
     return 20.0 * np.log10(band_magnitude(f, band))
 
 
+def section(b0=1.0, b1=0.0, b2=0.0, a0=1.0, a1=0.0, a2=0.0):
+    return [b0, b1, b2, a0, a1, a2]
+
+
 def test_biquad_stability_validation():
     with pytest.raises(InvalidParameterError, match="unstable"):
-        BiquadCoeffs(1.0, 0.0, 0.0, 0.0, 1.0, FS)
+        SosCascade([section(a2=1.0)], FS)
     with pytest.raises(InvalidParameterError, match="unstable"):
-        BiquadCoeffs(1.0, 0.0, 0.0, -2.0, 0.9, FS)
+        SosCascade([section(a1=-2.0, a2=0.9)], FS)
+    # Every row is checked, not only the first.
+    with pytest.raises(InvalidParameterError, match="section 1"):
+        SosCascade([section(), section(a1=-2.0, a2=0.9)], FS)
     with pytest.raises(InvalidParameterError):
-        BiquadCoeffs(float("nan"), 0.0, 0.0, 0.0, 0.0, FS)
+        SosCascade([section(b0=float("nan"))], FS)
+    with pytest.raises(InvalidParameterError, match="a0 = 1"):
+        SosCascade([section(a0=2.0)], FS)
 
 
 def test_cascade_validation():
-    with pytest.raises(InvalidParameterError):
-        SosCascade(())
-    a = BiquadCoeffs(1.0, 0.0, 0.0, 0.0, 0.0, FS)
-    b = BiquadCoeffs(1.0, 0.0, 0.0, 0.0, 0.0, 44100.0)
-    with pytest.raises(InvalidParameterError, match="sample rate"):
-        SosCascade((a, b))
-    arr = SosCascade((a,)).to_array()
-    assert arr.shape == (1, 6)
-    assert arr[0].tolist() == [1.0, 0.0, 0.0, 1.0, 0.0, 0.0]
+    for shape in ((0, 6), (6,), (2, 5)):
+        with pytest.raises(InvalidParameterError, match="6\\) array"):
+            SosCascade(np.zeros(shape), FS)
+    for fs in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(InvalidParameterError, match="fs"):
+            SosCascade([section()], fs)
+    rows = [section(), section(b0=0.5)]
+    cascade = SosCascade(rows, FS)
+    assert cascade.sections.shape == (2, 6)
+    assert cascade.sections.dtype == np.float64
+    assert cascade.sections.flags.c_contiguous
+    assert cascade.sections.tolist() == rows
+    with pytest.raises(ValueError):
+        cascade.sections[0, 0] = 2.0
 
 
 def test_zero_gain_band_becomes_identity():
     for kind in BandKind:
         band = BandParams(kind, 1000.0, 0.0, 0.7)
-        coeffs = band_to_biquad(band, FS)
-        assert (coeffs.b0, coeffs.b1, coeffs.b2) == (1.0, 0.0, 0.0)
-        assert (coeffs.a1, coeffs.a2) == (0.0, 0.0)
+        assert band_to_biquad(band, FS).sections.tolist() == [section()]
 
 
 def test_band_to_biquad_rejects_bad_rates():
@@ -119,11 +130,11 @@ def test_trial_that_reaches_zero_scores_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         coeffs = band_to_biquad(band, 48000.0)
-    got = [coeffs.b0, coeffs.b1, coeffs.b2, coeffs.a1, coeffs.a2]
-    assert [value.hex() for value in got] == [
+    assert [value.hex() for value in coeffs.sections[0].tolist()] == [
         "0x1.ff1334cfb86e2p-1",
         "-0x1.f4f383bcbd946p+0",
         "0x1.eb4a874acb92dp-1",
+        "0x1.0000000000000p+0",
         "-0x1.f4f57ac3b506dp+0",
         "0x1.ea61aa2872e5cp-1",
     ]
@@ -160,7 +171,7 @@ def test_corners_above_nyquist_pin_at_seven_tenths_nyquist(rng):
 
 
 def test_band_to_biquad_is_always_stable(rng):
-    # The BiquadCoeffs constructor enforces the stability triangle, so
+    # The SosCascade constructor enforces the stability triangle, so
     # surviving construction for a wide random population is the check.
     for fs in (44100.0, 48000.0, 96000.0):
         for _ in range(100):
@@ -234,13 +245,14 @@ def test_cascade_magnitude_is_sum_of_sections():
     sos = peq_to_sos(params, FS)
     freqs = np.geomspace(20.0, 23000.0, 100)
     total = np.zeros_like(freqs)
-    for section in sos.sections:
-        total += _biquad_mag_db(section, freqs)
-    assert np.allclose(digital_magnitude(sos, freqs), total, atol=1e-10)
+    for row in sos.sections:
+        total += _biquad_mag_db(SosCascade(row[None], FS), freqs)
+    # Same section arithmetic, summed in the same order: equal to the bit.
+    assert np.array_equal(digital_magnitude(sos, freqs), total)
 
 
 def test_identity_cascade_is_flat():
-    sos = SosCascade((BiquadCoeffs(1.0, 0.0, 0.0, 0.0, 0.0, FS),))
+    sos = SosCascade([section()], FS)
     freqs = np.geomspace(20.0, 23000.0, 50)
     assert np.allclose(digital_magnitude(sos, freqs), 0.0, atol=1e-12)
 
@@ -251,16 +263,8 @@ def test_sos_csv_roundtrip_is_exact():
     lines = text.strip().splitlines()
     assert lines[0] == "b0,b1,b2,a0,a1,a2"
     assert len(lines) == 1 + len(sos.sections)
-    for line, section in zip(lines[1:], sos.sections):
-        b0, b1, b2, a0, a1, a2 = (float(cell) for cell in line.split(","))
-        assert a0 == 1.0
-        assert (b0, b1, b2, a1, a2) == (
-            section.b0,
-            section.b1,
-            section.b2,
-            section.a1,
-            section.a2,
-        )
+    for line, row in zip(lines[1:], sos.sections.tolist()):
+        assert [float(cell) for cell in line.split(",")] == row
 
 
 def test_sos_to_dict_shape():

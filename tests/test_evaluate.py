@@ -16,6 +16,7 @@ from peqfdn import (
     PeqParams,
     T60Curve,
     achieved_t60,
+    evaluate,
     op_count,
     run_campaign,
     synthetic_smooth_curves,
@@ -92,7 +93,7 @@ def test_achieved_t60_rejects_non_decaying():
 
 def test_error_distribution_binning():
     errors = np.array([-2.4, -0.3, 0.2, 0.9, 3.1])
-    dist = ErrorDistribution.from_errors(errors)
+    dist = ErrorDistribution(errors)
     assert dist.bin_edges_pct[0] == -3.0
     assert dist.bin_edges_pct[-1] == 4.0
     assert dist.n_points == errors.size
@@ -106,9 +107,17 @@ def test_error_distribution_binning():
 
 def test_error_distribution_validation():
     with pytest.raises(InvalidParameterError):
-        ErrorDistribution.from_errors(np.array([]))
+        ErrorDistribution(np.array([]))
     with pytest.raises(InvalidParameterError):
-        ErrorDistribution.from_errors(np.array([np.nan]))
+        ErrorDistribution(np.array([np.nan]))
+    with pytest.raises(InvalidParameterError, match="1-D"):
+        ErrorDistribution(np.zeros((2, 3)))
+    errors = np.array([1.0, 2.0])
+    dist = ErrorDistribution(errors)
+    errors[0] = 5.0  # the distribution keeps its own copy
+    assert dist.errors_pct.tolist() == [1.0, 2.0]
+    with pytest.raises(ValueError):
+        dist.errors_pct[0] = 5.0
 
 
 def test_synthetic_curves_are_deterministic_and_bounded():
@@ -138,7 +147,7 @@ def test_achieved_t60_follows_flat_fit(flat_curve):
 def test_run_campaign_pools_all_grid_points():
     curves = synthetic_smooth_curves(3, seed=7)
     result = run_campaign(curves, quick_cfg(), fs=48000.0)
-    assert result.n_points == 3 * QUICK_GRID.size
+    assert result.distribution.n_points == 3 * QUICK_GRID.size
     assert len(result.curve_reports) == 3
     assert not result.failures
     names = [r.name for r in result.curve_reports]
@@ -159,6 +168,33 @@ def test_run_campaign_workers_do_not_change_results():
     serial = run_campaign(curves, quick_cfg(), fs=48000.0, workers=1)
     parallel = run_campaign(curves, quick_cfg(), fs=48000.0, workers=2)
     assert serial.to_summary_dict() == parallel.to_summary_dict()
+
+
+def test_run_campaign_starts_no_more_workers_than_curves(monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, jobs):
+            return [func(job) for job in jobs]
+
+    monkeypatch.setattr(evaluate, "Pool", SerialPool)
+    curves = synthetic_smooth_curves(2, seed=11)
+    serial = run_campaign(curves, quick_cfg(iterations=50), fs=48000.0, workers=1)
+    pooled = run_campaign(curves, quick_cfg(iterations=50), fs=48000.0, workers=64)
+    assert started == [2]
+    assert pooled.to_summary_dict() == serial.to_summary_dict()
+    # One curve runs in this process, whatever the worker count.
+    run_campaign(curves[:1], quick_cfg(iterations=50), fs=48000.0, workers=64)
+    assert started == [2]
 
 
 def test_run_campaign_flags_poorly_tracked_curves():

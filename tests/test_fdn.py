@@ -12,7 +12,6 @@ from scipy.signal import sosfilt
 from peqfdn import (
     BandKind,
     BandParams,
-    BiquadCoeffs,
     FdnConfig,
     FittedPeq,
     InstabilityError,
@@ -38,7 +37,7 @@ FS = 48000.0
 
 
 def gain_cascade(gain_linear, fs=FS):
-    return SosCascade((BiquadCoeffs(gain_linear, 0.0, 0.0, 0.0, 0.0, fs),))
+    return SosCascade([[gain_linear, 0.0, 0.0, 1.0, 0.0, 0.0]], fs)
 
 
 def householder_config(delays, cascades, duration_s, fs=FS):
@@ -64,7 +63,7 @@ def reference_render(cfg):
     """The block renderer with public sosfilt, one call per line per block."""
     n_total = int(round(cfg.duration_s * cfg.fs))
     rings = [np.zeros(m) for m in cfg.delays]
-    sos = [c.to_array() for c in cfg.cascades]
+    sos = [np.array(c.sections) for c in cfg.cascades]
     states = [np.zeros((s.shape[0], 2)) for s in sos]
     block = min(cfg.delays)
     out = np.zeros(n_total)

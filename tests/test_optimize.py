@@ -391,6 +391,12 @@ def test_fit_config_validation():
     FitConfig(n_bands=170, grid=FrequencyGrid.log_spaced(48000.0))
     with pytest.raises(InvalidParameterError, match="171 bands"):
         FitConfig(n_bands=171, grid=FrequencyGrid.log_spaced(48000.0))
+    # The polish counts its evaluations in a C int: after the 2000-step warm
+    # start, every 26 steps buy one.
+    most = 2000 + 26 * (2**31 - 1) + 25
+    FitConfig(iterations=most)
+    with pytest.raises(InvalidParameterError, match="2\\*\\*31 - 1"):
+        FitConfig(iterations=most + 1)
 
 
 def test_fit_matches_target_in_t60_terms(median_curve):
