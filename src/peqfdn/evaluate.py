@@ -15,6 +15,7 @@ from multiprocessing import Pool
 import numpy as np
 
 from .errors import CampaignError, InvalidParameterError, NonDecayingResponseError, PeqFdnError
+from .fdn import MAX_RENDER_SAMPLES
 from .optimize import FitConfig, fit
 from .peq import PeqParams, peq_log_magnitude
 from .targets import FrequencyGrid, T60Curve, check_fs, interpolate_to_grid
@@ -227,10 +228,17 @@ def synthetic_smooth_curves(n_curves: int, seed: int = 0) -> list[T60Curve]:
 
     Shapes are low-order cosine series in log T60 over log frequency, so
     they undulate as gently as measured room curves do; amplitudes rescale
-    when needed to keep every value inside SYNTH_T60_RANGE_S.
+    when needed to keep every value inside SYNTH_T60_RANGE_S.  A draw may
+    hold at most MAX_RENDER_SAMPLES values, the bound a render has; a larger
+    count is refused before any curve is drawn.
     """
     if n_curves < 1:
         raise InvalidParameterError(f"need at least one curve, got {n_curves}")
+    if n_curves * SYNTH_POINTS > MAX_RENDER_SAMPLES:
+        raise InvalidParameterError(
+            f"{n_curves} synthetic curves of {SYNTH_POINTS} points hold more than "
+            f"the {MAX_RENDER_SAMPLES} (2**26) values a draw may hold"
+        )
     rng = np.random.default_rng(seed)
     freqs = np.geomspace(SYNTH_FREQ_RANGE_HZ[0], SYNTH_FREQ_RANGE_HZ[1], SYNTH_POINTS)
     u = np.linspace(0.0, 1.0, SYNTH_POINTS)

@@ -10,6 +10,8 @@ filtered in place by scipy's compiled SOS kernel, the loop that
 ``scipy.signal.sosfilt`` wraps, so the result is identical to ``sosfilt``
 carrying each line's state from block to block.  A render that blows up
 raises ``InstabilityError`` naming the earliest non-finite sample.
+SciPy is imported inside the functions that call it, so a process that
+only generates delays or exports coefficients never loads it.
 """
 
 import io
@@ -18,11 +20,6 @@ from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
-from scipy.io import wavfile
-from scipy.signal import butter, sosfilt
-# The compiled loop behind sosfilt: filters x (n_signals, n) in place and
-# updates zi (n_signals, n_sections, 2), all C-contiguous float64.
-from scipy.signal._sosfilt import _sosfilt
 
 from .digitize import SosCascade
 from .errors import InstabilityError, InsufficientDecayError, InvalidParameterError
@@ -47,6 +44,8 @@ DEFAULT_DELAY_RANGE_S = (0.015, 0.12)
 # The most samples one render holds, its output and every delay line
 # together: 2**26 float64 values are 512 MiB, 23 minutes of output at 48 kHz.
 MAX_RENDER_SAMPLES = 2**26
+# Integers default_delays sieves for primes at a time.
+PRIME_BLOCK = 2**16
 
 
 def householder_matrix(n_lines: int) -> np.ndarray:
@@ -54,6 +53,38 @@ def householder_matrix(n_lines: int) -> np.ndarray:
     if n_lines < 1:
         raise InvalidParameterError(f"need at least one delay line, got {n_lines}")
     return np.eye(n_lines) - (2.0 / n_lines) * np.ones((n_lines, n_lines))
+
+
+def _count_primes(lo: int, hi: int, enough: float) -> int:
+    """Primes in [lo, hi], sieved a block at a time until there are enough."""
+    count = 0
+    start = max(lo, 2)
+    while count < enough and start <= hi:
+        stop = min(hi, start + PRIME_BLOCK - 1)
+        root = math.isqrt(stop)
+        small = np.ones(root + 1, dtype=bool)
+        small[:2] = False
+        for p in range(2, math.isqrt(root) + 1):
+            if small[p]:
+                small[p * p :: p] = False
+        is_prime = np.ones(stop - start + 1, dtype=bool)
+        for p in np.flatnonzero(small).tolist():
+            is_prime[max(p * p, -(-start // p) * p) - start :: p] = False
+        count += int(np.count_nonzero(is_prime))
+        start = stop + 1
+    return count
+
+
+def _coprime_capacity(first: int, last: int, enough: float) -> int:
+    """An upper bound on how many pairwise coprime integers [first, last] holds.
+
+    Members of a pairwise coprime set share no prime factor, so each member
+    above 1 has its own least prime factor: a prime <= sqrt(last), or the
+    member itself when it is a prime in [first, last].  Counting stops once
+    the bound reaches enough, so a count that fits costs little.
+    """
+    capacity = int(first == 1) + _count_primes(2, min(first - 1, math.isqrt(last)), enough)
+    return capacity + _count_primes(first, last, enough - capacity)
 
 
 def default_delays(n_lines: int, lo_s: float, hi_s: float, fs: float) -> list[int]:
@@ -79,6 +110,9 @@ def default_delays(n_lines: int, lo_s: float, hi_s: float, fs: float) -> list[in
     # Refused before anything is sized by n_lines.
     if n_lines > last - first + 1:
         raise InvalidParameterError(f"{refusal}: it spans {max(0, last - first + 1)} integers")
+    capacity = _coprime_capacity(first, last, n_lines)
+    if n_lines > capacity:
+        raise InvalidParameterError(f"{refusal}: it holds at most {capacity}")
     raw = np.geomspace(lo_s * fs, hi_s * fs, n_lines)
     delays: list[int] = []
     # A candidate is coprime to every chosen delay when it is coprime to
@@ -226,6 +260,10 @@ def render_ir(cfg: FdnConfig) -> np.ndarray:
     earliest sample at which any line or the output is non-finite, so a
     render cut just before that sample is all finite.
     """
+    # The compiled loop behind sosfilt: filters x (n_signals, n) in place and
+    # updates zi (n_signals, n_sections, 2), all C-contiguous float64.
+    from scipy.signal._sosfilt import _sosfilt
+
     n_total = int(round(cfg.duration_s * cfg.fs))
     if n_total < 1:
         raise InvalidParameterError("duration is shorter than one sample")
@@ -277,6 +315,8 @@ class DecayMeasurement:
 
 
 def _octave_band_sos(center_hz: float, fs: float) -> np.ndarray:
+    from scipy.signal import butter
+
     lo = center_hz / math.sqrt(2.0)
     hi = center_hz * math.sqrt(2.0)
     if not (0 < lo and hi < 0.5 * fs):
@@ -300,6 +340,8 @@ def schroeder_t60(ir, fs: float, band_hz: float | None = None) -> DecayMeasureme
         idx = int(np.flatnonzero(~np.isfinite(ir))[0])
         raise InvalidParameterError(f"impulse response sample {idx} is {ir[idx]}, must be finite")
     if band_hz is not None:
+        from scipy.signal import sosfilt
+
         ir = sosfilt(_octave_band_sos(band_hz, fs), ir)
     energy = np.cumsum((ir * ir)[::-1])[::-1]
     if energy[0] <= 0.0:
@@ -330,6 +372,8 @@ def schroeder_t60(ir, fs: float, band_hz: float | None = None) -> DecayMeasureme
 
 def write_wav(path, ir: np.ndarray, fs: float) -> None:
     """Write a mono 32-bit float WAV."""
+    from scipy.io import wavfile
+
     wavfile.write(path, int(round(fs)), np.asarray(ir, dtype=np.float32))
 
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import (
     FitDivergenceError,
@@ -481,6 +480,10 @@ def fit(
     if given, is called every 500 Adam steps with (step, current loss), and
     once at the end with (trace length, final MSE).
     """
+    # Imported before the clock starts, and by every fit, so wall_time_s
+    # never holds the import.
+    from scipy.optimize import least_squares
+
     started = time.perf_counter()
     if cfg.grid is None:
         cfg = replace(cfg, grid=FrequencyGrid.log_spaced(fs))

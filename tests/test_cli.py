@@ -368,14 +368,16 @@ def test_render_rejects_zero_duration(flat_csv, tmp_path):
           "--iterations", "99999999999999999999"], ["2**31 - 1"]),
         (["campaign", "--synthetic", "2", "--out-dir", "{out}",
           "--iterations", "99999999999999999999"], ["2**31 - 1"]),
-        # The default range spans 5041 integer delays; 800 of them are not
-        # pairwise coprime either.
+        # The default range spans 5041 integer delays, of which at most 650
+        # are pairwise coprime.
         (["export", "--fit", "{fit}", "--out-dir", "{out}", "--lines", "99999999999999999999"],
          ["99999999999999999999 distinct", "5041 integers"]),
         (["render", "--fit", "{fit}", "--out", "{out}/ir.wav", "--lines", "6000"],
          ["6000 distinct", "5041 integers"]),
         (["export", "--fit", "{fit}", "--out-dir", "{out}", "--lines", "800"],
-         ["800 distinct coprime"]),
+         ["800 distinct coprime", "at most 650"]),
+        (["campaign", "--synthetic", "99999999999999999999", "--out-dir", "{out}"],
+         ["99999999999999999999 synthetic curves", "2**26"]),
     ],
     ids=[
         "export_delay_0", "render_delay_0", "export_range", "render_range",
@@ -386,7 +388,7 @@ def test_render_rejects_zero_duration(flat_csv, tmp_path):
         "export_line_too_deep_to_digitize", "render_duration_1e300", "render_duration_1e6",
         "fit_bands_100000", "campaign_bands_100000", "fit_fs_1e300", "campaign_fs_1e300",
         "campaign_seed_negative", "fit_iterations_huge", "campaign_iterations_huge",
-        "export_lines_huge", "render_lines_6000", "export_lines_800",
+        "export_lines_huge", "render_lines_6000", "export_lines_800", "campaign_synthetic_huge",
     ],
 )
 def test_library_refusals_exit_1_and_write_nothing(flat_csv, tmp_path, capsys, argv, named):

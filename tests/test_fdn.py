@@ -3,9 +3,12 @@
 import dataclasses
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 from scipy.signal import sosfilt
 
@@ -31,6 +34,7 @@ from peqfdn import (
     write_wav,
 )
 
+from peqfdn import fdn
 from peqfdn.fdn import MAX_RENDER_SAMPLES
 
 FS = 48000.0
@@ -116,6 +120,32 @@ def test_default_delays_validation():
         default_delays(8, 0.001, 0.0011, FS)
     with pytest.raises(InvalidParameterError, match="8 distinct coprime"):
         default_delays(8, 1e-9, 1e-8, FS)
+    # 720 to 5760 samples: 21 primes up to 75 and 629 primes in the range.
+    with pytest.raises(InvalidParameterError, match="660 distinct coprime .* at most 650"):
+        default_delays(660, 0.015, 0.12, FS)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(first=st.integers(1, 300), width=st.integers(0, 300), rng=st.randoms(use_true_random=False))
+def test_coprime_bound_never_refuses_a_count_the_search_accepts(first, width, rng):
+    last = first + width
+    bound = fdn._coprime_capacity(first, last, math.inf)
+    # Any pairwise coprime set in the range, here one built greedily in a
+    # random order, is no larger than the bound.
+    chosen = []
+    for m in rng.sample(range(first, last + 1), width + 1):
+        if all(math.gcd(m, c) == 1 for c in chosen):
+            chosen.append(m)
+    assert len(chosen) <= bound
+    # The range's integer count refuses first when the bound is all of them.
+    named = f"at most {bound}$" if bound <= width else f"spans {width + 1} integers$"
+    with pytest.raises(InvalidParameterError, match=named):
+        default_delays(bound + 1, first, last, 1.0)
+    # With the bound out of the way, the search refuses the same counts.
+    with mock.patch.object(fdn, "_coprime_capacity", lambda first, last, enough: enough):
+        for n in range(bound + 1, min(bound + 3, width + 2)):
+            with pytest.raises(InvalidParameterError, match="coprime delays at fs=1.0$"):
+                default_delays(n, first, last, 1.0)
 
 
 def test_default_gains_shape_and_magnitude():
