@@ -3,10 +3,12 @@
 It parses arguments and sequences library calls.  The library (or the
 OS) refuses out-of-domain values before any numerical work: a delay below
 one sample, a range outside 0 < lo <= hi, a count below one, a path that
-is not a directory.  This module refuses only what they cannot see in
-time: a malformed delay list or LO:HI range, a directory without CSV
-tables, a line cascade that would not decay, and a render in which no
-band's decay can be measured.  A refused run writes no file.
+is not a directory, and a fit file that breaks the rules fit keeps.  This
+module refuses only what they cannot see in time: a malformed delay list
+or LO:HI range, a directory without CSV tables, and a render in which no
+band's decay can be measured.  It applies the library's decay rule
+(targets.check_decays) to each line's digital cascade, and prefixes the
+line or the fit file to a refusal.  A refused run writes no file.
 
 Exit codes: 0 on success, 1 for bad arguments or unreadable/malformed
 inputs, 2 when the numerics give up (diverging fit, a fit or cascade that
@@ -50,7 +52,7 @@ from .fdn import (
 )
 from .optimize import FitConfig, fit
 from .peq import FittedPeq, scale_to_delay
-from .targets import FrequencyGrid, load_t60_table
+from .targets import FrequencyGrid, check_decays, load_t60_table
 
 __all__ = ["main"]
 
@@ -115,8 +117,8 @@ def _load_fitted(path: str) -> FittedPeq:
             raise ParseError(f"{path}: not valid JSON ({exc})") from exc
     try:
         return FittedPeq.from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: not a fit result ({exc})") from exc
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"{path}: {exc}") from None
 
 
 def _resolve_m_ref(args) -> int | float:
@@ -163,26 +165,20 @@ _ATTENUATION_GRID = np.concatenate(([0.0], np.geomspace(1e-6, 0.5, 1024)))
 def _line_cascade(fitted: FittedPeq, m_k: int):
     """One line's bands and cascade, refused unless it attenuates everywhere.
 
-    With orthogonal feedback the network decays when every line's cascade
-    stays below 0 dB from DC to Nyquist.  The fit constrains the response
-    only from 20 Hz up, so a fitted band can still reach 0 dB below that.
+    The network decays when every line's cascade stays below 0 dB from DC
+    to Nyquist (check_decays).  The fit constrains the response only from
+    20 Hz up, so a fitted band can still reach 0 dB below that.
     """
     params = scale_to_delay(fitted, m_k)
+    freqs = fitted.fs * _ATTENUATION_GRID
     # A band too deep to digitize overflows in its design, which then
     # refuses it, so the warnings are noise.
     try:
         with np.errstate(all="ignore"):
             cascade = peq_to_sos(params, fitted.fs)
-    except InvalidParameterError as exc:
-        raise InvalidParameterError(f"delay line of {m_k} samples: {exc}") from None
-    freqs = fitted.fs * _ATTENUATION_GRID
-    gain = digital_magnitude(cascade, freqs)
-    peak = int(np.argmax(gain))
-    if gain[peak] >= 0.0:
-        raise NonDecayingResponseError(
-            f"delay line of {m_k} samples: cascade gain {gain[peak]:+.3f} dB at "
-            f"{freqs[peak]:.4g} Hz, so the network would not decay"
-        )
+        check_decays(digital_magnitude(cascade, freqs), freqs)
+    except (InvalidParameterError, NonDecayingResponseError) as exc:
+        raise type(exc)(f"delay line of {m_k} samples: {exc}") from None
     return params, cascade
 
 
@@ -309,8 +305,7 @@ def cmd_render(args) -> int:
     if duration is None:
         # The default length needs the longest T60 the fit achieves at its
         # reference delay, so a fit at or above 0 dB from 20 Hz up has none.
-        grid = FrequencyGrid.log_spaced(fs)
-        t60_profile = achieved_t60(fitted.params, fitted.m_ref, fs, grid.freqs)
+        t60_profile = achieved_t60(fitted, FrequencyGrid.log_spaced(fs).freqs)
         duration = default_render_duration(float(np.max(t60_profile)))
 
     input_gains, output_gains = default_gains(n_lines)

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .peq import PeqParams, peq_log_magnitude
 from .prototypes import BandParams, analog_coeffs, band_magnitude
+from .targets import check_fs
 
 __all__ = [
     "SosCascade",
@@ -58,8 +59,7 @@ class SosCascade:
             raise InvalidParameterError(
                 f"biquad coefficients must be finite, got {sections.tolist()}"
             )
-        if not (math.isfinite(self.fs) and self.fs > 0):
-            raise InvalidParameterError(f"fs must be > 0, got {self.fs}")
+        check_fs(self.fs)
         if np.any(sections[:, 3] != 1.0):
             raise InvalidParameterError(
                 f"every section needs a0 = 1, got {sections[:, 3].tolist()}"
@@ -148,55 +148,54 @@ def band_to_biquad(band: BandParams, fs: float) -> SosCascade:
     analog band exactly; c > 0 and e >= 0 make the section stable and
     minimum phase.  p is searched on a log grid around the analog value,
     keeping the trial with the smallest worst dB error on the design grid.
-    A 0 dB band collapses to the literal identity filter.
+    A band whose A = 10^(G/40) is 1.0 (0 dB, or |G| below about 2e-15 dB)
+    collapses to the literal identity filter.
     """
-    if not (math.isfinite(fs) and fs > 0):
-        raise InvalidParameterError(f"fs must be > 0, got {fs}")
-    if band.gain_db == 0.0:
-        return SosCascade(np.array([[1.0, 0.0, 0.0, 1.0, 0.0, 0.0]]), fs)
-    nyquist = 0.5 * fs
-    fc = band.fc_hz
-    f_pin = fc if fc < nyquist else 0.7 * nyquist
-    t_pin = math.tan(math.pi * f_pin / fs)
-    hi = 0.995 * nyquist
-    lo = min(10.0, fc / 8.0, hi / 4.0)
-    grid = lo * (hi / lo) ** _GRID_UNIT
-    mags = band_magnitude(np.concatenate(([0.0, f_pin, nyquist], grid)), band)
-    g0, gp, g1 = mags[:3]
-    m2 = mags[3:] ** 2
-    w = (np.tan(np.pi * grid / fs) / t_pin) ** 2
-    # The analog denominator (1 - (d2/d0) X)^2 + (d1/d0)^2 X, X = (f/fc)^2,
-    # read with X ~ W (f_pin/fc)^2, gives the search centre and the start c.
+    check_fs(fs)
     _, (d2, d1, d0) = analog_coeffs(band)
-    scale = (f_pin / fc) ** 2
-    c_start = (d1 / d0) ** 2 * scale
-    p_best = d2 / d0 * scale
-    for factors in _STAGE_FACTORS:
-        p = p_best * factors
-        c, e, worst = _score_trials(p, w, m2, g0, gp, g1, c_start)
-        best = int(np.argmin(worst))
-        p_best, c_best, e_best = p[best], c[best], e[best]
-    k = 1.0 / t_pin
-    kk = k * k
-
-    def warp(c2, c1, c0):
-        return (c2 * kk + c1 * k + c0, 2.0 * (c0 - c2 * kk), c2 * kk - c1 * k + c0)
-
-    bz = warp(g1 * p_best, math.sqrt(e_best), g0)
-    az = warp(p_best, math.sqrt(c_best), 1.0)
+    if band.amplitude == 1.0:
+        return SosCascade(np.array([[1.0, 0.0, 0.0, 1.0, 0.0, 0.0]]), fs)
     # Measured at fs = 48 kHz on 50 x 25 log-spaced corners from 1 Hz to
     # 48 kHz and Q from 0.02 to 50: every bell down to -236 dB and every
     # shelf within +-306 dB gives a finite, stable section.  The first
     # failures are bells of -238 dB and shelves of +-308 dB with a 1 Hz
-    # corner; at a 1 kHz corner and Q 0.7 they lie past 300 dB.  fs was
-    # checked above, so a refusal here is the band's.
+    # corner; at a 1 kHz corner and Q 0.7 they lie past 300 dB.  Extreme
+    # corners fail too, and a Q below about 1e-154 overflows c_start.
     try:
+        nyquist = 0.5 * fs
+        fc = band.fc_hz
+        f_pin = fc if fc < nyquist else 0.7 * nyquist
+        t_pin = math.tan(math.pi * f_pin / fs)
+        hi = 0.995 * nyquist
+        lo = min(10.0, fc / 8.0, hi / 4.0)
+        grid = lo * (hi / lo) ** _GRID_UNIT
+        mags = band_magnitude(np.concatenate(([0.0, f_pin, nyquist], grid)), band)
+        g0, gp, g1 = mags[:3]
+        m2 = mags[3:] ** 2
+        w = (np.tan(np.pi * grid / fs) / t_pin) ** 2
+        # The analog denominator (1 - (d2/d0) X)^2 + (d1/d0)^2 X, X = (f/fc)^2,
+        # read with X ~ W (f_pin/fc)^2, gives the search centre and the start c.
+        scale = (f_pin / fc) ** 2
+        c_start = (d1 / d0) ** 2 * scale
+        p_best = d2 / d0 * scale
+        for factors in _STAGE_FACTORS:
+            p = p_best * factors
+            c, e, worst = _score_trials(p, w, m2, g0, gp, g1, c_start)
+            best = int(np.argmin(worst))
+            p_best, c_best, e_best = p[best], c[best], e[best]
+        k = 1.0 / t_pin
+        kk = k * k
+
+        def warp(c2, c1, c0):
+            return (c2 * kk + c1 * k + c0, 2.0 * (c0 - c2 * kk), c2 * kk - c1 * k + c0)
+
+        bz = warp(g1 * p_best, math.sqrt(e_best), g0)
+        az = warp(p_best, math.sqrt(c_best), 1.0)
         return SosCascade(np.array([bz + az]) / az[0], fs)
-    except InvalidParameterError:
+    except (InvalidParameterError, OverflowError):
         raise InvalidParameterError(
-            f"a {band.kind.value} band of {band.gain_db:.6g} dB at {fc:.6g} Hz (Q {band.q:.6g}) "
-            f"is past the gains the digitizer designs: bells down to about -230 dB, "
-            f"shelves within about +-300 dB"
+            f"the digitizer finds no finite, stable section for the {band}; at 48 kHz "
+            f"it designs bells down to about -230 dB and shelves within about +-300 dB"
         ) from None
 
 

@@ -14,11 +14,11 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .errors import CampaignError, InvalidParameterError, NonDecayingResponseError, PeqFdnError
+from .errors import CampaignError, InvalidParameterError, PeqFdnError
 from .fdn import MAX_RENDER_SAMPLES
 from .optimize import FitConfig, fit
-from .peq import PeqParams, peq_log_magnitude
-from .targets import FrequencyGrid, T60Curve, check_fs, interpolate_to_grid
+from .peq import FittedPeq, peq_log_magnitude
+from .targets import FrequencyGrid, T60Curve, check_decays, check_fs, interpolate_to_grid
 
 __all__ = [
     "ErrorDistribution",
@@ -191,26 +191,17 @@ def t60_relative_error(target_s, achieved_s) -> np.ndarray:
     return (target - achieved) / target * 100.0
 
 
-def achieved_t60(params: PeqParams, m_k: float, fs: float, freqs) -> np.ndarray:
-    """T60 a delay line of m_k samples achieves with this PEQ, on freqs.
+def achieved_t60(fitted: FittedPeq, freqs) -> np.ndarray:
+    """T60 the fit's reference delay line achieves with its PEQ, on freqs.
 
-    Inverts the gain law: T60 = -60 m_k / (response dB * fs).  Raises when
-    the response is not attenuating everywhere, since a non-negative dB
-    value means that frequency never decays.
+    Inverts the gain law: T60 = -60 m_ref / (response dB * fs).  Raises
+    NonDecayingResponseError where the response is not attenuating, since
+    a frequency at or above 0 dB never decays.
     """
-    if not (math.isfinite(m_k) and m_k >= 1):
-        raise InvalidParameterError(f"m_k must be >= 1 sample, got {m_k}")
-    if not (math.isfinite(fs) and fs > 0):
-        raise InvalidParameterError(f"fs must be > 0, got {fs}")
     freqs = np.asarray(freqs, dtype=np.float64)
-    response_db = peq_log_magnitude(params, freqs)
-    if np.any(response_db >= 0):
-        worst = int(np.argmax(response_db))
-        raise NonDecayingResponseError(
-            f"response must be < 0 dB everywhere; it is {response_db[worst]:+.6g} dB "
-            f"at {freqs[worst]:.6g} Hz"
-        )
-    return -60.0 * m_k / (response_db * fs)
+    response_db = peq_log_magnitude(fitted.params, freqs)
+    check_decays(response_db, freqs)
+    return -60.0 * fitted.m_ref / (response_db * fitted.fs)
 
 
 def op_count(n_bands: int) -> CostReport:
@@ -265,7 +256,7 @@ def _fit_one_curve(job) -> tuple[int, str, int, float, np.ndarray | None, str | 
     index, curve, m_samples, cfg, fs = job
     try:
         fitted, report = fit(curve, m_ref=m_samples, fs=fs, cfg=cfg)
-        achieved = achieved_t60(fitted.params, m_samples, fs, cfg.grid.freqs)
+        achieved = achieved_t60(fitted, cfg.grid.freqs)
         target = interpolate_to_grid(curve, cfg.grid)
         errors = t60_relative_error(target, achieved)
         return index, curve.name, m_samples, report.final_mse, errors, None

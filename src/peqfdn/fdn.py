@@ -23,6 +23,7 @@ import numpy as np
 
 from .digitize import SosCascade
 from .errors import InstabilityError, InsufficientDecayError, InvalidParameterError
+from .targets import check_delay, check_fs
 
 __all__ = [
     "FdnConfig",
@@ -163,12 +164,10 @@ def default_render_duration(max_t60_s: float) -> float:
 def render_length(duration_s: float, fs: float, delays) -> int:
     """Output samples of a duration_s render at fs through lines of these delays.
 
-    Refuses, before anything is allocated, a duration that is not finite
-    and > 0, and a render whose output and delay lines together would hold
-    more than MAX_RENDER_SAMPLES samples.
+    Refuses, before anything is allocated, a render whose output and delay
+    lines together would hold more than MAX_RENDER_SAMPLES samples, and a
+    duration that is not finite or rounds to no sample.
     """
-    if not (math.isfinite(duration_s) and duration_s > 0):
-        raise InvalidParameterError(f"duration must be finite and > 0 seconds, got {duration_s}")
     samples = duration_s * fs
     held = samples + sum(delays)
     if held > MAX_RENDER_SAMPLES:
@@ -177,6 +176,8 @@ def render_length(duration_s: float, fs: float, delays) -> int:
             f"{sum(delays)} samples in all holds {held:.4g} samples, more than "
             f"the {MAX_RENDER_SAMPLES} (2**26) a render may hold"
         )
+    if not samples > 0.5:  # round() takes 0.5 to 0
+        raise InvalidParameterError(f"a {duration_s:g} s render at fs={fs:g} holds no sample")
     return int(round(samples))
 
 
@@ -193,17 +194,16 @@ class FdnConfig:
     duration_s: float
 
     def __post_init__(self):
+        for m in self.delays:
+            check_delay(m, "delay length")
         delays = tuple(int(m) for m in self.delays)
         object.__setattr__(self, "delays", delays)
         n = len(delays)
         if n < 1:
             raise InvalidParameterError("need at least one delay line")
-        if any(m < 1 for m in delays):
-            raise InvalidParameterError(f"delay lengths must be >= 1 sample, got {delays}")
         if len(set(delays)) != n:
             raise InvalidParameterError(f"delay lengths must be distinct, got {delays}")
-        if not (math.isfinite(self.fs) and self.fs > 0):
-            raise InvalidParameterError(f"fs must be > 0, got {self.fs}")
+        check_fs(self.fs)
         feedback = np.asarray(self.feedback, dtype=np.float64)
         if feedback.shape != (n, n):
             raise InvalidParameterError(f"feedback matrix must be {n}x{n}, got {feedback.shape}")
@@ -264,9 +264,7 @@ def render_ir(cfg: FdnConfig) -> np.ndarray:
     # updates zi (n_signals, n_sections, 2), all C-contiguous float64.
     from scipy.signal._sosfilt import _sosfilt
 
-    n_total = int(round(cfg.duration_s * cfg.fs))
-    if n_total < 1:
-        raise InvalidParameterError("duration is shorter than one sample")
+    n_total = render_length(cfg.duration_s, cfg.fs, cfg.delays)
     n_lines = cfg.n_lines
     rings = [np.zeros(m) for m in cfg.delays]
     # SosCascade has already checked C-contiguous float64, a0 = 1, finite,

@@ -6,13 +6,13 @@ FDN reuses the same frequencies and Q values with all dB gains multiplied by
 m_k / m_ref, so a single fit serves the whole network.
 """
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidParameterError
 from .prototypes import BandKind, BandParams, band_magnitude
+from .targets import check_delay, check_fs
 
 __all__ = [
     "PeqParams",
@@ -64,10 +64,8 @@ class FittedPeq:
     fs: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.m_ref) and self.m_ref >= 1):
-            raise InvalidParameterError(f"m_ref must be >= 1 sample, got {self.m_ref}")
-        if not (math.isfinite(self.fs) and self.fs > 0):
-            raise InvalidParameterError(f"fs must be > 0, got {self.fs}")
+        check_delay(self.m_ref, "m_ref")
+        check_fs(self.fs)
 
     def to_dict(self) -> dict:
         return {
@@ -86,21 +84,16 @@ class FittedPeq:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FittedPeq":
+        """The fit to_dict wrote; a missing or unconvertible field is an InvalidParameterError."""
         try:
-            bands = tuple(
-                BandParams(
-                    kind=BandKind(entry["kind"]),
-                    fc_hz=float(entry["fc_hz"]),
-                    gain_db=float(entry["gain_db"]),
-                    q=float(entry["q"]),
-                )
-                for entry in data["bands"]
-            )
-            return cls(params=PeqParams(bands), m_ref=float(data["m_ref"]), fs=float(data["fs"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, InvalidParameterError):
-                raise
-            raise InvalidParameterError(f"malformed fitted-PEQ document: {exc}") from exc
+            bands = [
+                (BandKind(row["kind"]), float(row["fc_hz"]), float(row["gain_db"]), float(row["q"]))
+                for row in data["bands"]
+            ]
+            m_ref, fs = float(data["m_ref"]), float(data["fs"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise InvalidParameterError(f"malformed fitted-PEQ document: {exc!r}") from exc
+        return cls(PeqParams(tuple(BandParams(*band) for band in bands)), m_ref=m_ref, fs=fs)
 
 
 def peq_log_magnitude(params: PeqParams, freqs) -> np.ndarray:
@@ -128,8 +121,7 @@ def scale_to_delay(fitted: FittedPeq, m_k: float) -> PeqParams:
     m_k / m_ref so the per-sample attenuation matches the longer or
     shorter recirculation path.
     """
-    if not (math.isfinite(m_k) and m_k >= 1):
-        raise InvalidParameterError(f"m_k must be >= 1 sample, got {m_k}")
+    check_delay(m_k, "m_k")
     factor = m_k / fitted.m_ref
     bands = tuple(replace(band, gain_db=band.gain_db * factor) for band in fitted.params.bands)
     return PeqParams(bands)

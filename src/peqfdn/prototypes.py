@@ -64,6 +64,15 @@ class BandParams:
         if not (math.isfinite(self.q) and self.q > 0):
             raise InvalidParameterError(f"q must be finite and > 0, got {self.q}")
 
+    def __str__(self) -> str:
+        kind, gain, fc, q = self.kind.value, self.gain_db, self.fc_hz, self.q
+        return f"{kind} band of {gain:.6g} dB at {fc:.6g} Hz (Q {q:.6g})"
+
+    @property
+    def amplitude(self) -> float:
+        """A = 10^(G/40), whose powers are the prototype's coefficients."""
+        return 10.0 ** (self.gain_db / 40.0)
+
 
 # Exponent of A in each coefficient, ((n2, n1, n0), (d2, d1, d0)) for
 # H(s) = (n2 s^2 + n1 s + n0) / (d2 s^2 + d1 s + d0); n1 and d1 are also
@@ -84,12 +93,18 @@ def analog_coeffs(
     The bell peaks (or dips) to 10^(G/20) at fc and returns to unity at both
     spectrum edges; the low shelf is 10^(G/20) at DC and unity far above fc,
     the high shelf the mirror image.  Both shelves pass through half the dB
-    gain at fc for any Q.
+    gain at fc for any Q.  A band whose coefficients pass float64's range
+    (a shelf above about +6165 dB, a bell beyond about +-12330 dB) is refused.
     """
-    a = 10.0 ** (band.gain_db / 40.0)
-    num, den = (
-        (a**e2, a**e1 / band.q, a**e0) for e2, e1, e0 in COEFF_EXPONENTS[band.kind]
-    )
+    try:
+        a = band.amplitude
+        num, den = (
+            (a**e2, a**e1 / band.q, a**e0) for e2, e1, e0 in COEFF_EXPONENTS[band.kind]
+        )
+    except (OverflowError, ZeroDivisionError):
+        raise InvalidParameterError(
+            f"the {band} has prototype coefficients, powers of 10^(G/40), past float64's range"
+        ) from None
     return num, den
 
 

@@ -3,6 +3,9 @@
 Measured reverberation times arrive as third-octave band tables; they are
 interpolated linearly against log10(frequency) onto the optimization grid
 and converted to the per-delay-line attenuation each filter must realize.
+The rules every later stage applies to its inputs live here too, once
+each: the sample rate (check_fs), a delay length (check_delay) and a loop
+response that must stay below 0 dB (check_decays).
 """
 
 import csv
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, ParseError
+from .errors import InvalidParameterError, NonDecayingResponseError, ParseError
 
 __all__ = [
     "T60Curve",
@@ -116,7 +119,7 @@ def load_t60_table(text: str, name: str = "") -> T60Curve:
     header_no, header = rows[0]
     if [cell.strip().lower() for cell in header] != ["freq_hz", "t60_s"]:
         raise ParseError(f"line {header_no}: expected header 'freq_hz,t60_s', got {','.join(header)!r}")
-    freqs: list[float] = []
+    first_line: dict[float, int] = {}  # each frequency -> the line it is on
     t60s: list[float] = []
     for lineno, row in rows[1:]:
         if len(row) != 2:
@@ -130,13 +133,15 @@ def load_t60_table(text: str, name: str = "") -> T60Curve:
             raise ParseError(f"line {lineno}: frequency must be finite and > 0, got {row[0]}")
         if not (math.isfinite(t60) and t60 > 0):
             raise ParseError(f"line {lineno}: T60 must be finite and > 0, got {row[1]}")
-        if freq in freqs:
-            raise ParseError(f"line {lineno}: duplicate frequency {freq:g} Hz")
-        freqs.append(freq)
+        if freq in first_line:
+            raise ParseError(
+                f"line {lineno}: duplicate frequency {freq:g} Hz (first on line {first_line[freq]})"
+            )
+        first_line[freq] = lineno
         t60s.append(t60)
-    if len(freqs) < 2:
-        raise ParseError(f"line {rows[-1][0]}: need at least 2 data rows, got {len(freqs)}")
-    return T60Curve(np.array(freqs), np.array(t60s), name=name)
+    if len(t60s) < 2:
+        raise ParseError(f"line {rows[-1][0]}: need at least 2 data rows, got {len(t60s)}")
+    return T60Curve(np.array(list(first_line)), np.array(t60s), name=name)
 
 
 def interpolate_to_grid(curve: T60Curve, grid: FrequencyGrid) -> np.ndarray:
@@ -149,9 +154,25 @@ def interpolate_to_grid(curve: T60Curve, grid: FrequencyGrid) -> np.ndarray:
 
 
 def check_fs(fs: float) -> None:
-    """Refuse a sample rate that is not in (0, MAX_FS_HZ]."""
+    """Refuse a sample rate that is not in (0, MAX_FS_HZ]: the rule of every stage."""
     if not (0 < fs <= MAX_FS_HZ):
         raise InvalidParameterError(f"fs must be > 0 and <= {MAX_FS_HZ:g} Hz, got {fs}")
+
+
+def check_delay(samples: float, name: str) -> None:
+    """Refuse a delay length, called name in the message, that is not finite and >= 1 sample."""
+    if not (1 <= samples < math.inf):
+        raise InvalidParameterError(f"{name} must be finite and >= 1 sample, got {samples}")
+
+
+def check_decays(response_db, freqs) -> None:
+    """Refuse a loop response in dB on freqs that reaches 0 dB: that frequency never decays."""
+    worst = int(np.argmax(response_db))
+    if response_db[worst] >= 0.0:
+        raise NonDecayingResponseError(
+            f"response must stay below 0 dB; it is {response_db[worst]:+.6g} dB "
+            f"at {freqs[worst]:.6g} Hz, so it would not decay"
+        )
 
 
 def target_magnitude(t60_s, m_k: float, fs: float) -> np.ndarray:
@@ -161,8 +182,7 @@ def target_magnitude(t60_s, m_k: float, fs: float) -> np.ndarray:
     m_k / (100 fs)) is refused, as is an fs above MAX_FS_HZ.
     """
     t60_s = np.asarray(t60_s, dtype=np.float64)
-    if not (math.isfinite(m_k) and m_k >= 1):
-        raise InvalidParameterError(f"m_k must be >= 1 sample, got {m_k}")
+    check_delay(m_k, "m_k")
     check_fs(fs)
     if np.any(~np.isfinite(t60_s)) or np.any(t60_s <= 0):
         raise InvalidParameterError("T60 values must be finite and > 0")

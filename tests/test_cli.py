@@ -402,6 +402,59 @@ def test_library_refusals_exit_1_and_write_nothing(flat_csv, tmp_path, capsys, a
     assert sorted(tmp_path.rglob("*")) == before
 
 
+# Fit files whose fields the library refuses, by (field, band index or None
+# for a top-level field, value), with the parts the message must name.  The
+# first four used to end in a bare OverflowError or ZeroDivisionError.
+@pytest.mark.parametrize("command", ["export", "render"])
+@pytest.mark.parametrize(
+    "field, band, value, named",
+    [
+        ("gain_db", 1, 1e300, ["delay line of 720 samples", " dB at ", "float64"]),
+        ("gain_db", 1, -1e300, ["delay line of 720 samples", " dB at ", "float64"]),
+        ("q", 1, 1e-300, ["delay line of 720 samples", "(Q 1e-300)", "no finite, stable section"]),
+        ("m_ref", None, 10**400, ["{fit}", "malformed fitted-PEQ document", "OverflowError"]),
+        # Refused where it is read, by the rule fit applies, not deep in the
+        # digitizer with a 30-digit delay line.
+        ("fs", None, 1e300, ["{fit}", "fs must be > 0 and <= 1e+07 Hz, got 1e+300"]),
+        ("bands", None, None, ["{fit}", "malformed fitted-PEQ document", "TypeError"]),
+    ],
+    ids=["gain_1e300", "gain_-1e300", "q_1e-300", "m_ref_10**400", "fs_1e300", "bands_null"],
+)
+def test_fit_file_refusals_exit_1_and_write_nothing(
+    flat_csv, tmp_path, capsys, command, field, band, value, named
+):
+    run_fit(flat_csv, tmp_path)
+    doc = json.loads((tmp_path / "fit.json").read_text())
+    (doc if band is None else doc["bands"][band])[field] = value
+    fit_path = tmp_path / "hostile.json"
+    fit_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = {"export": ["--out-dir", str(out)], "render": ["--out", str(out / "ir.wav")]}[command]
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert cli.main([command, "--fit", str(fit_path), "--lines", "2", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    for part in named:
+        assert part.format(fit=fit_path) in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_near_zero_db_bands_are_designed_as_identity(flat_csv, tmp_path):
+    # A -1e-16 dB bell leaves A = 10^(G/40) at 1.0: it exports as the
+    # identity section, where it used to be refused as past the designed gains.
+    run_fit(flat_csv, tmp_path)
+    doc = json.loads((tmp_path / "fit.json").read_text())
+    doc["bands"][1]["gain_db"] = -1e-16
+    fit_path = tmp_path / "tiny.json"
+    fit_path.write_text(json.dumps(doc))
+    out = tmp_path / "sos"
+    assert cli.main(["export", "--fit", str(fit_path), "--out-dir", str(out), "--lines", "2",
+                     "--quiet"]) == 0
+    line = json.loads((out / "line00_m720.json").read_text())
+    assert line["sections"][1] == {"b0": 1.0, "b1": 0.0, "b2": 0.0, "a0": 1.0, "a1": 0.0, "a2": 0.0}
+
+
 def test_fit_refuses_a_vanishing_t60(tmp_path, capsys):
     # The target of a 1e-300 s T60 is -6e300 dB: its squared error overflows.
     table = tmp_path / "vanishing.csv"

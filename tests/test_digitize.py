@@ -94,15 +94,35 @@ def test_cascade_validation():
 
 
 def test_zero_gain_band_becomes_identity():
+    # A gain too small to move A = 10^(G/40) off 1.0 is a 0 dB band too.
     for kind in BandKind:
-        band = BandParams(kind, 1000.0, 0.0, 0.7)
-        assert band_to_biquad(band, FS).sections.tolist() == [section()]
+        for gain_db in (0.0, -1e-16, 1e-16, -1e-300, 1e-300):
+            band = BandParams(kind, 1000.0, gain_db, 0.7)
+            assert band.amplitude == 1.0
+            assert band_to_biquad(band, FS).sections.tolist() == [section()]
+        # The smallest gains that do move A are designed, not made flat.
+        for gain_db in (-3e-15, 3e-15):
+            band = BandParams(kind, 1000.0, gain_db, 0.7)
+            assert band.amplitude != 1.0
+            assert band_to_biquad(band, FS).sections.tolist() != [section()]
 
 
 def test_band_to_biquad_rejects_bad_rates():
     band = BandParams(BandKind.BELL, 1000.0, -3.0, 1.0)
-    with pytest.raises(InvalidParameterError):
-        band_to_biquad(band, 0.0)
+    for fs in (0.0, -1.0, math.nan, math.inf, 1e300):
+        with pytest.raises(InvalidParameterError, match="fs must be"):
+            band_to_biquad(band, fs)
+
+
+@pytest.mark.parametrize("fc_hz, q", [(1e-6, 0.7), (1000.0, 1e-100), (1000.0, 1e-300)])
+def test_band_to_biquad_refusal_names_the_band_without_blaming_the_gain(fc_hz, q):
+    # A shallow bell is refused for its corner or its Q; a Q of 1e-300 used
+    # to overflow (d1/d0)**2 with a bare OverflowError.
+    band = BandParams(BandKind.BELL, fc_hz, -0.3, q)
+    with np.errstate(all="ignore"), pytest.raises(InvalidParameterError) as err:
+        band_to_biquad(band, FS)
+    assert f"bell band of -0.3 dB at {fc_hz:.6g} Hz (Q {q:.6g})" in str(err.value)
+    assert "past the gains" not in str(err.value)
 
 
 @pytest.mark.parametrize(

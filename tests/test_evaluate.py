@@ -11,6 +11,7 @@ from peqfdn import (
     CampaignError,
     ErrorDistribution,
     FitConfig,
+    FittedPeq,
     InvalidParameterError,
     NonDecayingResponseError,
     PeqParams,
@@ -62,33 +63,32 @@ def test_t60_relative_error_sign_and_value():
         t60_relative_error(np.array([0.0]), np.array([1.0]))
 
 
-def bell_peq(gain_db):
+def bell_peq(gain_db, m_ref=4800.0):
     # Flat shelves around one bell: the response at the bell's 1 kHz
     # center is exactly its gain.
-    return PeqParams(
+    params = PeqParams(
         (
             BandParams(BandKind.LOW_SHELF, 80.0, 0.0, 0.7),
             BandParams(BandKind.BELL, 1000.0, gain_db, 1.0),
             BandParams(BandKind.HIGH_SHELF, 8000.0, 0.0, 0.7),
         )
     )
+    return FittedPeq(params, m_ref=m_ref, fs=48000.0)
 
 
 def test_achieved_t60_inverts_gain_law():
     # -6 dB per 4800 samples at 48 kHz decays 60 dB in one second.
-    t60 = [achieved_t60(bell_peq(g), 4800.0, 48000.0, [1000.0])[0] for g in (-6.0, -12.0, -3.0)]
+    t60 = [achieved_t60(bell_peq(g), [1000.0])[0] for g in (-6.0, -12.0, -3.0)]
     assert t60 == pytest.approx([1.0, 0.5, 2.0])
-    with pytest.raises(InvalidParameterError):
-        achieved_t60(bell_peq(-6.0), 0.5, 48000.0, [1000.0])
-    with pytest.raises(InvalidParameterError):
-        achieved_t60(bell_peq(-6.0), 4800.0, 0.0, [1000.0])
+    # The line's length scales the T60 it achieves with the same gain.
+    assert achieved_t60(bell_peq(-6.0, m_ref=2400.0), [1000.0])[0] == pytest.approx(0.5)
 
 
 def test_achieved_t60_rejects_non_decaying():
     with pytest.raises(NonDecayingResponseError):
-        achieved_t60(bell_peq(0.0), 4800.0, 48000.0, [100.0, 1000.0])
+        achieved_t60(bell_peq(0.0), [100.0, 1000.0])
     with pytest.raises(NonDecayingResponseError, match=r"\+1 dB at 1000 Hz"):
-        achieved_t60(bell_peq(1.0), 4800.0, 48000.0, [100.0, 1000.0, 5000.0])
+        achieved_t60(bell_peq(1.0), [100.0, 1000.0, 5000.0])
 
 
 def test_error_distribution_binning():
@@ -140,7 +140,7 @@ def test_achieved_t60_follows_flat_fit(flat_curve):
 
     cfg = quick_cfg(iterations=800)
     fitted, _ = fit(flat_curve, 4800.0, 48000.0, cfg)
-    t60 = achieved_t60(fitted.params, 4800.0, 48000.0, QUICK_GRID.freqs)
+    t60 = achieved_t60(fitted, QUICK_GRID.freqs)
     assert np.all(np.abs(t60 - 1.0) < 0.05)
 
 

@@ -35,7 +35,7 @@ from peqfdn import (
 )
 
 from peqfdn import fdn
-from peqfdn.fdn import MAX_RENDER_SAMPLES
+from peqfdn.fdn import MAX_RENDER_SAMPLES, render_length
 
 FS = 48000.0
 
@@ -184,6 +184,18 @@ def test_fdn_config_validation():
         FdnConfig(**{**good, "input_gains": np.array([1.0, -1.0, 1.0])})
     with pytest.raises(InvalidParameterError):
         FdnConfig(**{**good, "duration_s": 0.0})
+    # The shared rules: a delay is finite and >= 1 sample (int(inf) used to
+    # raise OverflowError here), fs is in (0, 10 MHz], and a render holds at
+    # least one sample.
+    for delay in (0.5, math.inf, math.nan):
+        with pytest.raises(InvalidParameterError, match=f"delay length .* got {delay}$"):
+            FdnConfig(**{**good, "delays": (100, delay)})
+    for fs in (0.0, 1e300):
+        with pytest.raises(InvalidParameterError, match="fs must be"):
+            FdnConfig(**{**good, "fs": fs})
+    with pytest.raises(InvalidParameterError, match="holds no sample"):
+        FdnConfig(**{**good, "duration_s": 0.49 / FS})
+    assert render_length(0.51 / FS, FS, (100, 101)) == 1
     # The output and the 201 delay-line samples may hold 2**26 samples in all;
     # past that the sizes alone refuse, before anything is allocated.
     FdnConfig(**{**good, "duration_s": (MAX_RENDER_SAMPLES - 201) / FS})

@@ -1,5 +1,8 @@
 """PEQ composition, band-layout validation, gain scaling."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -89,10 +92,10 @@ def test_scale_to_delay_approximately_preserves_t60():
     # is nonzero and grows with the scale factor (worst between centers).
     fitted = FittedPeq(make_params(), m_ref=4800.0, fs=48000.0)
     freqs = np.geomspace(20.0, 20000.0, 128)
-    t60_ref = achieved_t60(fitted.params, 4800.0, 48000.0, freqs)
+    t60_ref = achieved_t60(fitted, freqs)
     for m_k, tol in ((480.0, 0.03), (2400.0, 0.03), (9600.0, 0.08), (14400.0, 0.2)):
-        scaled = scale_to_delay(fitted, m_k)
-        t60_k = achieved_t60(scaled, m_k, 48000.0, freqs)
+        scaled = FittedPeq(scale_to_delay(fitted, m_k), m_ref=m_k, fs=48000.0)
+        t60_k = achieved_t60(scaled, freqs)
         assert np.allclose(t60_k, t60_ref, rtol=tol)
 
 
@@ -112,14 +115,25 @@ def test_fitted_peq_roundtrips_through_dict():
 
 
 def test_fitted_peq_from_dict_rejects_malformed():
-    with pytest.raises(InvalidParameterError, match="malformed"):
+    with pytest.raises(InvalidParameterError, match=r"malformed.*KeyError\('bands'\)"):
         FittedPeq.from_dict({"fs": 48000.0})
     with pytest.raises(InvalidParameterError, match="malformed"):
         FittedPeq.from_dict({"fs": 48000.0, "m_ref": 4800.0, "bands": [{"kind": "notch"}]})
+    # A JSON integer past float64 overflows its conversion.
+    doc = FittedPeq(make_params(), m_ref=4800.0, fs=48000.0).to_dict()
+    with pytest.raises(InvalidParameterError, match="malformed.*OverflowError"):
+        FittedPeq.from_dict({**doc, "m_ref": 10**400})
+    with pytest.raises(InvalidParameterError, match="malformed.*TypeError"):
+        FittedPeq.from_dict([doc])
 
 
 def test_fitted_peq_validation():
-    with pytest.raises(InvalidParameterError):
-        FittedPeq(make_params(), m_ref=0.0, fs=48000.0)
-    with pytest.raises(InvalidParameterError):
-        FittedPeq(make_params(), m_ref=4800.0, fs=-1.0)
+    # The delay and sample-rate rules every stage shares (targets.check_delay
+    # and check_fs), which achieved_t60 relies on for its m_ref and fs.
+    for m_ref in (0.0, 0.5, -1.0, math.inf, math.nan):
+        with pytest.raises(InvalidParameterError, match=f"m_ref .* got {re.escape(str(m_ref))}$"):
+            FittedPeq(make_params(), m_ref=m_ref, fs=48000.0)
+    for fs in (-1.0, 0.0, 1.0000001e7, 1e300, math.inf, math.nan):
+        with pytest.raises(InvalidParameterError, match=f"fs must be .* got {re.escape(str(fs))}$"):
+            FittedPeq(make_params(), m_ref=4800.0, fs=fs)
+    assert FittedPeq(make_params(), m_ref=1.0, fs=1e7).fs == 1e7

@@ -1,9 +1,12 @@
 """Analog prototype magnitudes: anchor values, symmetries, validation."""
 
+import math
+
 import numpy as np
 import pytest
 
 from peqfdn import BandKind, BandParams, InvalidParameterError, band_magnitude
+from peqfdn.prototypes import analog_coeffs
 
 # Far enough from fc that the asymptotic value holds to well under 1e-6.
 FAR_FACTOR = 1e6
@@ -126,3 +129,20 @@ def test_band_params_validation(kwargs):
     base.update(kwargs)
     with pytest.raises(InvalidParameterError):
         BandParams(**base)
+
+
+@pytest.mark.parametrize(
+    "kind, gain_db",
+    [(BandKind.LOW_SHELF, 6200.0), (BandKind.HIGH_SHELF, 1e300), (BandKind.BELL, 12400.0),
+     (BandKind.BELL, -12400.0), (BandKind.BELL, -1e300)],
+)
+def test_coefficients_past_float64_are_refused_by_name(kind, gain_db):
+    # A^2 of a shelf, A of a bell or 1/A of a bell leaves float64's range;
+    # a bell of -1e300 dB used to divide by zero in 0.0 ** -1.0.
+    band = BandParams(kind, 1000.0, gain_db, 0.7)
+    with pytest.raises(InvalidParameterError) as err:
+        band_magnitude(1000.0, band)
+    assert f"{kind.value} band of {gain_db:g} dB at 1000 Hz (Q 0.7)" in str(err.value)
+    # Gains just inside the bounds still give finite coefficients.
+    edge = 6100.0 if kind is not BandKind.BELL else math.copysign(12300.0, gain_db)
+    assert np.isfinite(analog_coeffs(BandParams(kind, 1000.0, edge, 0.7))).all()

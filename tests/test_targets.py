@@ -1,5 +1,7 @@
 """T60 table parsing, grid construction, and gain-target conversion."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -39,12 +41,27 @@ def test_load_t60_table_sorts_rows():
         ("freq_hz,t60_s\n-125,1.2\n1000,0.9\n", "frequency"),
         ("freq_hz,t60_s\n125,0\n1000,0.9\n", "T60"),
         ("freq_hz,t60_s\n125,1.2\n125,0.9\n", "duplicate"),
+        # The blank line still counts, so both line numbers are the file's.
+        ("freq_hz,t60_s\n125,1.2\n\n125,0.9\n", r"line 4: duplicate .* 125 Hz \(first on line 2\)"),
         ("freq_hz,t60_s\n125,1.2\n", "at least 2"),
     ],
 )
 def test_load_t60_table_rejects_malformed(text, fragment):
     with pytest.raises(ParseError, match=fragment):
         load_t60_table(text)
+
+
+def test_load_t60_table_time_grows_linearly_with_rows():
+    # The duplicate check is a dict lookup per row; a list scan took 15 s for
+    # 40 000 rows, and would take minutes for these.
+    freqs = np.geomspace(1.0, 1e6, 100_000).tolist()
+    text = "freq_hz,t60_s\n" + "".join(f"{f!r},1.0\n" for f in freqs)
+    started = time.perf_counter()
+    curve = load_t60_table(text)
+    assert time.perf_counter() - started < 5.0
+    assert curve.freq_hz.tolist() == freqs
+    with pytest.raises(ParseError, match=r"line 100002: duplicate .* \(first on line 2\)"):
+        load_t60_table(text + f"{freqs[0]!r},2.0\n")
 
 
 def test_t60_curve_validation():
