@@ -102,19 +102,24 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def _load_curve(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
     name = os.path.splitext(os.path.basename(path))[0]
-    return load_t60_table(text, name=name)
+    return load_t60_table(_read_text(path), name=name)
 
 
 def _load_fitted(path: str) -> FittedPeq:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: not valid JSON ({exc})") from exc
+    try:
+        data = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: not valid JSON ({exc})") from exc
     try:
         return FittedPeq.from_dict(data)
     except InvalidParameterError as exc:

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .peq import PeqParams, peq_log_magnitude
 from .prototypes import BandParams, analog_coeffs, band_magnitude
-from .targets import check_fs
+from .targets import check_finite, check_fs
 
 __all__ = [
     "SosCascade",
@@ -55,10 +55,7 @@ class SosCascade:
             raise InvalidParameterError(
                 f"a cascade needs an (n >= 1, 6) array of sections, got shape {sections.shape}"
             )
-        if not np.isfinite(sections).all():
-            raise InvalidParameterError(
-                f"biquad coefficients must be finite, got {sections.tolist()}"
-            )
+        check_finite(sections, "sections")
         check_fs(self.fs)
         if np.any(sections[:, 3] != 1.0):
             raise InvalidParameterError(
@@ -103,6 +100,8 @@ _STAGE_FACTORS = tuple(
 )
 # Least c, keeping the poles off the unit circle.
 _C_FLOOR = 1e-9
+# The section of a flat band: b0 = a0 = 1.
+_IDENTITY = np.array([[1.0, 0.0, 0.0, 1.0, 0.0, 0.0]])
 
 
 def _score_trials(p, w, m2, g0, gp, g1, c_start):
@@ -148,13 +147,15 @@ def band_to_biquad(band: BandParams, fs: float) -> SosCascade:
     analog band exactly; c > 0 and e >= 0 make the section stable and
     minimum phase.  p is searched on a log grid around the analog value,
     keeping the trial with the smallest worst dB error on the design grid.
-    A band whose A = 10^(G/40) is 1.0 (0 dB, or |G| below about 2e-15 dB)
-    collapses to the literal identity filter.
+    A band whose A = 10^(G/40) is 1.0 (0 dB, or |G| below about 2e-15 dB),
+    or whose analog magnitude is exactly 1.0 at every design point (a bell
+    one ulp of A below 1, down to about -2.8e-15 dB), collapses to the
+    literal identity filter.
     """
     check_fs(fs)
     _, (d2, d1, d0) = analog_coeffs(band)
     if band.amplitude == 1.0:
-        return SosCascade(np.array([[1.0, 0.0, 0.0, 1.0, 0.0, 0.0]]), fs)
+        return SosCascade(_IDENTITY, fs)
     # Measured at fs = 48 kHz on 50 x 25 log-spaced corners from 1 Hz to
     # 48 kHz and Q from 0.02 to 50: every bell down to -236 dB and every
     # shelf within +-306 dB gives a finite, stable section.  The first
@@ -170,6 +171,8 @@ def band_to_biquad(band: BandParams, fs: float) -> SosCascade:
         lo = min(10.0, fc / 8.0, hi / 4.0)
         grid = lo * (hi / lo) ** _GRID_UNIT
         mags = band_magnitude(np.concatenate(([0.0, f_pin, nyquist], grid)), band)
+        if (mags == 1.0).all():  # nothing to fit: every trial would score 0 / 0
+            return SosCascade(_IDENTITY, fs)
         g0, gp, g1 = mags[:3]
         m2 = mags[3:] ** 2
         w = (np.tan(np.pi * grid / fs) / t_pin) ** 2
@@ -202,6 +205,7 @@ def band_to_biquad(band: BandParams, fs: float) -> SosCascade:
 def digital_magnitude(sos: SosCascade, freqs) -> np.ndarray:
     """Cascade magnitude in dB at frequencies from DC to Nyquist, both included."""
     freqs = np.asarray(freqs, dtype=np.float64)
+    check_finite(freqs, "freqs")
     if np.any(freqs < 0) or np.any(freqs > 0.5 * sos.fs):
         raise InvalidParameterError(
             f"frequencies must lie inside [0, {0.5 * sos.fs}] Hz"

@@ -17,8 +17,9 @@ import numpy as np
 from .errors import CampaignError, InvalidParameterError, PeqFdnError
 from .fdn import MAX_RENDER_SAMPLES
 from .optimize import FitConfig, fit
-from .peq import FittedPeq, peq_log_magnitude
-from .targets import FrequencyGrid, T60Curve, check_decays, check_fs, interpolate_to_grid
+from .peq import FittedPeq, check_band_count, peq_log_magnitude
+from .targets import FrequencyGrid, T60Curve, check_decays, check_finite, check_fs
+from .targets import check_positive, interpolate_to_grid
 
 __all__ = [
     "ErrorDistribution",
@@ -63,8 +64,7 @@ class ErrorDistribution:
         errors = np.array(self.errors_pct, dtype=np.float64)
         if errors.ndim != 1 or errors.size == 0:
             raise InvalidParameterError(f"need a non-empty 1-D array of errors, got {errors.shape}")
-        if not np.isfinite(errors).all():
-            raise InvalidParameterError("error points must be finite")
+        check_finite(errors, "errors_pct")
         errors.setflags(write=False)
         object.__setattr__(self, "errors_pct", errors)
 
@@ -144,7 +144,11 @@ class CampaignResult:
     distribution: ErrorDistribution
     curve_reports: tuple[CurveReport, ...]
     failures: tuple[tuple[int, str, str], ...]
-    grid_size: int
+
+    @property
+    def grid_size(self) -> int:
+        """Grid points per fitted curve: each adds one grid of errors."""
+        return self.distribution.n_points // len(self.curve_reports)
 
     @property
     def flagged(self) -> tuple[CurveReport, ...]:
@@ -186,8 +190,7 @@ def t60_relative_error(target_s, achieved_s) -> np.ndarray:
         raise InvalidParameterError(
             f"length mismatch: target {target.shape} vs achieved {achieved.shape}"
         )
-    if np.any(~np.isfinite(target)) or np.any(target <= 0):
-        raise InvalidParameterError("target T60 values must be finite and > 0")
+    check_positive(target, "target_s")
     return (target - achieved) / target * 100.0
 
 
@@ -206,8 +209,9 @@ def achieved_t60(fitted: FittedPeq, freqs) -> np.ndarray:
 
 def op_count(n_bands: int) -> CostReport:
     """Arithmetic operations per sample per line and trainable parameters."""
-    if not isinstance(n_bands, (int, np.integer)) or n_bands < 1:
-        raise InvalidParameterError(f"need at least one band, got {n_bands}")
+    if not isinstance(n_bands, (int, np.integer)):
+        raise InvalidParameterError(f"n_bands must be an integer, got {n_bands}")
+    check_band_count(n_bands)
     return CostReport(
         ops_per_sample=OPS_PER_SECTION * int(n_bands),
         parameters=PARAMS_PER_BAND * int(n_bands),
@@ -323,5 +327,4 @@ def run_campaign(
         distribution=ErrorDistribution(np.concatenate(error_blocks)),
         curve_reports=tuple(reports),
         failures=tuple(failures),
-        grid_size=cfg.grid.size,
     )

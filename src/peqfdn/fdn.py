@@ -23,7 +23,7 @@ import numpy as np
 
 from .digitize import SosCascade
 from .errors import InstabilityError, InsufficientDecayError, InvalidParameterError
-from .targets import check_delay, check_fs
+from .targets import check_delay, check_finite, check_fs
 
 __all__ = [
     "FdnConfig",
@@ -49,10 +49,15 @@ MAX_RENDER_SAMPLES = 2**26
 PRIME_BLOCK = 2**16
 
 
-def householder_matrix(n_lines: int) -> np.ndarray:
-    """Householder reflection I - (2/L) * ones: orthogonal, uniform coupling."""
+def _check_lines(n_lines: int) -> None:
+    """Refuse a network of no delay line."""
     if n_lines < 1:
         raise InvalidParameterError(f"need at least one delay line, got {n_lines}")
+
+
+def householder_matrix(n_lines: int) -> np.ndarray:
+    """Householder reflection I - (2/L) * ones: orthogonal, uniform coupling."""
+    _check_lines(n_lines)
     return np.eye(n_lines) - (2.0 / n_lines) * np.ones((n_lines, n_lines))
 
 
@@ -95,8 +100,7 @@ def default_delays(n_lines: int, lo_s: float, hi_s: float, fs: float) -> list[in
     letting delay-line periods coincide.  Every delay lies inside the range;
     a range that does not hold n_lines distinct coprime integers is refused.
     """
-    if n_lines < 1:
-        raise InvalidParameterError(f"need at least one delay line, got {n_lines}")
+    _check_lines(n_lines)
     if not (0 < lo_s <= hi_s):
         raise InvalidParameterError(f"need 0 < lo <= hi, got ({lo_s}, {hi_s})")
     if not (math.isfinite(lo_s * fs) and math.isfinite(hi_s * fs)):
@@ -148,8 +152,7 @@ def default_gains(n_lines: int) -> tuple[np.ndarray, np.ndarray]:
     flipping the output signs in pairs breaks that symmetry without touching
     the energy balance.
     """
-    if n_lines < 1:
-        raise InvalidParameterError(f"need at least one delay line, got {n_lines}")
+    _check_lines(n_lines)
     lines = np.arange(n_lines)
     input_gains = np.where(lines % 2 == 0, 1.0, -1.0)
     output_gains = np.where((lines // 2) % 2 == 0, 1.0, -1.0)
@@ -199,8 +202,7 @@ class FdnConfig:
         delays = tuple(int(m) for m in self.delays)
         object.__setattr__(self, "delays", delays)
         n = len(delays)
-        if n < 1:
-            raise InvalidParameterError("need at least one delay line")
+        _check_lines(n)
         if len(set(delays)) != n:
             raise InvalidParameterError(f"delay lengths must be distinct, got {delays}")
         check_fs(self.fs)
@@ -334,9 +336,7 @@ def schroeder_t60(ir, fs: float, band_hz: float | None = None) -> DecayMeasureme
     ir = np.asarray(ir, dtype=np.float64)
     if ir.size < 2:
         raise InvalidParameterError("impulse response is too short to analyze")
-    if not np.isfinite(ir).all():
-        idx = int(np.flatnonzero(~np.isfinite(ir))[0])
-        raise InvalidParameterError(f"impulse response sample {idx} is {ir[idx]}, must be finite")
+    check_finite(ir, "ir")
     if band_hz is not None:
         from scipy.signal import sosfilt
 

@@ -29,9 +29,10 @@ from .errors import (
     NumericalFailureError,
 )
 from .fdn import DEFAULT_DELAY_RANGE_S
-from .peq import FittedPeq, PeqParams
+from .peq import FittedPeq, PeqParams, check_band_count
 from .prototypes import COEFF_EXPONENTS, BandKind, BandParams
-from .targets import FrequencyGrid, T60Curve, interpolate_to_grid, target_magnitude
+from .targets import FrequencyGrid, T60Curve, check_finite, check_positive
+from .targets import interpolate_to_grid, target_magnitude
 
 __all__ = [
     "FitConfig",
@@ -102,8 +103,7 @@ class FitConfig:
     grid: FrequencyGrid | None = None
 
     def __post_init__(self):
-        if self.n_bands < 3:
-            raise InvalidParameterError(f"n_bands must be >= 3, got {self.n_bands}")
+        check_band_count(self.n_bands)
         if self.iterations < 1:
             raise InvalidParameterError(f"iterations must be >= 1, got {self.iterations}")
         _, evaluations = _budget(self.iterations)
@@ -112,8 +112,7 @@ class FitConfig:
                 f"iterations {self.iterations} buy {evaluations} polish evaluations, more "
                 f"than the {MAX_EVALUATIONS} (2**31 - 1) the polish can count"
             )
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise InvalidParameterError(f"learning_rate must be > 0, got {self.learning_rate}")
+        check_positive(self.learning_rate, "learning_rate")
         if self.seed < 0:
             raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
         # The grid's residuals cannot determine more parameters than it has
@@ -300,16 +299,15 @@ def loss_and_gradient(vec, target_db, grid: FrequencyGrid) -> tuple[float, np.nd
     (log fc, gain dB, log Q per band).
     """
     vec = np.asarray(vec, dtype=np.float64)
-    if vec.ndim != 1 or vec.size % 3 != 0 or vec.size < 9:
-        raise InvalidParameterError(f"parameter vector must have length 3N with N >= 3, got {vec.size}")
+    if vec.ndim != 1 or vec.size % 3 != 0:
+        raise InvalidParameterError(f"parameter vector must have length 3N, got {vec.size}")
+    check_band_count(vec.size // 3)
     target_db = np.asarray(target_db, dtype=np.float64)
     if target_db.shape != grid.freqs.shape:
         raise InvalidParameterError(
             f"target length {target_db.size} does not match grid size {grid.size}"
         )
-    if not np.isfinite(target_db).all():
-        idx = int(np.flatnonzero(~np.isfinite(target_db))[0])
-        raise InvalidParameterError(f"target_db[{idx}] is {target_db[idx]}, must be finite")
+    check_finite(target_db, "target_db")
     work = _Workspace(vec.size // 3, grid.freqs, target_db)
     # Overflow in exp/divide, and a non-finite parameter, show up as
     # non-finite values that are detected and raised as typed errors below,

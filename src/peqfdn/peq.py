@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .prototypes import BandKind, BandParams, band_magnitude
-from .targets import check_delay, check_fs
+from .targets import check_delay, check_fs, check_positive
 
 __all__ = [
     "PeqParams",
@@ -20,6 +20,12 @@ __all__ = [
     "peq_log_magnitude",
     "scale_to_delay",
 ]
+
+
+def check_band_count(n_bands: int) -> None:
+    """Refuse a band count below 3: a PEQ is two shelves and at least one bell."""
+    if n_bands < 3:
+        raise InvalidParameterError(f"a PEQ needs at least 3 bands, got {n_bands}")
 
 
 @dataclass(frozen=True)
@@ -36,9 +42,7 @@ class PeqParams:
 
     def __post_init__(self):
         object.__setattr__(self, "bands", tuple(self.bands))
-        n = len(self.bands)
-        if n < 3:
-            raise InvalidParameterError(f"a PEQ needs at least 3 bands, got {n}")
+        check_band_count(len(self.bands))
         if self.bands[0].kind is not BandKind.LOW_SHELF:
             raise InvalidParameterError("first band must be a low shelf")
         if self.bands[-1].kind is not BandKind.HIGH_SHELF:
@@ -99,13 +103,12 @@ class FittedPeq:
 def peq_log_magnitude(params: PeqParams, freqs) -> np.ndarray:
     """Composite PEQ response in dB: the sum of per-band dB magnitudes.
 
-    ``freqs`` must be strictly positive and sorted ascending.
+    ``freqs`` must be finite, > 0 and sorted ascending.
     """
     freqs = np.asarray(freqs, dtype=np.float64)
     if freqs.size == 0:
         raise InvalidParameterError("frequency vector must not be empty")
-    if np.any(freqs <= 0):
-        raise InvalidParameterError("frequencies must be strictly positive")
+    check_positive(freqs, "freqs")
     if np.any(np.diff(freqs) < 0):
         raise InvalidParameterError("frequencies must be sorted ascending")
     total = np.zeros_like(freqs)

@@ -8,13 +8,13 @@ starting point of digitization (digitize.band_to_biquad) all read it.
 All math is float64.
 """
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import InvalidParameterError
+from .targets import check_finite, check_positive
 
 __all__ = [
     "BandKind",
@@ -57,12 +57,9 @@ class BandParams:
     def __post_init__(self):
         if not isinstance(self.kind, BandKind):
             raise InvalidParameterError(f"kind must be a BandKind, got {self.kind!r}")
-        if not (math.isfinite(self.fc_hz) and self.fc_hz > 0):
-            raise InvalidParameterError(f"fc_hz must be finite and > 0, got {self.fc_hz}")
-        if not math.isfinite(self.gain_db):
-            raise InvalidParameterError(f"gain_db must be finite, got {self.gain_db}")
-        if not (math.isfinite(self.q) and self.q > 0):
-            raise InvalidParameterError(f"q must be finite and > 0, got {self.q}")
+        check_positive(self.fc_hz, "fc_hz")
+        check_finite(self.gain_db, "gain_db")
+        check_positive(self.q, "q")
 
     def __str__(self) -> str:
         kind, gain, fc, q = self.kind.value, self.gain_db, self.fc_hz, self.q
@@ -114,6 +111,7 @@ def band_magnitude(f, band: BandParams):
     |H|^2 = ((n0 - n2 X)^2 + n1^2 X) / ((d0 - d2 X)^2 + d1^2 X), X = (f/fc)^2.
     """
     freqs = np.asarray(f, dtype=np.float64)
+    check_finite(freqs, "freqs")
     if np.any(freqs < 0):
         raise InvalidParameterError("frequencies must be >= 0")
     (n2, n1, n0), (d2, d1, d0) = analog_coeffs(band)

@@ -4,8 +4,9 @@ Measured reverberation times arrive as third-octave band tables; they are
 interpolated linearly against log10(frequency) onto the optimization grid
 and converted to the per-delay-line attenuation each filter must realize.
 The rules every later stage applies to its inputs live here too, once
-each: the sample rate (check_fs), a delay length (check_delay) and a loop
-response that must stay below 0 dB (check_decays).
+each: check_finite, check_positive (finite and > 0), check_fs (the sample
+rate), check_delay (a delay length) and check_decays (a loop response
+below 0 dB).
 """
 
 import csv
@@ -60,15 +61,13 @@ class T60Curve:
             raise InvalidParameterError("freq_hz and t60_s must be 1-D arrays of equal length")
         if freq.size < 2:
             raise InvalidParameterError(f"a T60 curve needs at least 2 points, got {freq.size}")
+        check_positive(freq, "freq_hz")
+        check_positive(t60, "t60_s")
         order = np.argsort(freq, kind="stable")
         freq = freq[order]
         t60 = t60[order]
-        if np.any(~np.isfinite(freq)) or np.any(freq <= 0):
-            raise InvalidParameterError("band frequencies must be finite and > 0")
         if np.any(np.diff(freq) <= 0):
             raise InvalidParameterError("band frequencies must be distinct")
-        if np.any(~np.isfinite(t60)) or np.any(t60 <= 0):
-            raise InvalidParameterError("T60 values must be finite and > 0")
         freq.setflags(write=False)
         t60.setflags(write=False)
         object.__setattr__(self, "freq_hz", freq)
@@ -85,8 +84,7 @@ class FrequencyGrid:
         freqs = np.asarray(self.freqs, dtype=np.float64)
         if freqs.ndim != 1 or freqs.size < 2:
             raise InvalidParameterError("grid needs a 1-D vector of at least 2 frequencies")
-        if np.any(~np.isfinite(freqs)) or freqs[0] <= 0:
-            raise InvalidParameterError("grid frequencies must be finite and > 0")
+        check_positive(freqs, "freqs")
         if np.any(np.diff(freqs) <= 0):
             raise InvalidParameterError("grid frequencies must strictly increase")
         freqs.setflags(write=False)
@@ -153,6 +151,28 @@ def interpolate_to_grid(curve: T60Curve, grid: FrequencyGrid) -> np.ndarray:
     return np.interp(np.log10(grid.freqs), np.log10(curve.freq_hz), curve.t60_s)
 
 
+def _refuse_unless(ok: np.ndarray, values: np.ndarray, name: str, rule: str) -> None:
+    """Refuse values unless ok holds everywhere, naming the first entry where it does not."""
+    if ok.ndim == 0 and not ok:
+        raise InvalidParameterError(f"{name} must be {rule}, got {float(values)}")
+    if not ok.all():
+        index = np.unravel_index(int(np.argmin(ok)), ok.shape)
+        at = ", ".join(str(i) for i in index)
+        raise InvalidParameterError(f"{name}[{at}] is {float(values[index])}, must be {rule}")
+
+
+def check_finite(values, name: str) -> None:
+    """Refuse a scalar or array, called name, unless every entry is finite."""
+    values = np.asarray(values)
+    _refuse_unless(np.isfinite(values), values, name, "finite")
+
+
+def check_positive(values, name: str) -> None:
+    """Refuse a scalar or array, called name, unless every entry is finite and > 0."""
+    values = np.asarray(values)
+    _refuse_unless((values > 0) & (values < math.inf), values, name, "finite and > 0")
+
+
 def check_fs(fs: float) -> None:
     """Refuse a sample rate that is not in (0, MAX_FS_HZ]: the rule of every stage."""
     if not (0 < fs <= MAX_FS_HZ):
@@ -167,8 +187,8 @@ def check_delay(samples: float, name: str) -> None:
 
 def check_decays(response_db, freqs) -> None:
     """Refuse a loop response in dB on freqs that reaches 0 dB: that frequency never decays."""
-    worst = int(np.argmax(response_db))
-    if response_db[worst] >= 0.0:
+    worst = int(np.argmax(response_db))  # the first NaN, if there is one
+    if not response_db[worst] < 0.0:
         raise NonDecayingResponseError(
             f"response must stay below 0 dB; it is {response_db[worst]:+.6g} dB "
             f"at {freqs[worst]:.6g} Hz, so it would not decay"
@@ -184,8 +204,7 @@ def target_magnitude(t60_s, m_k: float, fs: float) -> np.ndarray:
     t60_s = np.asarray(t60_s, dtype=np.float64)
     check_delay(m_k, "m_k")
     check_fs(fs)
-    if np.any(~np.isfinite(t60_s)) or np.any(t60_s <= 0):
-        raise InvalidParameterError("T60 values must be finite and > 0")
+    check_positive(t60_s, "t60_s")
     target = -60.0 * m_k / (t60_s * fs)
     if np.min(target) < MIN_TARGET_DB:
         raise InvalidParameterError(

@@ -455,6 +455,28 @@ def test_near_zero_db_bands_are_designed_as_identity(flat_csv, tmp_path):
     assert line["sections"][1] == {"b0": 1.0, "b1": 0.0, "b2": 0.0, "a0": 1.0, "a1": 0.0, "a2": 0.0}
 
 
+@pytest.mark.parametrize("command", ["fit", "export", "render", "campaign"])
+def test_non_utf8_files_exit_1_and_write_nothing(tmp_path, capsys, command):
+    # A UTF-16 byte-order mark is not UTF-8: reading used to raise UnicodeDecodeError.
+    tables = tmp_path / "tables"
+    tables.mkdir()
+    bad = tables / "utf16.csv"
+    bad.write_bytes(b"\xff\xfe" + FLAT_TABLE.encode("utf-16-le"))
+    out = tmp_path / "out"
+    argv = {
+        "fit": ["fit", "--t60", str(bad), "--out", str(out / "fit.json")],
+        "export": ["export", "--fit", str(bad), "--out-dir", str(out)],
+        "render": ["render", "--fit", str(bad), "--out", str(out / "ir.wav")],
+        "campaign": ["campaign", "--t60-dir", str(tables), "--out-dir", str(out)],
+    }[command]
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not UTF-8 text")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_fit_refuses_a_vanishing_t60(tmp_path, capsys):
     # The target of a 1e-300 s T60 is -6e300 dB: its squared error overflows.
     table = tmp_path / "vanishing.csv"

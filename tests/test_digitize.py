@@ -105,6 +105,12 @@ def test_zero_gain_band_becomes_identity():
             band = BandParams(kind, 1000.0, gain_db, 0.7)
             assert band.amplitude != 1.0
             assert band_to_biquad(band, FS).sections.tolist() != [section()]
+    # Bells whose A is one ulp below 1.0 are exactly 1.0 at every design
+    # point, so there is nothing to fit: they used to be refused.
+    for gain_db in (-9.659672580093841e-16, -1.822433244262665e-15, -2.842065516274511e-15):
+        band = BandParams(BandKind.BELL, 1000.0, gain_db, 0.7)
+        assert band.amplitude != 1.0
+        assert band_to_biquad(band, FS).sections.tolist() == [section()]
 
 
 def test_band_to_biquad_rejects_bad_rates():

@@ -1,5 +1,6 @@
 """Campaign plumbing: error pooling, cost model, synthetic curves."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,8 @@ from peqfdn import (
     BandKind,
     BandParams,
     CampaignError,
+    CampaignResult,
+    CurveReport,
     ErrorDistribution,
     FitConfig,
     FittedPeq,
@@ -51,6 +54,16 @@ def test_op_count_values():
         op_count(2.5)
 
 
+def test_op_count_needs_at_least_3_bands():
+    # A PEQ is two shelves and at least one bell.
+    assert op_count(3).parameters == 9
+    for n_bands in (1, 2):
+        with pytest.raises(InvalidParameterError, match=f"at least 3 bands, got {n_bands}"):
+            op_count(n_bands)
+    with pytest.raises(InvalidParameterError, match="integer"):
+        op_count(3.0)
+
+
 def test_t60_relative_error_sign_and_value():
     # Achieving 1.9 s against a 2.0 s target is a +5% error.
     err = t60_relative_error(np.array([2.0]), np.array([1.9]))
@@ -89,6 +102,12 @@ def test_achieved_t60_rejects_non_decaying():
         achieved_t60(bell_peq(0.0), [100.0, 1000.0])
     with pytest.raises(NonDecayingResponseError, match=r"\+1 dB at 1000 Hz"):
         achieved_t60(bell_peq(1.0), [100.0, 1000.0, 5000.0])
+
+
+def test_achieved_t60_refuses_non_finite_frequencies():
+    # +3 dB at 1 kHz does not decay; a NaN beside it used to give -2 s there.
+    with pytest.raises(InvalidParameterError, match=r"freqs\[0\] is nan"):
+        achieved_t60(bell_peq(3.0), [math.nan, 1000.0])
 
 
 def test_error_distribution_binning():
@@ -152,6 +171,15 @@ def test_run_campaign_pools_all_grid_points():
     assert not result.failures
     names = [r.name for r in result.curve_reports]
     assert names == sorted(names)
+
+
+def test_campaign_grid_size_is_derived_from_the_errors():
+    # Each fitted curve adds one grid of errors, so the grid size is not stored.
+    reports = tuple(CurveReport(i, f"c{i}", 480, 0.0, 1.0) for i in range(3))
+    result = CampaignResult(ErrorDistribution(np.zeros(3 * 16)), reports, ((3, "c3", "x"),))
+    assert "grid_size" not in {field.name for field in dataclasses.fields(CampaignResult)}
+    assert result.grid_size == 16
+    assert result.to_summary_dict()["grid_size"] == 16
 
 
 def test_run_campaign_is_deterministic():

@@ -353,11 +353,11 @@ def test_schroeder_rejects_silence_and_short_decay():
 
 
 def test_schroeder_rejects_non_finite_samples():
-    with pytest.raises(InvalidParameterError, match="sample 0 is nan"):
+    with pytest.raises(InvalidParameterError, match=r"ir\[0\] is nan"):
         schroeder_t60(np.full(100, np.nan), FS)
     ir = np.exp(-np.arange(48000) / 4800.0)
     ir[1000] = np.nan
-    with pytest.raises(InvalidParameterError, match="sample 1000 is nan"):
+    with pytest.raises(InvalidParameterError, match=r"ir\[1000\] is nan"):
         schroeder_t60(ir, FS)
 
 

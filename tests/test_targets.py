@@ -1,19 +1,33 @@
-"""T60 table parsing, grid construction, and gain-target conversion."""
+"""T60 table parsing, grid construction, gain-target conversion, and the shared rules."""
 
+import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peqfdn import (
+    BandKind,
+    BandParams,
+    FittedPeq,
     InvalidParameterError,
+    NonDecayingResponseError,
     ParseError,
+    PeqParams,
     T60Curve,
+    achieved_t60,
+    band_magnitude,
+    digital_magnitude,
+    digitization_report,
     interpolate_to_grid,
     load_t60_table,
+    peq_log_magnitude,
+    peq_to_sos,
     target_magnitude,
 )
-from peqfdn.targets import FrequencyGrid
+from peqfdn.targets import FrequencyGrid, check_decays, check_finite, check_positive
 
 GOOD_TABLE = "freq_hz,t60_s\n125,1.2\n1000,0.9\n8000,0.5\n"
 
@@ -147,3 +161,83 @@ def test_target_magnitude_refuses_a_target_below_minus_6000_db():
     for t60 in (0.0009, 1e-300):
         with pytest.raises(InvalidParameterError, match=f"T60 {t60:g} s"):
             target_magnitude(np.array([1.0, t60]), 4800.0, 48000.0)
+
+
+def test_check_finite_and_check_positive_name_the_first_offending_entry():
+    check_finite(0.0, "x")
+    check_finite(np.array([-1.0, 0.0, 2.0]), "x")
+    check_positive(np.array([1e-300, 2.0]), "x")
+    with pytest.raises(InvalidParameterError, match=r"^x must be finite, got nan$"):
+        check_finite(math.nan, "x")
+    with pytest.raises(InvalidParameterError, match=r"^x must be finite and > 0, got 0.0$"):
+        check_positive(0.0, "x")
+    with pytest.raises(InvalidParameterError, match=r"^x must be finite and > 0, got inf$"):
+        check_positive(math.inf, "x")
+    with pytest.raises(InvalidParameterError, match=r"^x\[2\] is -inf, must be finite$"):
+        check_finite([1.0, 2.0, -math.inf, math.nan], "x")
+    with pytest.raises(InvalidParameterError, match=r"^x\[1\] is -1.0, must be finite and > 0$"):
+        check_positive([1.0, -1.0, 0.0], "x")
+    with pytest.raises(InvalidParameterError, match=r"^x\[1, 0\] is nan, must be finite and > 0$"):
+        check_positive([[1.0, 2.0], [math.nan, 1.0]], "x")
+
+
+def test_check_decays_refuses_nan_and_inf():
+    freqs = np.array([100.0, 1000.0])
+    # np.argmax stops at the first NaN, and NaN >= 0 is False: a NaN used to
+    # hide the +5 dB behind it.
+    for response in ([math.nan, 5.0], [-1.0, math.nan], [-1.0, math.inf]):
+        with pytest.raises(NonDecayingResponseError, match="must stay below 0 dB"):
+            check_decays(np.array(response), freqs)
+    # A transmission zero, -inf dB, decays.
+    check_decays(np.array([-math.inf, -3.0]), freqs)
+
+
+# One valid input of each frequency and value evaluator: a bell of -6 dB at
+# 1 kHz between flat shelves, its cascade at 48 kHz, and a fit of it.
+_PARAMS = PeqParams(
+    (
+        BandParams(BandKind.LOW_SHELF, 80.0, 0.0, 0.7),
+        BandParams(BandKind.BELL, 1000.0, -6.0, 1.0),
+        BandParams(BandKind.HIGH_SHELF, 8000.0, 0.0, 0.7),
+    )
+)
+_FITTED = FittedPeq(_PARAMS, m_ref=4800.0, fs=48000.0)
+_SOS = peq_to_sos(_PARAMS, 48000.0)
+FREQUENCY_EVALUATORS = {
+    "band_magnitude": lambda f: band_magnitude(f, _PARAMS.bands[1]),
+    "peq_log_magnitude": lambda f: peq_log_magnitude(_PARAMS, f),
+    "digital_magnitude": lambda f: digital_magnitude(_SOS, f),
+    "achieved_t60": lambda f: achieved_t60(_FITTED, f),
+    "digitization_report": lambda f: digitization_report(_PARAMS, _SOS, f),
+    "T60Curve freq_hz": lambda f: T60Curve(f, np.ones_like(f)),
+    "FrequencyGrid": FrequencyGrid,
+}
+VALUE_EVALUATORS = {
+    "T60Curve t60_s": lambda v: T60Curve(np.geomspace(20.0, 20000.0, v.size), v),
+    "target_magnitude": lambda v: target_magnitude(v, 4800.0, 48000.0),
+}
+
+
+@st.composite
+def non_finite_entry(draw):
+    """An evaluator, a valid input for it with one entry replaced, and that entry."""
+    name = draw(st.sampled_from(sorted(FREQUENCY_EVALUATORS) + sorted(VALUE_EVALUATORS)))
+    size = draw(st.integers(2, 64))
+    if name in FREQUENCY_EVALUATORS:
+        values = np.geomspace(20.0, 20000.0, size)
+    else:  # T60s in seconds
+        values = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=size, max_size=size)))
+    index = draw(st.integers(0, size - 1))
+    bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    values[index] = bad
+    return name, values, index, bad
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=non_finite_entry())
+def test_non_finite_entries_are_refused_by_index_and_value(case):
+    name, values, index, bad = case
+    evaluate = {**FREQUENCY_EVALUATORS, **VALUE_EVALUATORS}[name]
+    with np.errstate(all="ignore"), pytest.raises(InvalidParameterError) as err:
+        evaluate(values)
+    assert f"[{index}] is {bad}, must be finite" in str(err.value), (name, str(err.value))
