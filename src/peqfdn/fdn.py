@@ -10,12 +10,18 @@ filtered in place by scipy's compiled SOS kernel, the loop that
 ``scipy.signal.sosfilt`` wraps, so the result is identical to ``sosfilt``
 carrying each line's state from block to block.  A render that blows up
 raises ``InstabilityError`` naming the earliest non-finite sample.
-SciPy is imported inside the functions that call it, so a process that
-only generates delays or exports coefficients never loads it.
+Only that kernel is loaded, on first use, not the ``scipy.signal``
+package around it: the octave bandpass and the WAV writer are done here
+in the same arithmetic and bytes as ``butter`` and ``wavfile.write``.
 """
 
+import importlib.machinery
+import importlib.util
 import io
 import math
+import os
+import struct
+import sys
 from dataclasses import dataclass
 from math import gcd
 
@@ -47,6 +53,8 @@ DEFAULT_DELAY_RANGE_S = (0.015, 0.12)
 MAX_RENDER_SAMPLES = 2**26
 # Integers default_delays sieves for primes at a time.
 PRIME_BLOCK = 2**16
+# The fmt chunk's format tag for 32-bit float samples.
+WAVE_FORMAT_IEEE_FLOAT = 3
 
 
 def _check_lines(n_lines: int) -> None:
@@ -209,6 +217,8 @@ class FdnConfig:
         feedback = np.asarray(self.feedback, dtype=np.float64)
         if feedback.shape != (n, n):
             raise InvalidParameterError(f"feedback matrix must be {n}x{n}, got {feedback.shape}")
+        # A NaN would pass the tolerance test below, which it fails to compare.
+        check_finite(feedback, "feedback")
         gram_err = np.abs(feedback @ feedback.T - np.eye(n)).max()
         if gram_err >= ORTHOGONALITY_TOL:
             raise InvalidParameterError(
@@ -223,12 +233,46 @@ class FdnConfig:
             gains = np.asarray(getattr(self, name), dtype=np.float64)
             if gains.shape != (n,):
                 raise InvalidParameterError(f"{name} must have length {n}, got {gains.shape}")
+            check_finite(gains, name)
             object.__setattr__(self, name, gains)
         render_length(self.duration_s, self.fs, delays)
 
     @property
     def n_lines(self) -> int:
         return len(self.delays)
+
+
+SOS_KERNEL_MODULE = "scipy.signal._sosfilt"
+
+
+def _sos_kernel():
+    """The compiled loop behind ``sosfilt``, without the scipy.signal package.
+
+    ``_sosfilt(sos, x, zi)`` filters x (n_signals, n) in place and updates
+    zi (n_signals, n_sections, 2), all C-contiguous float64.  The extension
+    is loaded from SciPy's signal directory and registered under its own
+    name, as an import would, so a later ``import scipy.signal`` reuses it
+    instead of initialising it a second time, which a Cython module may
+    refuse.
+    """
+    module = sys.modules.get(SOS_KERNEL_MODULE)
+    if module is None:
+        import scipy
+
+        signal_dirs = [os.path.join(d, "signal") for d in scipy.__path__]
+        spec = importlib.machinery.PathFinder.find_spec(SOS_KERNEL_MODULE, signal_dirs)
+        if spec is None:
+            raise ModuleNotFoundError(
+                f"no {SOS_KERNEL_MODULE} in {signal_dirs}", name=SOS_KERNEL_MODULE
+            )
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[SOS_KERNEL_MODULE] = module
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[SOS_KERNEL_MODULE]
+            raise
+    return module._sosfilt
 
 
 def _ring_read(ring: np.ndarray, start: int, dest: np.ndarray) -> None:
@@ -262,10 +306,7 @@ def render_ir(cfg: FdnConfig) -> np.ndarray:
     earliest sample at which any line or the output is non-finite, so a
     render cut just before that sample is all finite.
     """
-    # The compiled loop behind sosfilt: filters x (n_signals, n) in place and
-    # updates zi (n_signals, n_sections, 2), all C-contiguous float64.
-    from scipy.signal._sosfilt import _sosfilt
-
+    _sosfilt = _sos_kernel()
     n_total = render_length(cfg.duration_s, cfg.fs, cfg.delays)
     n_lines = cfg.n_lines
     rings = [np.zeros(m) for m in cfg.delays]
@@ -315,15 +356,57 @@ class DecayMeasurement:
 
 
 def _octave_band_sos(center_hz: float, fs: float) -> np.ndarray:
-    from scipy.signal import butter
+    """4th-order Butterworth octave bandpass around center_hz, as two sections.
 
+    These are the steps of ``scipy.signal.butter(2, [lo, hi], "bandpass",
+    fs=fs, output="sos")`` for this one case, each in the same
+    floating-point operations, so the sections equal SciPy's to the bit:
+    the analog prototype (``buttap``), the bandpass transform
+    (``lp2bp_zpk``), the bilinear transform at fs = 2 (``bilinear_zpk``)
+    and the pairing of poles and zeros into sections (``zpk2sos``).
+    """
     lo = center_hz / math.sqrt(2.0)
     hi = center_hz * math.sqrt(2.0)
     if not (0 < lo and hi < 0.5 * fs):
         raise InvalidParameterError(
             f"octave band at {center_hz} Hz does not fit below Nyquist at fs={fs}"
         )
-    return butter(2, [lo, hi], btype="bandpass", fs=fs, output="sos")
+    # Band edges pre-warped for the bilinear transform at fs = 2.
+    warped = 4.0 * np.tan(np.pi * (np.array([lo, hi]) / (fs / 2)) / 2.0)
+    bw = float(warped[1] - warped[0])
+    wo = float(np.sqrt(warped[0] * warped[1]))
+    # Second-order analog lowpass prototype: two poles, no zeros, gain 1.
+    poles = -np.exp(1j * np.pi * np.array([-1.0, 1.0]) / 4)
+    # Lowpass to bandpass: each pole splits in two; two zeros land at the
+    # origin and two stay at infinity.
+    p_lp = poles * bw / 2
+    root = np.sqrt(p_lp**2 - wo**2)
+    p_bp = np.concatenate((p_lp + root, p_lp - root))
+    # Bilinear transform: the origin maps to z = 1, infinity to z = -1, and
+    # the two zeros at the origin put 4 * 4 in the gain.
+    p_z = (4.0 + p_bp) / (4.0 - p_bp)
+    gain = bw**2 * np.real(16.0 / np.prod(4.0 - p_bp))
+    # Pairing: one pole per conjugate pair, averaged with its mirror and
+    # sorted by real part as zpk2sos takes them; the pole nearest the unit
+    # circle goes in the last section, with the two zeros nearest it.
+    upper = np.sort_complex(p_z[p_z.imag > 0])
+    lower = np.sort_complex(p_z[p_z.imag < 0].conj())
+    poles = (upper + lower) / 2
+    zeros = np.array([-1.0, -1.0, 1.0, 1.0])
+    sos = np.zeros((2, 6))
+    for section in (1, 0):
+        worst = np.argmin(np.abs(1 - np.abs(poles)))
+        pole = poles[worst]
+        poles = np.delete(poles, worst)
+        pair = []
+        for _ in range(2):
+            nearest = np.argsort(np.abs(zeros - pole))[0]
+            pair.append(zeros[nearest])
+            zeros = np.delete(zeros, nearest)
+        sos[section, :3] = np.poly(pair)
+        sos[section, 3:] = np.poly([pole, pole.conj()])
+    sos[0, :3] *= gain
+    return sos
 
 
 def schroeder_t60(ir, fs: float, band_hz: float | None = None) -> DecayMeasurement:
@@ -332,31 +415,40 @@ def schroeder_t60(ir, fs: float, band_hz: float | None = None) -> DecayMeasureme
     With band_hz set, the response is first passed through a 4th-order
     octave bandpass.  The decay rate is a least-squares line on the
     -5..-25 dB portion of the energy decay curve extrapolated to -60 dB.
+    The curve is built in one buffer of the response's length; the
+    caller's ir is never written.
     """
     ir = np.asarray(ir, dtype=np.float64)
     if ir.size < 2:
         raise InvalidParameterError("impulse response is too short to analyze")
     check_finite(ir, "ir")
     if band_hz is not None:
-        from scipy.signal import sosfilt
-
-        ir = sosfilt(_octave_band_sos(band_hz, fs), ir)
-    energy = np.cumsum((ir * ir)[::-1])[::-1]
+        sos = _octave_band_sos(band_hz, fs)
+        # What sosfilt(sos, ir) does: filter a copy from zero state.
+        filtered = np.array(ir)[np.newaxis]
+        _sos_kernel()(sos, filtered, np.zeros((1, sos.shape[0], 2)))
+        energy = np.square(filtered[0], out=filtered[0])
+    else:
+        energy = np.square(ir)
+    reversed_view = energy[::-1]
+    np.cumsum(reversed_view, out=reversed_view)
     if energy[0] <= 0.0:
         raise InsufficientDecayError("signal is silent in the requested band")
-    positive = np.flatnonzero(energy > 0.0)
-    energy = energy[: positive[-1] + 1]
-    edc_db = 10.0 * np.log10(energy / energy[0])
+    # Up to its last positive sample; then in dB relative to the total.  A
+    # ratio that underflows to 0 is -inf dB, far past the fit range.
+    energy = energy[: energy.size - int(np.argmax(reversed_view > 0.0))]
+    edc_db = np.divide(energy, energy[0], out=energy)
+    with np.errstate(divide="ignore"):
+        np.log10(edc_db, out=edc_db)
+    edc_db *= 10.0
 
     lo_db, hi_db = FIT_RANGE_DB
-    below_lo = np.flatnonzero(edc_db <= lo_db)
-    below_hi = np.flatnonzero(edc_db <= hi_db)
-    if below_hi.size == 0:
+    stop = int(np.argmax(edc_db <= hi_db))
+    if not edc_db[stop] <= hi_db:
         raise InsufficientDecayError(
             f"energy decay spans only {edc_db[-1]:.1f} dB, need {hi_db} dB to regress"
         )
-    start = int(below_lo[0])
-    stop = int(below_hi[0])
+    start = int(np.argmax(edc_db <= lo_db))
     if stop - start < 2:
         raise InsufficientDecayError("too few samples between -5 and -25 dB to regress")
     t = np.arange(start, stop + 1) / fs
@@ -369,10 +461,32 @@ def schroeder_t60(ir, fs: float, band_hz: float | None = None) -> DecayMeasureme
 
 
 def write_wav(path, ir: np.ndarray, fs: float) -> None:
-    """Write a mono 32-bit float WAV."""
-    from scipy.io import wavfile
+    """Write a mono 32-bit float WAV to a path or to a binary handle.
 
-    wavfile.write(path, int(round(fs)), np.asarray(ir, dtype=np.float32))
+    The bytes are those ``scipy.io.wavfile.write`` writes: a 58-byte header
+    (RIFF, a ``fmt `` chunk for IEEE float with cbSize, a ``fact`` chunk
+    holding the sample count, ``data``), then the little-endian samples.  A
+    render holds at most MAX_RENDER_SAMPLES samples, so no size field
+    needs RF64.
+    """
+    data = np.ascontiguousarray(ir, dtype="<f4")
+    if data.ndim != 1:
+        raise InvalidParameterError(f"a mono WAV needs a 1-D signal, got shape {data.shape}")
+    rate = int(round(fs))
+    header = struct.pack(
+        "<4sI4s" "4sIHHIIHHH" "4sII" "4sI",
+        b"RIFF", 50 + data.nbytes, b"WAVE",
+        b"fmt ", 18, WAVE_FORMAT_IEEE_FLOAT, 1, rate, 4 * rate, 4, 32, 0,
+        b"fact", 4, data.size,
+        b"data", data.nbytes,
+    )
+    if hasattr(path, "write"):
+        path.write(header)
+        path.write(data.data)
+    else:
+        with open(path, "wb") as handle:
+            handle.write(header)
+            handle.write(data.data)
 
 
 def decay_measurements_to_csv(measurements) -> str:

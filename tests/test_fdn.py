@@ -1,6 +1,7 @@
 """FDN rendering and Schroeder decay measurement."""
 
 import dataclasses
+import io
 import math
 import warnings
 from unittest import mock
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
-from scipy.signal import sosfilt
+from scipy.signal import butter, sosfilt
 
 from peqfdn import (
     BandKind,
@@ -35,6 +36,7 @@ from peqfdn import (
 )
 
 from peqfdn import fdn
+from peqfdn.cli import RENDER_OCTAVES_HZ
 from peqfdn.fdn import MAX_RENDER_SAMPLES, render_length
 
 FS = 48000.0
@@ -204,6 +206,27 @@ def test_fdn_config_validation():
             FdnConfig(**{**good, "duration_s": duration_s})
 
 
+def test_fdn_config_refuses_non_finite_feedback_and_gains():
+    # NaN fails every comparison, so the orthogonality test alone let it
+    # through and the render then blamed an instability at sample 100.
+    good = dict(
+        delays=(100, 101),
+        fs=FS,
+        feedback=householder_matrix(2),
+        cascades=(gain_cascade(0.5), gain_cascade(0.5)),
+        input_gains=np.array([1.0, -1.0]),
+        output_gains=np.array([1.0, 1.0]),
+        duration_s=0.1,
+    )
+    feedback = householder_matrix(2)
+    feedback[0, 0] = np.nan
+    with pytest.raises(InvalidParameterError, match=r"^feedback\[0, 0\] is nan, must be finite$"):
+        FdnConfig(**{**good, "feedback": feedback})
+    for name in ("input_gains", "output_gains"):
+        with pytest.raises(InvalidParameterError, match=rf"^{name}\[1\] is -inf, must be finite$"):
+            FdnConfig(**{**good, name: np.array([1.0, -np.inf])})
+
+
 def test_render_ir_shape_and_energy():
     cfg = make_config([719, 971, 1303, 1753], duration_s=1.0)
     ir = render_ir(cfg)
@@ -343,13 +366,72 @@ def test_schroeder_is_scale_invariant():
 
 
 def test_schroeder_rejects_silence_and_short_decay():
-    with pytest.raises(InsufficientDecayError):
-        schroeder_t60(np.zeros(4800), FS)
+    silent = "^signal is silent in the requested band$"
+    for band_hz in (None, 1000.0):
+        with pytest.raises(InsufficientDecayError, match=silent):
+            schroeder_t60(np.zeros(4800), FS, band_hz=band_hz)
     # A constant signal of N samples has an energy-decay curve spanning
     # exactly -10 log10(N) dB, so 100 samples stop at -20 dB and never
     # reach the bottom of the -5..-25 dB fit window.
-    with pytest.raises(InsufficientDecayError):
+    spans_only = r"^energy decay spans only -20\.0 dB, need -25\.0 dB to regress$"
+    with pytest.raises(InsufficientDecayError, match=spans_only):
         schroeder_t60(np.ones(100), FS)
+
+
+def reference_schroeder_t60(ir, fs, band_hz=None):
+    """schroeder_t60's arithmetic as first written, with public sosfilt."""
+    if band_hz is not None:
+        ir = sosfilt(fdn._octave_band_sos(band_hz, fs), ir)
+    energy = np.cumsum((ir * ir)[::-1])[::-1]
+    positive = np.flatnonzero(energy > 0.0)
+    energy = energy[: positive[-1] + 1]
+    with np.errstate(divide="ignore"):  # a tail that underflows to 0
+        edc_db = 10.0 * np.log10(energy / energy[0])
+    start = int(np.flatnonzero(edc_db <= -5.0)[0])
+    stop = int(np.flatnonzero(edc_db <= -25.0)[0])
+    t = np.arange(start, stop + 1) / fs
+    segment = edc_db[start : stop + 1]
+    slope, intercept = np.polyfit(t, segment, 1)
+    residual = float(np.sqrt(np.mean((segment - (slope * t + intercept)) ** 2)))
+    return -60.0 / slope, residual
+
+
+def test_schroeder_matches_reference_formula_exactly():
+    # Random decays, a third of them ending in a run of exact zeros, broadband
+    # and in the lowest and highest render octaves.
+    rng = np.random.default_rng(2024)
+    for case in range(12):
+        n = int(rng.integers(4800, 48000))
+        t = np.arange(n) / FS
+        ir = rng.standard_normal(n) * 10.0 ** (-3.0 * t / rng.uniform(0.1, 1.0))
+        if case % 3 == 0:
+            ir[int(rng.integers(n // 2, n)) :] = 0.0
+        for band_hz in (None, 250.0, 4000.0):
+            meas = schroeder_t60(ir, FS, band_hz=band_hz)
+            assert (meas.t60_s, meas.residual_db) == reference_schroeder_t60(ir, FS, band_hz)
+
+
+def test_schroeder_leaves_the_callers_array_unchanged():
+    t = np.arange(int(0.5 * FS)) / FS
+    ir = np.random.default_rng(3).standard_normal(t.size) * 10.0 ** (-3.0 * t / 0.3)
+    kept = ir.copy()
+    for band_hz in (None, 1000.0):
+        schroeder_t60(ir, FS, band_hz=band_hz)
+        assert np.array_equal(ir, kept)
+    # A read-only array is refused by any write.
+    ir.flags.writeable = False
+    schroeder_t60(ir, FS)
+    schroeder_t60(ir, FS, band_hz=1000.0)
+
+
+@pytest.mark.parametrize("fs", [8000.0, 44100.0, 48000.0, 96000.0, 192000.0])
+def test_octave_band_sos_equals_scipy_butter(fs):
+    centers = [c for c in RENDER_OCTAVES_HZ if c * math.sqrt(2.0) < fs / 2]
+    assert len(centers) >= 4
+    for c in centers:
+        edges = [c / math.sqrt(2.0), c * math.sqrt(2.0)]
+        expected = butter(2, edges, "bandpass", fs=fs, output="sos")
+        assert np.array_equal(fdn._octave_band_sos(c, fs), expected)
 
 
 def test_schroeder_rejects_non_finite_samples():
@@ -369,6 +451,18 @@ def test_write_wav_roundtrip(tmp_path):
     assert rate == int(FS)
     assert data.dtype == np.float32
     assert np.allclose(data, ir.astype(np.float32), atol=1e-7)
+
+
+@pytest.mark.parametrize("n", [1, 480, 384001])
+def test_write_wav_bytes_equal_scipy(tmp_path, n):
+    ir = np.random.default_rng(n).standard_normal(n)
+    expected = io.BytesIO()
+    wavfile.write(expected, 48000, ir.astype(np.float32))
+    write_wav(str(tmp_path / "ir.wav"), ir, FS)
+    handle = io.BytesIO()
+    write_wav(handle, ir, FS)
+    assert (tmp_path / "ir.wav").read_bytes() == handle.getvalue() == expected.getvalue()
+    assert len(handle.getvalue()) == 58 + 4 * n
 
 
 def test_decay_csv_format():
