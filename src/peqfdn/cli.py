@@ -96,6 +96,11 @@ def _write_atomic(path: str, data: str | Callable[[BinaryIO], object]) -> None:
         raise
 
 
+def _sidecar_path(path: str | None, out: str, suffix: str) -> str:
+    """path if given, else out with its extension replaced by suffix."""
+    return path if path is not None else os.path.splitext(out)[0] + suffix
+
+
 def _json_dumps(obj) -> str:
     # sort_keys plus a trailing newline keeps serialized output byte-stable
     # across runs for identical inputs.
@@ -222,11 +227,11 @@ def _add_delay_args(parser) -> None:
 
 def _add_common_fit_args(parser) -> None:
     parser.add_argument("--fs", type=float, default=48000.0, help="sample rate in Hz")
-    parser.add_argument("--bands", type=int, default=12, help="PEQ bands (>= 3)")
+    parser.add_argument("--bands", type=int, default=FitConfig.n_bands, help="PEQ bands (>= 3)")
     parser.add_argument(
         "--iterations",
         type=int,
-        default=10000,
+        default=FitConfig.iterations,
         help="fit budget in Adam steps: Adam takes the first fifth (at most 2000), "
         "then every 26 left buy one Levenberg-Marquardt polish evaluation",
     )
@@ -246,15 +251,11 @@ def cmd_fit(args) -> int:
     fitted, report = fit(curve, m_ref, args.fs, cfg, progress=progress)
 
     _write_atomic(args.out, _json_dumps(fitted.to_dict()))
-    report_path = args.report
-    if report_path is None:
-        stem, _ = os.path.splitext(args.out)
-        report_path = stem + ".report.json"
     report_doc = report.to_dict()
     report_doc["curve"] = curve.name
     report_doc["m_ref"] = m_ref
     report_doc.update(_cost_fields(args.bands))
-    _write_atomic(report_path, _json_dumps(report_doc))
+    _write_atomic(_sidecar_path(args.report, args.out, ".report.json"), _json_dumps(report_doc))
     if not args.quiet:
         sys.stderr.write(
             f"fit {curve.name or args.t60}: mse {report.final_mse:.6e} dB^2 "
@@ -300,19 +301,17 @@ def cmd_export(args) -> int:
 
 def cmd_render(args) -> int:
     fitted, delays = _fit_and_delays(args)
-    if args.duration is not None:
-        render_length(args.duration, fitted.fs, delays)  # refused before any digitizing
-    lines = [_line_cascade(fitted, m_k) for m_k in delays]
     fs = fitted.fs
-    n_lines = len(delays)
-
     duration = args.duration
     if duration is None:
         # The default length needs the longest T60 the fit achieves at its
         # reference delay, so a fit at or above 0 dB from 20 Hz up has none.
         t60_profile = achieved_t60(fitted, FrequencyGrid.log_spaced(fs).freqs)
         duration = default_render_duration(float(np.max(t60_profile)))
+    render_length(duration, fs, delays)  # refused before any digitizing
+    lines = [_line_cascade(fitted, m_k) for m_k in delays]
 
+    n_lines = len(delays)
     input_gains, output_gains = default_gains(n_lines)
     cfg = FdnConfig(
         delays=tuple(delays),
@@ -340,12 +339,8 @@ def cmd_render(args) -> int:
         )
     decay_csv = decay_measurements_to_csv(measurements)
 
-    decay_path = args.decay_csv
-    if decay_path is None:
-        stem, _ = os.path.splitext(args.out)
-        decay_path = stem + ".decay.csv"
     _write_atomic(args.out, lambda handle: write_wav(handle, ir, fs))
-    _write_atomic(decay_path, decay_csv)
+    _write_atomic(_sidecar_path(args.decay_csv, args.out, ".decay.csv"), decay_csv)
     if not args.quiet:
         for meas in measurements:
             sys.stderr.write(f"T60 {_band_label(meas.band_hz)}: {meas.t60_s:.3f} s\n")
@@ -407,7 +402,9 @@ def build_parser() -> _Parser:
     delay.add_argument("--delay-ms", type=float, default=None)
     delay.add_argument("--delay-samples", type=float, default=None)
     _add_common_fit_args(p_fit)
-    p_fit.add_argument("--lr", type=float, default=0.1, help="Adam learning rate")
+    p_fit.add_argument(
+        "--lr", type=float, default=FitConfig.learning_rate, help="Adam learning rate"
+    )
     p_fit.set_defaults(func=cmd_fit)
 
     p_export = sub.add_parser("export", help="emit per-line biquad coefficients")

@@ -116,10 +116,17 @@ class ErrorDistribution:
 
 @dataclass(frozen=True)
 class CostReport:
-    """Per-sample arithmetic cost and trainable parameter count of a cascade."""
+    """Per-sample arithmetic cost and trainable parameter count of an n_bands cascade."""
 
-    ops_per_sample: int
-    parameters: int
+    n_bands: int
+
+    @property
+    def ops_per_sample(self) -> int:
+        return OPS_PER_SECTION * self.n_bands
+
+    @property
+    def parameters(self) -> int:
+        return PARAMS_PER_BAND * self.n_bands
 
 
 @dataclass(frozen=True)
@@ -212,10 +219,7 @@ def op_count(n_bands: int) -> CostReport:
     if not isinstance(n_bands, (int, np.integer)):
         raise InvalidParameterError(f"n_bands must be an integer, got {n_bands}")
     check_band_count(n_bands)
-    return CostReport(
-        ops_per_sample=OPS_PER_SECTION * int(n_bands),
-        parameters=PARAMS_PER_BAND * int(n_bands),
-    )
+    return CostReport(int(n_bands))
 
 
 def synthetic_smooth_curves(n_curves: int, seed: int = 0) -> list[T60Curve]:
@@ -255,17 +259,17 @@ def synthetic_smooth_curves(n_curves: int, seed: int = 0) -> list[T60Curve]:
     return curves
 
 
-def _fit_one_curve(job) -> tuple[int, str, int, float, np.ndarray | None, str | None]:
-    """Fit one campaign curve on cfg.grid; returns errors or the failure reason."""
+def _fit_one_curve(job) -> tuple[CurveReport, np.ndarray] | tuple[tuple[int, str, str], None]:
+    """Fit one campaign curve on cfg.grid: its report and errors, or its failure and None."""
     index, curve, m_samples, cfg, fs = job
     try:
         fitted, report = fit(curve, m_ref=m_samples, fs=fs, cfg=cfg)
         achieved = achieved_t60(fitted, cfg.grid.freqs)
-        target = interpolate_to_grid(curve, cfg.grid)
-        errors = t60_relative_error(target, achieved)
-        return index, curve.name, m_samples, report.final_mse, errors, None
+        errors = t60_relative_error(interpolate_to_grid(curve, cfg.grid), achieved)
     except PeqFdnError as exc:
-        return index, curve.name, m_samples, math.nan, None, f"{type(exc).__name__}: {exc}"
+        return (index, curve.name, f"{type(exc).__name__}: {exc}"), None
+    max_abs_error = float(np.abs(errors).max())
+    return CurveReport(index, curve.name, m_samples, report.final_mse, max_abs_error), errors
 
 
 def run_campaign(
@@ -304,20 +308,12 @@ def run_campaign(
     reports: list[CurveReport] = []
     failures: list[tuple[int, str, str]] = []
     error_blocks: list[np.ndarray] = []
-    for index, name, m_samples, mse, errors, reason in outcomes:
+    for outcome, errors in outcomes:
         if errors is None:
-            failures.append((index, name, reason))
-            continue
-        reports.append(
-            CurveReport(
-                index=index,
-                name=name,
-                delay_samples=m_samples,
-                final_mse=mse,
-                max_abs_error_pct=float(np.abs(errors).max()),
-            )
-        )
-        error_blocks.append(errors)
+            failures.append(outcome)
+        else:
+            reports.append(outcome)
+            error_blocks.append(errors)
     if len(failures) > MAX_FAILURE_FRACTION * len(curves):
         detail = "; ".join(f"{name}: {reason}" for _, name, reason in failures[:5])
         raise CampaignError(

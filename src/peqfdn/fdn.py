@@ -418,6 +418,7 @@ def schroeder_t60(ir, fs: float, band_hz: float | None = None) -> DecayMeasureme
     The curve is built in one buffer of the response's length; the
     caller's ir is never written.
     """
+    check_fs(fs)
     ir = np.asarray(ir, dtype=np.float64)
     if ir.size < 2:
         raise InvalidParameterError("impulse response is too short to analyze")
@@ -460,8 +461,8 @@ def schroeder_t60(ir, fs: float, band_hz: float | None = None) -> DecayMeasureme
     return DecayMeasurement(band_hz=band_hz, t60_s=-60.0 / slope, residual_db=residual)
 
 
-def write_wav(path, ir: np.ndarray, fs: float) -> None:
-    """Write a mono 32-bit float WAV to a path or to a binary handle.
+def write_wav(handle, ir: np.ndarray, fs: float) -> None:
+    """Write a mono 32-bit float WAV to a binary handle.
 
     The bytes are those ``scipy.io.wavfile.write`` writes: a 58-byte header
     (RIFF, a ``fmt `` chunk for IEEE float with cbSize, a ``fact`` chunk
@@ -469,6 +470,7 @@ def write_wav(path, ir: np.ndarray, fs: float) -> None:
     render holds at most MAX_RENDER_SAMPLES samples, so no size field
     needs RF64.
     """
+    check_fs(fs)
     data = np.ascontiguousarray(ir, dtype="<f4")
     if data.ndim != 1:
         raise InvalidParameterError(f"a mono WAV needs a 1-D signal, got shape {data.shape}")
@@ -480,13 +482,8 @@ def write_wav(path, ir: np.ndarray, fs: float) -> None:
         b"fact", 4, data.size,
         b"data", data.nbytes,
     )
-    if hasattr(path, "write"):
-        path.write(header)
-        path.write(data.data)
-    else:
-        with open(path, "wb") as handle:
-            handle.write(header)
-            handle.write(data.data)
+    handle.write(header)
+    handle.write(data.data)
 
 
 def decay_measurements_to_csv(measurements) -> str:

@@ -353,6 +353,10 @@ def test_render_rejects_zero_duration(flat_csv, tmp_path):
          ["1e+300 s render", "2**26"]),
         (["render", "--fit", "{fit}", "--out", "{out}/ir.wav", "--duration", "1e6"],
          ["1e+06 s render", "2**26"]),
+        # The default length is worked out first, so the size refusal comes
+        # before the digitizer sees a 40-million-sample line.
+        (["render", "--fit", "{fit}", "--out", "{out}/ir.wav",
+          "--delay-samples", "40000000,40000001"], ["80000001 samples", "2**26"]),
         (["fit", "--t60", "{table}", "--out", "{out}/fit.json", "--bands", "100000"],
          ["100000 bands", "512 grid points"]),
         (["campaign", "--synthetic", "2", "--out-dir", "{out}", "--bands", "100000"],
@@ -386,6 +390,7 @@ def test_render_rejects_zero_duration(flat_csv, tmp_path):
         "render_too_short_to_measure", "fit_delay_ms_nan", "fit_delay_samples_inf",
         "render_nothing_measurable", "export_range_below_one_sample",
         "export_line_too_deep_to_digitize", "render_duration_1e300", "render_duration_1e6",
+        "render_default_length_huge_delays",
         "fit_bands_100000", "campaign_bands_100000", "fit_fs_1e300", "campaign_fs_1e300",
         "campaign_seed_negative", "fit_iterations_huge", "campaign_iterations_huge",
         "export_lines_huge", "render_lines_6000", "export_lines_800", "campaign_synthetic_huge",
@@ -429,7 +434,12 @@ def test_fit_file_refusals_exit_1_and_write_nothing(
     fit_path = tmp_path / "hostile.json"
     fit_path.write_text(json.dumps(doc))
     out = tmp_path / "out"
-    argv = {"export": ["--out-dir", str(out)], "render": ["--out", str(out / "ir.wav")]}[command]
+    # With --duration set, render reaches the line rule export applies; a
+    # default-length render refuses a band at its length (the test below).
+    argv = {
+        "export": ["--out-dir", str(out)],
+        "render": ["--out", str(out / "ir.wav"), "--duration", "0.5"],
+    }[command]
     before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
     assert cli.main([command, "--fit", str(fit_path), "--lines", "2", *argv]) == 1
@@ -437,6 +447,27 @@ def test_fit_file_refusals_exit_1_and_write_nothing(
     assert err.startswith("error: ")
     for part in named:
         assert part.format(fit=fit_path) in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("gain_db", [1e300, -1e300])
+def test_default_length_render_refuses_a_band_before_digitizing(
+    flat_csv, tmp_path, capsys, gain_db
+):
+    # The default length comes from the fit's own response at its reference
+    # delay, which is worked out before any line is digitized.
+    run_fit(flat_csv, tmp_path)
+    doc = json.loads((tmp_path / "fit.json").read_text())
+    doc["bands"][1]["gain_db"] = gain_db
+    fit_path = tmp_path / "hostile.json"
+    fit_path.write_text(json.dumps(doc))
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    argv = ["render", "--fit", str(fit_path), "--lines", "2", "--out", str(tmp_path / "out/ir.wav")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"band of {gain_db:g} dB" in err and "float64" in err
+    assert "delay line" not in err
     assert sorted(tmp_path.rglob("*")) == before
 
 

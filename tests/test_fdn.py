@@ -37,7 +37,7 @@ from peqfdn import (
 
 from peqfdn import fdn
 from peqfdn.cli import RENDER_OCTAVES_HZ
-from peqfdn.fdn import MAX_RENDER_SAMPLES, render_length
+from peqfdn.fdn import DEFAULT_DELAY_RANGE_S, MAX_RENDER_SAMPLES, render_length
 
 FS = 48000.0
 
@@ -105,6 +105,23 @@ def test_default_delays_properties():
     for i, a in enumerate(delays):
         for b in delays[i + 1 :]:
             assert math.gcd(a, b) == 1
+
+
+@pytest.mark.parametrize(
+    "n_lines, fs, expected",
+    [
+        # The CLI default, also the delays of acceptance criterion 8.
+        (8, 48000.0, [720, 971, 1303, 1753, 2363, 3181, 4279, 5759]),
+        (3, 44100.0, [662, 1871, 5291]),
+        (4, 44100.0, [662, 1323, 2645, 5291]),
+        (8, 44100.0, [662, 889, 1199, 1613, 2171, 2923, 3931, 5289]),
+    ],
+)
+def test_default_delays_are_pinned(n_lines, fs, expected):
+    # The order in which base + step and base - step are tried decides a
+    # tie.  Trying either first every time changes the 48 kHz list; trying
+    # base + step first changes the 4- and 8-line lists at 44.1 kHz.
+    assert default_delays(n_lines, *DEFAULT_DELAY_RANGE_S, fs) == expected
 
 
 def test_default_delays_validation():
@@ -443,26 +460,37 @@ def test_schroeder_rejects_non_finite_samples():
         schroeder_t60(ir, FS)
 
 
-def test_write_wav_roundtrip(tmp_path):
-    path = tmp_path / "ir.wav"
+def test_write_wav_roundtrip():
+    handle = io.BytesIO()
     ir = np.sin(np.linspace(0.0, 20.0, 480))
-    write_wav(str(path), ir, FS)
-    rate, data = wavfile.read(path)
+    write_wav(handle, ir, FS)
+    rate, data = wavfile.read(io.BytesIO(handle.getvalue()))
     assert rate == int(FS)
     assert data.dtype == np.float32
     assert np.allclose(data, ir.astype(np.float32), atol=1e-7)
 
 
 @pytest.mark.parametrize("n", [1, 480, 384001])
-def test_write_wav_bytes_equal_scipy(tmp_path, n):
+def test_write_wav_bytes_equal_scipy(n):
     ir = np.random.default_rng(n).standard_normal(n)
     expected = io.BytesIO()
     wavfile.write(expected, 48000, ir.astype(np.float32))
-    write_wav(str(tmp_path / "ir.wav"), ir, FS)
     handle = io.BytesIO()
     write_wav(handle, ir, FS)
-    assert (tmp_path / "ir.wav").read_bytes() == handle.getvalue() == expected.getvalue()
+    assert handle.getvalue() == expected.getvalue()
     assert len(handle.getvalue()) == 58 + 4 * n
+
+
+@pytest.mark.parametrize("fs", [0.0, -48000.0, math.nan, math.inf, 5e9])
+def test_schroeder_and_write_wav_refuse_a_bad_sample_rate(fs):
+    ir = np.exp(-np.arange(4800) / 480.0)
+    for band_hz in (None, 1000.0):
+        with pytest.raises(InvalidParameterError, match="fs must be > 0"):
+            schroeder_t60(ir, fs, band_hz=band_hz)
+    handle = io.BytesIO()
+    with pytest.raises(InvalidParameterError, match="fs must be > 0"):
+        write_wav(handle, ir, fs)
+    assert handle.getvalue() == b""
 
 
 def test_decay_csv_format():
