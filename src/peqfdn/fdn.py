@@ -468,13 +468,16 @@ def write_wav(handle, ir: np.ndarray, fs: float) -> None:
     (RIFF, a ``fmt `` chunk for IEEE float with cbSize, a ``fact`` chunk
     holding the sample count, ``data``), then the little-endian samples.  A
     render holds at most MAX_RENDER_SAMPLES samples, so no size field
-    needs RF64.
+    needs RF64.  The header holds the rate as a whole number of Hz, so
+    any other rate is refused.
     """
     check_fs(fs)
+    if fs != int(fs):
+        raise InvalidParameterError(f"a WAV holds a whole number of Hz, got fs {fs}")
     data = np.ascontiguousarray(ir, dtype="<f4")
     if data.ndim != 1:
         raise InvalidParameterError(f"a mono WAV needs a 1-D signal, got shape {data.shape}")
-    rate = int(round(fs))
+    rate = int(fs)
     header = struct.pack(
         "<4sI4s" "4sIHHIIHHH" "4sII" "4sI",
         b"RIFF", 50 + data.nbytes, b"WAVE",

@@ -109,6 +109,8 @@ def band_magnitude(f, band: BandParams):
     """Linear magnitude of any band kind at frequency f (Hz, scalar or array).
 
     |H|^2 = ((n0 - n2 X)^2 + n1^2 X) / ((d0 - d2 X)^2 + d1^2 X), X = (f/fc)^2.
+    A band whose squared terms pass float64's range (a Q below about
+    1e-154, say) has no finite magnitude and is refused.
     """
     freqs = np.asarray(f, dtype=np.float64)
     check_finite(freqs, "freqs")
@@ -117,7 +119,10 @@ def band_magnitude(f, band: BandParams):
     (n2, n1, n0), (d2, d1, d0) = analog_coeffs(band)
     x = freqs / band.fc_hz
     xx = x * x
-    num = (n0 - n2 * xx) ** 2 + n1 * n1 * xx
-    den = (d0 - d2 * xx) ** 2 + d1 * d1 * xx
-    mag = np.sqrt(num / den)
+    with np.errstate(all="ignore"):
+        num = (n0 - n2 * xx) ** 2 + n1 * n1 * xx
+        den = (d0 - d2 * xx) ** 2 + d1 * d1 * xx
+        mag = np.sqrt(num / den)
+    if not np.isfinite(mag).all():
+        raise InvalidParameterError(f"the {band} has a magnitude past float64's range")
     return float(mag) if mag.ndim == 0 else mag

@@ -408,25 +408,29 @@ def test_library_refusals_exit_1_and_write_nothing(flat_csv, tmp_path, capsys, a
 
 
 # Fit files whose fields the library refuses, by (field, band index or None
-# for a top-level field, value), with the parts the message must name.  The
-# first four used to end in a bare OverflowError or ZeroDivisionError.
-@pytest.mark.parametrize("command", ["export", "render"])
+# for a top-level field, value), with the parts the message must name, and
+# those a default-length render names (None: the same).  The first four used
+# to end in a bare OverflowError or ZeroDivisionError.
+@pytest.mark.parametrize("command", ["export", "render", "render_duration"])
 @pytest.mark.parametrize(
-    "field, band, value, named",
+    "field, band, value, named, length_named",
     [
-        ("gain_db", 1, 1e300, ["delay line of 720 samples", " dB at ", "float64"]),
-        ("gain_db", 1, -1e300, ["delay line of 720 samples", " dB at ", "float64"]),
-        ("q", 1, 1e-300, ["delay line of 720 samples", "(Q 1e-300)", "no finite, stable section"]),
-        ("m_ref", None, 10**400, ["{fit}", "malformed fitted-PEQ document", "OverflowError"]),
+        ("gain_db", 1, 1e300, ["delay line of 720 samples", " dB at ", "float64"],
+         ["band of 1e+300 dB", "float64"]),
+        ("gain_db", 1, -1e300, ["delay line of 720 samples", " dB at ", "float64"],
+         ["band of -1e+300 dB", "float64"]),
+        ("q", 1, 1e-300, ["delay line of 720 samples", "(Q 1e-300)", "no finite, stable section"],
+         ["(Q 1e-300)", "magnitude past float64's range"]),
+        ("m_ref", None, 10**400, ["{fit}", "malformed fitted-PEQ document", "OverflowError"], None),
         # Refused where it is read, by the rule fit applies, not deep in the
         # digitizer with a 30-digit delay line.
-        ("fs", None, 1e300, ["{fit}", "fs must be > 0 and <= 1e+07 Hz, got 1e+300"]),
-        ("bands", None, None, ["{fit}", "malformed fitted-PEQ document", "TypeError"]),
+        ("fs", None, 1e300, ["{fit}", "fs must be > 0 and <= 1e+07 Hz, got 1e+300"], None),
+        ("bands", None, None, ["{fit}", "malformed fitted-PEQ document", "TypeError"], None),
     ],
     ids=["gain_1e300", "gain_-1e300", "q_1e-300", "m_ref_10**400", "fs_1e300", "bands_null"],
 )
 def test_fit_file_refusals_exit_1_and_write_nothing(
-    flat_csv, tmp_path, capsys, command, field, band, value, named
+    flat_csv, tmp_path, capsys, command, field, band, value, named, length_named
 ):
     run_fit(flat_csv, tmp_path)
     doc = json.loads((tmp_path / "fit.json").read_text())
@@ -434,40 +438,34 @@ def test_fit_file_refusals_exit_1_and_write_nothing(
     fit_path = tmp_path / "hostile.json"
     fit_path.write_text(json.dumps(doc))
     out = tmp_path / "out"
-    # With --duration set, render reaches the line rule export applies; a
-    # default-length render refuses a band at its length (the test below).
     argv = {
-        "export": ["--out-dir", str(out)],
-        "render": ["--out", str(out / "ir.wav"), "--duration", "0.5"],
+        "export": ["export", "--out-dir", str(out)],
+        "render": ["render", "--out", str(out / "ir.wav")],
+        "render_duration": ["render", "--out", str(out / "ir.wav"), "--duration", "0.5"],
     }[command]
     before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
-    assert cli.main([command, "--fit", str(fit_path), "--lines", "2", *argv]) == 1
+    assert cli.main([*argv, "--fit", str(fit_path), "--lines", "2"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    if command == "render" and length_named is not None:
+        # The default length comes from the fit's response at its reference
+        # delay, worked out before any line is digitized.
+        named = length_named
+        assert "delay line" not in err
     for part in named:
         assert part.format(fit=fit_path) in err
     assert sorted(tmp_path.rglob("*")) == before
 
 
-@pytest.mark.parametrize("gain_db", [1e300, -1e300])
-def test_default_length_render_refuses_a_band_before_digitizing(
-    flat_csv, tmp_path, capsys, gain_db
-):
-    # The default length comes from the fit's own response at its reference
-    # delay, which is worked out before any line is digitized.
-    run_fit(flat_csv, tmp_path)
-    doc = json.loads((tmp_path / "fit.json").read_text())
-    doc["bands"][1]["gain_db"] = gain_db
-    fit_path = tmp_path / "hostile.json"
-    fit_path.write_text(json.dumps(doc))
+def test_render_refuses_a_rate_the_wav_header_cannot_hold(flat_csv, tmp_path, capsys):
+    # A fit at 44100.4 Hz used to render to a WAV whose header said 44100.
+    fit_path = run_fit(flat_csv, tmp_path, extra=("--fs", "44100.4"))
     before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
-    argv = ["render", "--fit", str(fit_path), "--lines", "2", "--out", str(tmp_path / "out/ir.wav")]
-    assert cli.main(argv) == 1
-    err = capsys.readouterr().err
-    assert f"band of {gain_db:g} dB" in err and "float64" in err
-    assert "delay line" not in err
+    argv = ["render", "--fit", fit_path, "--lines", "2", "--duration", "0.3"]
+    assert cli.main([*argv, "--out", str(tmp_path / "ir.wav")]) == 1
+    assert "a WAV holds a whole number of Hz, got fs 44100.4" in capsys.readouterr().err
     assert sorted(tmp_path.rglob("*")) == before
 
 

@@ -493,6 +493,16 @@ def test_schroeder_and_write_wav_refuse_a_bad_sample_rate(fs):
     assert handle.getvalue() == b""
 
 
+@pytest.mark.parametrize("fs", [0.4, 44100.4])
+def test_write_wav_refuses_a_rate_the_header_cannot_hold(fs):
+    # The header's rate is a whole number of Hz: 0.4 Hz used to be written
+    # as 0 Hz and 44100.4 Hz as 44100 Hz.
+    handle = io.BytesIO()
+    with pytest.raises(InvalidParameterError, match="whole number of Hz"):
+        write_wav(handle, np.ones(4), fs)
+    assert handle.getvalue() == b""
+
+
 def test_decay_csv_format():
     t = np.arange(int(1.0 * FS)) / FS
     rng = np.random.default_rng(7)

@@ -146,3 +146,13 @@ def test_coefficients_past_float64_are_refused_by_name(kind, gain_db):
     # Gains just inside the bounds still give finite coefficients.
     edge = 6100.0 if kind is not BandKind.BELL else math.copysign(12300.0, gain_db)
     assert np.isfinite(analog_coeffs(BandParams(kind, 1000.0, edge, 0.7))).all()
+
+
+@pytest.mark.parametrize("kind", list(BandKind))
+def test_magnitude_past_float64_is_refused_by_name(kind):
+    # At Q 1e-300 the squared s^1 terms overflow in numerator and
+    # denominator alike: the magnitude used to come back as inf / inf = NaN.
+    band = BandParams(kind, 1000.0, -6.0, 1e-300)
+    with pytest.raises(InvalidParameterError) as err:
+        band_magnitude(np.geomspace(20.0, 20000.0, 8), band)
+    assert f"{kind.value} band of -6 dB at 1000 Hz (Q 1e-300)" in str(err.value)
