@@ -13,6 +13,7 @@ from .digitize import (
     band_to_biquad,
     digital_magnitude,
     digitization_report,
+    network_to_sos,
     peq_to_sos,
     sos_to_csv,
     sos_to_dict,
@@ -27,6 +28,7 @@ from .errors import (
     NumericalFailureError,
     ParseError,
     PeqFdnError,
+    SampleRangeError,
 )
 from .evaluate import (
     CampaignResult,
@@ -87,6 +89,7 @@ __all__ = [
     "ParseError",
     "PeqFdnError",
     "PeqParams",
+    "SampleRangeError",
     "SosCascade",
     "T60Curve",
     "achieved_t60",
@@ -103,6 +106,7 @@ __all__ = [
     "interpolate_to_grid",
     "load_t60_table",
     "loss_and_gradient",
+    "network_to_sos",
     "op_count",
     "peq_log_magnitude",
     "peq_to_sos",

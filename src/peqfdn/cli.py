@@ -28,7 +28,13 @@ from typing import BinaryIO, Callable
 
 import numpy as np
 
-from .digitize import digital_magnitude, digitization_report, peq_to_sos, sos_to_csv, sos_to_dict
+from .digitize import (
+    digital_magnitude,
+    digitization_report,
+    network_to_sos,
+    sos_to_csv,
+    sos_to_dict,
+)
 from .errors import (
     InsufficientDecayError,
     InvalidParameterError,
@@ -172,24 +178,24 @@ def _parse_range(text: str) -> tuple[float, float]:
 _ATTENUATION_GRID = np.concatenate(([0.0], np.geomspace(1e-6, 0.5, 1024)))
 
 
-def _line_cascade(fitted: FittedPeq, m_k: int):
-    """One line's bands and cascade, refused unless it attenuates everywhere.
+def _line_cascades(fitted: FittedPeq, delays) -> list:
+    """Each line's cascade, in the order of delays, refused unless it attenuates everywhere.
 
     The network decays when every line's cascade stays below 0 dB from DC
     to Nyquist (check_decays).  The fit constrains the response only from
     20 Hz up, so a fitted band can still reach 0 dB below that.
     """
-    params = scale_to_delay(fitted, m_k)
     freqs = fitted.fs * _ATTENUATION_GRID
     # A band too deep to digitize overflows in its design, which then
     # refuses it, so the warnings are noise.
-    try:
-        with np.errstate(all="ignore"):
-            cascade = peq_to_sos(params, fitted.fs)
-        check_decays(digital_magnitude(cascade, freqs), freqs)
-    except (InvalidParameterError, NonDecayingResponseError) as exc:
-        raise type(exc)(f"delay line of {m_k} samples: {exc}") from None
-    return params, cascade
+    with np.errstate(all="ignore"):
+        cascades = network_to_sos(fitted, delays)
+    for m_k, cascade in zip(delays, cascades):
+        try:
+            check_decays(digital_magnitude(cascade, freqs), freqs)
+        except NonDecayingResponseError as exc:
+            raise NonDecayingResponseError(f"delay line of {m_k} samples: {exc}") from None
+    return cascades
 
 
 def _fit_and_delays(args):
@@ -266,18 +272,19 @@ def cmd_fit(args) -> int:
 
 def cmd_export(args) -> int:
     fitted, delays = _fit_and_delays(args)
-    lines = [_line_cascade(fitted, m_k) for m_k in delays]
+    cascades = _line_cascades(fitted, delays)
 
     os.makedirs(args.out_dir, exist_ok=True)
     report_grid = FrequencyGrid.log_spaced(fitted.fs)
     manifest = {"fs": fitted.fs, "m_ref": fitted.m_ref, "lines": []}
-    for k, (m_k, (params, cascade)) in enumerate(zip(delays, lines)):
+    for k, (m_k, cascade) in enumerate(zip(delays, cascades)):
         stem = f"line{k:02d}_m{m_k}"
         csv_path = os.path.join(args.out_dir, stem + ".csv")
         json_path = os.path.join(args.out_dir, stem + ".json")
         _write_atomic(csv_path, sos_to_csv(cascade))
         doc = sos_to_dict(cascade)
         doc["delay_samples"] = m_k
+        params = scale_to_delay(fitted, m_k)
         doc["digitization"] = digitization_report(params, cascade, report_grid.freqs)
         _write_atomic(json_path, _json_dumps(doc))
         manifest["lines"].append(
@@ -309,7 +316,7 @@ def cmd_render(args) -> int:
         t60_profile = achieved_t60(fitted, FrequencyGrid.log_spaced(fs).freqs)
         duration = default_render_duration(float(np.max(t60_profile)))
     render_length(duration, fs, delays)  # refused before any digitizing
-    lines = [_line_cascade(fitted, m_k) for m_k in delays]
+    cascades = _line_cascades(fitted, delays)
 
     n_lines = len(delays)
     input_gains, output_gains = default_gains(n_lines)
@@ -317,7 +324,7 @@ def cmd_render(args) -> int:
         delays=tuple(delays),
         fs=fs,
         feedback=householder_matrix(n_lines),
-        cascades=tuple(cascade for _, cascade in lines),
+        cascades=tuple(cascades),
         input_gains=input_gains,
         output_gains=output_gains,
         duration_s=duration,

@@ -41,6 +41,14 @@ class InstabilityError(PeqFdnError, ArithmeticError):
         self.sample_index = sample_index
 
 
+class SampleRangeError(PeqFdnError, ArithmeticError):
+    """A sample lies past what the output format holds (float32 in a WAV)."""
+
+    def __init__(self, message: str, sample_index: int | None = None):
+        super().__init__(message)
+        self.sample_index = sample_index
+
+
 class InsufficientDecayError(PeqFdnError, ValueError):
     """An energy decay curve does not span the regression range."""
 

@@ -28,7 +28,12 @@ from math import gcd
 import numpy as np
 
 from .digitize import SosCascade
-from .errors import InstabilityError, InsufficientDecayError, InvalidParameterError
+from .errors import (
+    InstabilityError,
+    InsufficientDecayError,
+    InvalidParameterError,
+    SampleRangeError,
+)
 from .targets import check_delay, check_finite, check_fs
 
 __all__ = [
@@ -53,6 +58,9 @@ DEFAULT_DELAY_RANGE_S = (0.015, 0.12)
 MAX_RENDER_SAMPLES = 2**26
 # Integers default_delays sieves for primes at a time.
 PRIME_BLOCK = 2**16
+# The largest prime default_delays divides a chosen delay by to count the
+# slots it takes (see _slots_taken).
+SLOT_PRIMES_MAX = 2**12
 # The fmt chunk's format tag for 32-bit float samples.
 WAVE_FORMAT_IEEE_FLOAT = 3
 
@@ -69,20 +77,24 @@ def householder_matrix(n_lines: int) -> np.ndarray:
     return np.eye(n_lines) - (2.0 / n_lines) * np.ones((n_lines, n_lines))
 
 
+def _primes_upto(n: int) -> list[int]:
+    """The primes <= n, by the sieve of Eratosthenes."""
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve).tolist()
+
+
 def _count_primes(lo: int, hi: int, enough: float) -> int:
     """Primes in [lo, hi], sieved a block at a time until there are enough."""
     count = 0
     start = max(lo, 2)
     while count < enough and start <= hi:
         stop = min(hi, start + PRIME_BLOCK - 1)
-        root = math.isqrt(stop)
-        small = np.ones(root + 1, dtype=bool)
-        small[:2] = False
-        for p in range(2, math.isqrt(root) + 1):
-            if small[p]:
-                small[p * p :: p] = False
         is_prime = np.ones(stop - start + 1, dtype=bool)
-        for p in np.flatnonzero(small).tolist():
+        for p in _primes_upto(math.isqrt(stop)):
             is_prime[max(p * p, -(-start // p) * p) - start :: p] = False
         count += int(np.count_nonzero(is_prime))
         start = stop + 1
@@ -99,6 +111,31 @@ def _coprime_capacity(first: int, last: int, enough: float) -> int:
     """
     capacity = int(first == 1) + _count_primes(2, min(first - 1, math.isqrt(last)), enough)
     return capacity + _count_primes(first, last, enough - capacity)
+
+
+def _slots_taken(member: int, first: int, last: int, small: list[int]) -> int:
+    """A lower bound on how many of _coprime_capacity's slots a member of [first, last] takes.
+
+    A slot is 1 itself, or a prime <= sqrt(last) or in [first, last]; the
+    member takes each one it is divisible by, since no member coprime to it
+    can have that least prime factor.  small holds the primes up to
+    sqrt(last), or up to SLOT_PRIMES_MAX when that is less; a factor
+    above them is counted once at most, so the count is exact only for a
+    range that ends below SLOT_PRIMES_MAX**2.
+    """
+    if member == 1:
+        return 1
+    taken, rest = 0, member
+    for p in small:
+        if p * p > rest:
+            break
+        if rest % p == 0:
+            taken += 1
+            while rest % p == 0:
+                rest //= p
+    # What is left is 1, or has a least prime factor that is a slot unless
+    # it is a prime between sqrt(last) and first.
+    return taken + int(rest > 1 and (rest * rest <= last or rest >= first))
 
 
 def default_delays(n_lines: int, lo_s: float, hi_s: float, fs: float) -> list[int]:
@@ -131,7 +168,17 @@ def default_delays(n_lines: int, lo_s: float, hi_s: float, fs: float) -> list[in
     # A candidate is coprime to every chosen delay when it is coprime to
     # their product; only a repeated delay of 1 would pass that test too.
     product = 1
+    # The search stops once the slots the chosen delays leave cannot hold
+    # the lines still wanted.  The capacity was counted only as far as
+    # n_lines, so it is counted further before that refuses.
+    small = _primes_upto(min(math.isqrt(last), SLOT_PRIMES_MAX))
+    taken = 0
     for value in raw:
+        needed = n_lines - len(delays) + taken
+        if needed > capacity:
+            capacity = _coprime_capacity(first, last, needed)
+            if needed > capacity:
+                raise InvalidParameterError(refusal)
         base = max(1, round(float(value)))
         for step in range(last - first + 2):
             for candidate in ({base} if step == 0 else {base + step, base - step}):
@@ -148,6 +195,7 @@ def default_delays(n_lines: int, lo_s: float, hi_s: float, fs: float) -> list[in
             raise InvalidParameterError(refusal)
         product *= candidate
         delays.append(candidate)
+        taken += _slots_taken(candidate, first, last, small)
     return delays
 
 
@@ -469,14 +517,25 @@ def write_wav(handle, ir: np.ndarray, fs: float) -> None:
     holding the sample count, ``data``), then the little-endian samples.  A
     render holds at most MAX_RENDER_SAMPLES samples, so no size field
     needs RF64.  The header holds the rate as a whole number of Hz, so
-    any other rate is refused.
+    any other rate is refused, and a sample that is not finite as a 32-bit
+    float (past +-3.4e38, or NaN or inf already) is refused by index with
+    SampleRangeError.
     """
     check_fs(fs)
     if fs != int(fs):
         raise InvalidParameterError(f"a WAV holds a whole number of Hz, got fs {fs}")
-    data = np.ascontiguousarray(ir, dtype="<f4")
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = np.ascontiguousarray(ir, dtype="<f4")
     if data.ndim != 1:
         raise InvalidParameterError(f"a mono WAV needs a 1-D signal, got shape {data.shape}")
+    lost = ~np.isfinite(data)
+    if lost.any():
+        index = int(np.argmax(lost))
+        raise SampleRangeError(
+            f"sample {index} is {np.asarray(ir, dtype=np.float64)[index]:g}, which a WAV of "
+            f"32-bit floats cannot hold (finite and within +-{np.finfo(np.float32).max:g})",
+            sample_index=index,
+        )
     rate = int(fs)
     header = struct.pack(
         "<4sI4s" "4sIHHIIHHH" "4sII" "4sI",

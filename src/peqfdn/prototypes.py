@@ -3,8 +3,8 @@
 One table (COEFF_EXPONENTS) defines every band kind: each s-domain
 coefficient is a power of A = 10^(G/40), the s^1 ones also divided by Q.
 analog_coeffs builds a band's polynomials from it; the band magnitude
-(band_magnitude), the fit's response and partials (optimize) and the
-starting point of digitization (digitize.band_to_biquad) all read it.
+(squared_magnitude, band_magnitude), the fit's response and partials
+(optimize) and the digitizer's start and scores (digitize) all read it.
 All math is float64.
 """
 
@@ -22,6 +22,7 @@ __all__ = [
     "COEFF_EXPONENTS",
     "analog_coeffs",
     "band_magnitude",
+    "squared_magnitude",
 ]
 
 
@@ -105,10 +106,19 @@ def analog_coeffs(
     return num, den
 
 
+def squared_magnitude(xx, coeffs):
+    """|H|^2 at X = (f/fc)^2, scalar or array, of the polynomials analog_coeffs gives.
+
+    ((n0 - n2 X)^2 + n1^2 X) / ((d0 - d2 X)^2 + d1^2 X), with no check.
+    """
+    (n2, n1, n0), (d2, d1, d0) = coeffs
+    return ((n0 - n2 * xx) ** 2 + n1 * n1 * xx) / ((d0 - d2 * xx) ** 2 + d1 * d1 * xx)
+
+
 def band_magnitude(f, band: BandParams):
     """Linear magnitude of any band kind at frequency f (Hz, scalar or array).
 
-    |H|^2 = ((n0 - n2 X)^2 + n1^2 X) / ((d0 - d2 X)^2 + d1^2 X), X = (f/fc)^2.
+    |H|^2 is squared_magnitude at X = (f/fc)^2.
     A band whose squared terms pass float64's range (a Q below about
     1e-154, say) has no finite magnitude and is refused.
     """
@@ -116,13 +126,9 @@ def band_magnitude(f, band: BandParams):
     check_finite(freqs, "freqs")
     if np.any(freqs < 0):
         raise InvalidParameterError("frequencies must be >= 0")
-    (n2, n1, n0), (d2, d1, d0) = analog_coeffs(band)
     x = freqs / band.fc_hz
-    xx = x * x
     with np.errstate(all="ignore"):
-        num = (n0 - n2 * xx) ** 2 + n1 * n1 * xx
-        den = (d0 - d2 * xx) ** 2 + d1 * d1 * xx
-        mag = np.sqrt(num / den)
+        mag = np.sqrt(squared_magnitude(x * x, analog_coeffs(band)))
     if not np.isfinite(mag).all():
         raise InvalidParameterError(f"the {band} has a magnitude past float64's range")
     return float(mag) if mag.ndim == 0 else mag

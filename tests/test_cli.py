@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from peqfdn import FittedPeq, SosCascade, cli, digitize, scale_to_delay
+from peqfdn import (
+    FittedPeq,
+    SosCascade,
+    cli,
+    digital_magnitude,
+    digitize,
+    network_to_sos,
+    scale_to_delay,
+)
 from peqfdn.digitize import digitization_report
 from peqfdn.targets import FrequencyGrid
 
@@ -33,6 +41,43 @@ ABOVE_NYQUIST_BANDS = (
     ("bell", 24070.973026723357, -8.535138229108451, 0.8975525497611629),
     ("high_shelf", 29232.58655752723, -6.844202763614273, 1.2572164715554615),
 )
+
+# The 12-band CLI-default fit of a synthetic room T60 table whose high shelf
+# sits at 0.9975 Nyquist, as (kind, fc_hz, gain_db, q).  Scored only on its
+# design grid, the digitizer gave that shelf a pole of radius 0.99999988 at
+# 23580 Hz, between grid points: every line peaked at +75 to +93 dB there,
+# export passed it, and render wrote a WAV that overflowed float32.
+NEAR_NYQUIST_SHELF_BANDS = (
+    ("low_shelf", 10.413868253606877, -14.296945576285871, 2.6731717561843586),
+    ("bell", 14.061487212291665, -11.971236542817643, 1.1452594504445779),
+    ("bell", 47.86589095909526, -8.262157645488504, 0.28618168372201014),
+    ("bell", 101.81486907901933, -5.134372911155616, 0.42951903483605997),
+    ("bell", 171.53852966208743, -4.749645143884379, 0.4584958026207034),
+    ("bell", 300.17205239508263, -2.3192198055531237, 0.49489846435496393),
+    ("bell", 604.0354248535689, -1.8290003871310077, 0.4680567285654331),
+    ("bell", 1538.0247137310812, -1.5957008801198287, 0.4440723099641541),
+    ("bell", 3721.761770372921, -1.1362932389620206, 0.4764241855520587),
+    ("bell", 10358.543682093696, -1.7687635070377776, 0.39654535693412724),
+    ("bell", 22538.500845467723, -0.9442684554298798, 0.862179045938016),
+    ("high_shelf", 23939.505968956968, -0.3440778419925436, 1.5809477447841809),
+)
+
+
+def write_fit(path, bands, m_ref=4800):
+    rows = [dict(zip(("kind", "fc_hz", "gain_db", "q"), band)) for band in bands]
+    path.write_text(json.dumps({"fs": 48000.0, "m_ref": m_ref, "bands": rows}))
+    return str(path)
+
+
+def read_export(out_dir):
+    """(delay, sections) per manifest line, sections as read from the CSV."""
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    lines = []
+    for entry in manifest["lines"]:
+        rows = (out_dir / entry["csv"]).read_text().strip().splitlines()[1:]
+        sections = np.array([[float(v) for v in row.split(",")] for row in rows])
+        lines.append((entry["delay_samples"], sections))
+    return lines
 
 
 @pytest.fixture
@@ -157,13 +202,13 @@ def test_export_explicit_delays(flat_csv, tmp_path):
 def test_export_designs_each_section_once(flat_csv, tmp_path, monkeypatch):
     fit_path = run_fit(flat_csv, tmp_path)
     designed = []
-    design = digitize.band_to_biquad
+    design = digitize._design
 
-    def counting_design(band, fs):
+    def counting_design(band, *args):
         designed.append(band)
-        return design(band, fs)
+        return design(band, *args)
 
-    monkeypatch.setattr(digitize, "band_to_biquad", counting_design)
+    monkeypatch.setattr(digitize, "_design", counting_design)
     out_dir = tmp_path / "sos"
     rc = cli.main(
         ["export", "--fit", fit_path, "--out-dir", str(out_dir), "--lines", "3",
@@ -180,6 +225,63 @@ def test_export_designs_each_section_once(flat_csv, tmp_path, monkeypatch):
         cascade = SosCascade([[s[c] for c in columns] for s in doc["sections"]], doc["fs"])
         params = scale_to_delay(fitted, entry["delay_samples"])
         assert doc["digitization"] == digitization_report(params, cascade, freqs)
+
+
+def test_export_keeps_the_given_delay_order(tmp_path):
+    # Lines are digitized shortest first, each starting its search from the
+    # line before, but come back in the order given.
+    fit_path = write_fit(tmp_path / "fit.json", NEAR_NYQUIST_SHELF_BANDS)
+    exports = {}
+    for order in ("1753,720,5759,971", "720,971,1753,5759"):
+        out_dir = tmp_path / order
+        argv = ["export", "--fit", fit_path, "--out-dir", str(out_dir), "--quiet"]
+        assert cli.main(argv + ["--delay-samples", order]) == 0
+        exports[order] = read_export(out_dir)
+    given = exports["1753,720,5759,971"]
+    assert [m for m, _ in given] == [1753, 720, 5759, 971]
+    fitted = FittedPeq.from_dict(json.loads(open(fit_path).read()))
+    want = network_to_sos(fitted, [1753, 720, 5759, 971])
+    assert [sections.tolist() for _, sections in given] == [c.sections.tolist() for c in want]
+    assert sorted((m, s.tolist()) for m, s in given) == [
+        (m, s.tolist()) for m, s in exports["720,971,1753,5759"]
+    ]
+
+
+def test_near_nyquist_shelf_exports_and_renders_a_decaying_network(tmp_path):
+    fit_path = write_fit(tmp_path / "fit.json", NEAR_NYQUIST_SHELF_BANDS)
+    out_dir = tmp_path / "sos"
+    assert cli.main(["export", "--fit", fit_path, "--out-dir", str(out_dir), "--quiet"]) == 0
+    freqs = np.linspace(0.0, 24000.0, 200_001)
+    lines = read_export(out_dir)
+    assert len(lines) == 8
+    for m, sections in lines:
+        peak = digital_magnitude(SosCascade(sections, 48000.0), freqs).max()
+        assert peak < 0.0, f"line {m} peaks at {peak:+.2f} dB"
+    wav_path = tmp_path / "ir.wav"
+    assert cli.main(["render", "--fit", fit_path, "--out", str(wav_path), "--quiet"]) == 0
+    _, ir = wavfile.read(wav_path)
+    ir = ir.astype(np.float64)
+    assert np.isfinite(ir).all()
+    tenth = ir.size // 10
+    assert np.sum(ir[-tenth:] ** 2) < 1e-3 * np.sum(ir[:tenth] ** 2)
+
+
+def test_render_refuses_a_response_the_wav_cannot_hold(flat_csv, tmp_path, capsys, monkeypatch):
+    # A finite float64 response past float32's range: exit 2, naming the
+    # sample, and neither the WAV nor the decay table is written.
+    fit_path = run_fit(flat_csv, tmp_path)
+    render = cli.render_ir
+
+    def loud_render(cfg):
+        return render(cfg) * 1e39
+
+    monkeypatch.setattr(cli, "render_ir", loud_render)
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    argv = ["render", "--fit", fit_path, "--lines", "2", "--duration", "0.5"]
+    assert cli.main([*argv, "--out", str(tmp_path / "ir.wav"), "--quiet"]) == 2
+    assert "which a WAV of 32-bit floats cannot hold" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_export_rejects_bad_inputs(flat_csv, tmp_path, capsys):

@@ -10,6 +10,7 @@ from peqfdn import (
     BandKind,
     BandParams,
     FitConfig,
+    FittedPeq,
     InvalidParameterError,
     PeqParams,
     SosCascade,
@@ -19,11 +20,13 @@ from peqfdn import (
     digital_magnitude,
     digitization_report,
     fit,
+    network_to_sos,
     peq_to_sos,
     scale_to_delay,
     sos_to_csv,
     sos_to_dict,
 )
+from peqfdn import digitize
 from peqfdn.digitize import _biquad_mag_db
 from peqfdn.fdn import DEFAULT_DELAY_RANGE_S
 from peqfdn.targets import FrequencyGrid
@@ -310,3 +313,223 @@ def test_digitization_report_sections_and_bound():
     assert report["split_hz"] == pytest.approx(0.7 * FS / 2)
     assert report["max_abs_dev_below_db"] <= 0.5
     assert report["max_abs_dev_above_db"] >= 0.0
+
+
+# The packaged median table fitted at CLI defaults (12 bands, m_ref 4800 at
+# 48 kHz), as (kind, fc_hz, gain_db, q).
+MEDIAN_FIT_BANDS = (
+    ("low_shelf", 23.82860518085461, -9.094247702307474, 0.4570861604024574),
+    ("bell", 35.39685571209067, -0.6951252195236289, 0.5239204719921449),
+    ("bell", 66.52801329851752, -1.7597813132821023, 0.5401904522869923),
+    ("bell", 114.9547793868099, -1.02827075824779, 0.6074086054856713),
+    ("bell", 257.1000747182248, -1.9689929461138194, 0.6304374376222894),
+    ("bell", 724.8551014909881, -4.8996110040442336, 0.42544990918570313),
+    ("bell", 1548.5255371618912, -0.5647762014988491, 0.7830232445709765),
+    ("bell", 5518.628742968542, -5.792602393259142, 0.3887277005053702),
+    ("bell", 10376.971973328687, -5.115339546767654, 0.8869871007236819),
+    ("bell", 12428.374426632974, -1.755882781230235, 1.6624503358249574),
+    ("bell", 14643.31439428658, -0.28730008035296906, 3.311121966239952),
+    ("high_shelf", 15751.260858799173, -8.865600679194243, 1.2057724654191107),
+)
+
+
+# Two synthetic tables' fits at CLI defaults whose high shelf sits above
+# Nyquist, pinned at 0.7 Nyquist.  On some lines its best p jumps to
+# another basin of the score, and a warm start from the line before stays
+# in the old one.  The first shelf (31.5 kHz, Q 3.9) does so between the
+# 4279- and 5759-sample lines, where that lands 2.2 dB worse below 0.7
+# Nyquist but fails the score test.  The second (34.8 kHz, Q 4.7) does so
+# on the 3711-sample line of SHELF_BASIN_DELAYS and lands 0.03 dB worse,
+# with a score that passes: such corners get no warm start.
+SHELF_ABOVE_NYQUIST_BANDS = (
+    ("low_shelf", 48.02172855760348, -2.0702594831852017, 0.5359987170863993),
+    ("bell", 78.98408100698555, -1.7522073788900778, 0.4506969689862667),
+    ("bell", 187.80898077474546, -1.551919121932992, 0.47628217113297566),
+    ("bell", 420.1573770111355, -2.7170667921203284, 0.4446686953056785),
+    ("bell", 948.5300121631273, -3.805269906872316, 0.43373220200016965),
+    ("bell", 1926.3402616812398, -5.6754777557945415, 0.40586089032328815),
+    ("bell", 3745.854240488757, -7.036037218211026, 0.37828995120170783),
+    ("bell", 7975.024179464396, -6.453661420586412, 0.4220462697760883),
+    ("bell", 14285.178157230619, -6.285638535797456, 0.5802121429211419),
+    ("bell", 19827.916958360183, -5.093722213055883, 0.9714160376236208),
+    ("bell", 21407.397641493957, -11.876716687645803, 1.9749036568423417),
+    ("high_shelf", 31548.519686459058, -13.620628410278796, 3.8728531117890475),
+)
+SHELF_BASIN_BANDS = (
+    ("low_shelf", 34.837330655138416, -1.4813904744739679, 0.6241321183231554),
+    ("bell", 47.94891965510167, -1.9534151630785923, 0.4798571135414424),
+    ("bell", 123.24453488352623, -0.9092427672881572, 0.49920134917414716),
+    ("bell", 280.66288489925705, -0.9252125395899178, 0.495583324416801),
+    ("bell", 664.6186931765687, -1.5119803104819476, 0.4870827993727134),
+    ("bell", 1353.819931459471, -2.473652708602571, 0.5134556508642386),
+    ("bell", 2450.373832293787, -4.638221377000955, 0.48976932794946243),
+    ("bell", 4435.487772491883, -6.785788721379569, 0.42750571299820417),
+    ("bell", 10489.339106253114, -7.088450057795314, 0.3840687783430556),
+    ("bell", 21408.079435177617, -6.099531682163937, 1.0496367657274916),
+    ("bell", 22505.854833294383, -8.021189370742787, 3.2135944983999476),
+    ("high_shelf", 34827.28414660025, -15.044429719789418, 4.677569862044572),
+)
+SHELF_BASIN_DELAYS = [
+    732, 767, 782, 796, 845, 853, 884, 927, 942, 969, 1014, 1033, 1096, 1108, 1138, 1193,
+    1243, 1268, 1313, 1339, 1387, 1433, 1494, 1537, 1602, 1624, 1692, 1787, 1819, 1848, 1938,
+    2016, 2076, 2162, 2186, 2285, 2334, 2458, 2483, 2605, 2697, 2767, 2885, 2935, 3097, 3156,
+    3311, 3376, 3523, 3581, 3711, 3863, 3980, 4051, 4192, 4431, 4489, 4715, 4760, 5008, 5134,
+    5345, 5436, 5697,
+]
+
+
+def fitted_from(bands):
+    rows = [dict(zip(("kind", "fc_hz", "gain_db", "q"), band)) for band in bands]
+    return FittedPeq.from_dict({"fs": FS, "m_ref": 4800, "bands": rows})
+
+
+def median_fit():
+    return fitted_from(MEDIAN_FIT_BANDS)
+
+
+def shuffled(delays, seed=3):
+    delays = list(delays)
+    np.random.default_rng(seed).shuffle(delays)
+    return delays
+
+
+def shuffled_delays(n_lines):
+    return shuffled(default_delays(n_lines, *DEFAULT_DELAY_RANGE_S, FS))
+
+
+def full_search(fitted, delays):
+    return [peq_to_sos(scale_to_delay(fitted, m), FS) for m in delays]
+
+
+def test_network_shortest_line_is_the_full_search():
+    fitted = median_fit()
+    delays = shuffled_delays(64)
+    shortest = int(np.argmin(delays))
+    assert shortest != 0
+    cascades = network_to_sos(fitted, delays)
+    want = peq_to_sos(scale_to_delay(fitted, delays[shortest]), FS)
+    assert cascades[shortest].sections.tobytes() == want.sections.tobytes()
+
+
+@pytest.mark.parametrize(
+    "bands, delays",
+    [
+        (MEDIAN_FIT_BANDS, shuffled_delays(8)),
+        (MEDIAN_FIT_BANDS, shuffled_delays(64)),
+        (SHELF_ABOVE_NYQUIST_BANDS, shuffled_delays(8)),
+        (SHELF_BASIN_BANDS, shuffled(SHELF_BASIN_DELAYS)),
+    ],
+    ids=["median-8", "median-64", "shelf_above_nyquist-8", "shelf_basin-64"],
+)
+def test_network_lines_track_the_full_search(bands, delays):
+    # Each line comes back in the caller's order, and its worst deviation
+    # below 0.7 Nyquist is within 0.01 dB of what the full search gives it.
+    # The warm stage runs on the full search's own lattice of p, so its
+    # sections differ from the full search's at most by rounding; centred
+    # on the line before's p instead, they differ by up to 4e-3 here.
+    fitted = fitted_from(bands)
+    freqs = np.geomspace(20.0, 0.7 * FS / 2, 400)
+    warm = network_to_sos(fitted, delays)
+    full = full_search(fitted, delays)
+    assert [c.fs for c in warm] == [FS] * len(delays)
+    for m, got, want in zip(delays, warm, full):
+        assert np.abs(got.sections - want.sections).max() <= 1e-14
+        params = scale_to_delay(fitted, m)
+        dev_warm = digitization_report(params, got, freqs)["max_abs_dev_below_db"]
+        dev_full = digitization_report(params, want, freqs)["max_abs_dev_below_db"]
+        assert dev_warm <= dev_full + 0.01
+
+
+def test_network_equal_delays_share_one_cascade():
+    fitted = median_fit()
+    first, again, other = network_to_sos(fitted, [971, 971, 720])
+    assert first is again
+    assert other.sections.tobytes() == full_search(fitted, [720])[0].sections.tobytes()
+
+
+def test_network_refusals_name_the_line():
+    fitted = median_fit()
+    with pytest.raises(InvalidParameterError, match="delay line of 0 samples: m_k"):
+        network_to_sos(fitted, [720, 0, -5])
+    # The 4799999-sample line scales the bands past what the digitizer designs.
+    with np.errstate(all="ignore"), pytest.raises(
+        InvalidParameterError, match="delay line of 4799999 samples: .*no finite, stable section"
+    ):
+        network_to_sos(fitted, [4799999, 720])
+
+
+def count_scores(monkeypatch):
+    calls = []
+    score = digitize._score_trials
+
+    def counting_score(*args):
+        calls.append(args[0].size)
+        return score(*args)
+
+    monkeypatch.setattr(digitize, "_score_trials", counting_score)
+    return calls
+
+
+def test_warm_start_runs_one_stage_and_falls_back_to_the_full_search(monkeypatch):
+    band = scale_to_delay(median_fit(), 1753).bands[-1]
+    pins = digitize._pins(band.fc_hz, FS)
+    calls = count_scores(monkeypatch)
+    full_row, (p_full, worst_full) = digitize._design(band, pins)
+    assert len(calls) == 2
+    _, (d2, _, d0) = digitize.analog_coeffs(band)
+    p_analog = d2 / d0 * (pins.f_pin / band.fc_hz) ** 2
+    lowest = p_analog * digitize._STAGE_FACTORS[0][0]
+    # Started from its own result, the second stage alone finds as good a
+    # section (the same one up to the rounding of its centre).
+    calls.clear()
+    _, (p_warm, worst_warm) = digitize._design(band, pins, (p_full, worst_full))
+    assert len(calls) == 1
+    assert worst_warm <= worst_full * (1.0 + 1e-12)
+    assert p_warm == pytest.approx(p_full, rel=1e-12)
+    cases = [
+        # (the band's p and worst score on the line before, score calls)
+        ((lowest, np.inf), 3),  # the best trial lies at the stage's upper edge
+        ((p_full, 1.0 + 1e-12), 3),  # the score is far worse than the line before's
+        ((1e6 * p_analog, np.inf), 2),  # outside the first stage: no second stage first
+    ]
+    for prev, n_calls in cases:
+        calls.clear()
+        row, found = digitize._design(band, pins, prev)
+        assert len(calls) == n_calls
+        assert row.tobytes() == full_row.tobytes()
+        assert found == (p_full, worst_full)
+
+
+def test_a_line_over_twice_as_long_gets_no_warm_start(monkeypatch):
+    # From 720 to 5759 samples every band's error grows about 8x, past the
+    # score test, so the second stage alone would only add a third.
+    calls = count_scores(monkeypatch)
+    network_to_sos(median_fit(), [5759, 720])
+    assert len(calls) == 2 * 2 * len(MEDIAN_FIT_BANDS)
+    calls.clear()
+    network_to_sos(median_fit(), [1303, 720])
+    assert len(calls) < 2 * 2 * len(MEDIAN_FIT_BANDS)
+
+
+def test_network_fallbacks_give_the_full_search(monkeypatch):
+    # At the 8 default delays the gain steps by up to 1.35x a line, and
+    # some bands' best trial leaves the second stage: those fall back.
+    fitted = median_fit()
+    delays = default_delays(8, *DEFAULT_DELAY_RANGE_S, FS)
+    calls = count_scores(monkeypatch)
+    fallbacks = []
+    design = digitize._design
+
+    def recording_design(band, pins, prev=None):
+        before = len(calls)
+        out = design(band, pins, prev)
+        if prev is not None and len(calls) - before > 1:
+            fallbacks.append((band, out[0]))
+        return out
+
+    monkeypatch.setattr(digitize, "_design", recording_design)
+    network_to_sos(fitted, delays)
+    assert fallbacks
+    monkeypatch.setattr(digitize, "_design", design)
+    for band, row in fallbacks:
+        assert row.tobytes() == band_to_biquad(band, FS).sections.tobytes()

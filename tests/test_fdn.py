@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+import time
 import warnings
 from unittest import mock
 
@@ -22,6 +23,7 @@ from peqfdn import (
     InsufficientDecayError,
     InvalidParameterError,
     PeqParams,
+    SampleRangeError,
     SosCascade,
     decay_measurements_to_csv,
     default_delays,
@@ -165,6 +167,35 @@ def test_coprime_bound_never_refuses_a_count_the_search_accepts(first, width, rn
         for n in range(bound + 1, min(bound + 3, width + 2)):
             with pytest.raises(InvalidParameterError, match="coprime delays at fs=1.0$"):
                 default_delays(n, first, last, 1.0)
+
+
+def test_default_delays_refuses_a_count_the_range_cannot_place_at_once():
+    # 650 lines pass the prime bound in the default range, but the first
+    # delay, 720 = 2^4 3^2 5, takes three of its 650 slots.  The search used
+    # to try every candidate for every line before refusing, in about 1.5 s.
+    started = time.perf_counter()
+    with pytest.raises(InvalidParameterError, match="650 distinct coprime delays at fs=48000.0$"):
+        default_delays(650, *DEFAULT_DELAY_RANGE_S, FS)
+    assert time.perf_counter() - started < 0.2
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(first=st.integers(1, 200), width=st.integers(0, 200))
+def test_early_refusal_agrees_with_the_exhaustive_search(first, width):
+    # Counting no slot as taken turns the early refusal off; every count up
+    # to the bound then gets the same list, or the same refusal, either way.
+    last = first + width
+    bound = fdn._coprime_capacity(first, last, math.inf)
+
+    def delays_or_refusal(n):
+        try:
+            return default_delays(n, first, last, 1.0)
+        except InvalidParameterError as exc:
+            return str(exc)
+
+    early = [delays_or_refusal(n) for n in range(1, bound + 1)]
+    with mock.patch.object(fdn, "_slots_taken", lambda *args: 0):
+        assert [delays_or_refusal(n) for n in range(1, bound + 1)] == early
 
 
 def test_default_gains_shape_and_magnitude():
@@ -500,6 +531,21 @@ def test_write_wav_refuses_a_rate_the_header_cannot_hold(fs):
     handle = io.BytesIO()
     with pytest.raises(InvalidParameterError, match="whole number of Hz"):
         write_wav(handle, np.ones(4), fs)
+    assert handle.getvalue() == b""
+
+
+@pytest.mark.parametrize("value", [3.5e38, -1e39, math.inf, math.nan])
+def test_write_wav_refuses_a_sample_float32_cannot_hold(value):
+    # The float32 cast used to turn 3.5e38 into inf, with a RuntimeWarning,
+    # and write the WAV anyway.
+    ir = np.exp(-np.arange(4800) / 480.0)
+    ir[2000] = value
+    handle = io.BytesIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SampleRangeError, match="sample 2000 is") as err:
+            write_wav(handle, ir, FS)
+    assert err.value.sample_index == 2000
     assert handle.getvalue() == b""
 
 
