@@ -6,9 +6,10 @@ one sample, a range outside 0 < lo <= hi, a count below one, a path that
 is not a directory, and a fit file that breaks the rules fit keeps.  This
 module refuses only what they cannot see in time: a malformed delay list
 or LO:HI range, a directory without CSV tables, and a render in which no
-band's decay can be measured.  It applies the library's decay rule
-(targets.check_decays) to each line's digital cascade, and prefixes the
-line or the fit file to a refusal.  A refused run writes no file.
+band's decay can be measured.  It prefixes the fit file to a refusal;
+the library names the delay line, and refuses a line whose digital
+cascade would not decay (digitize.network_to_sos).  A refused run writes
+no file.
 
 Exit codes: 0 on success, 1 for bad arguments or unreadable/malformed
 inputs, 2 when the numerics give up (diverging fit, a fit or cascade that
@@ -28,20 +29,8 @@ from typing import BinaryIO, Callable
 
 import numpy as np
 
-from .digitize import (
-    digital_magnitude,
-    digitization_report,
-    network_to_sos,
-    sos_to_csv,
-    sos_to_dict,
-)
-from .errors import (
-    InsufficientDecayError,
-    InvalidParameterError,
-    NonDecayingResponseError,
-    ParseError,
-    PeqFdnError,
-)
+from .digitize import digitization_report, network_to_sos, sos_to_csv, sos_to_dict
+from .errors import InsufficientDecayError, InvalidParameterError, ParseError, PeqFdnError
 from .evaluate import achieved_t60, op_count, run_campaign, synthetic_smooth_curves
 from .fdn import (
     DEFAULT_DELAY_RANGE_S,
@@ -58,7 +47,7 @@ from .fdn import (
 )
 from .optimize import FitConfig, fit
 from .peq import FittedPeq, scale_to_delay
-from .targets import FrequencyGrid, check_decays, load_t60_table
+from .targets import FrequencyGrid, load_t60_table
 
 __all__ = ["main"]
 
@@ -173,31 +162,6 @@ def _parse_range(text: str) -> tuple[float, float]:
         raise InvalidParameterError(f"range must be numeric, got {text!r}") from None
 
 
-# Attenuation check grid as fractions of fs: DC, then log spaced from 1e-6
-# up to Nyquist.
-_ATTENUATION_GRID = np.concatenate(([0.0], np.geomspace(1e-6, 0.5, 1024)))
-
-
-def _line_cascades(fitted: FittedPeq, delays) -> list:
-    """Each line's cascade, in the order of delays, refused unless it attenuates everywhere.
-
-    The network decays when every line's cascade stays below 0 dB from DC
-    to Nyquist (check_decays).  The fit constrains the response only from
-    20 Hz up, so a fitted band can still reach 0 dB below that.
-    """
-    freqs = fitted.fs * _ATTENUATION_GRID
-    # A band too deep to digitize overflows in its design, which then
-    # refuses it, so the warnings are noise.
-    with np.errstate(all="ignore"):
-        cascades = network_to_sos(fitted, delays)
-    for m_k, cascade in zip(delays, cascades):
-        try:
-            check_decays(digital_magnitude(cascade, freqs), freqs)
-        except NonDecayingResponseError as exc:
-            raise NonDecayingResponseError(f"delay line of {m_k} samples: {exc}") from None
-    return cascades
-
-
 def _fit_and_delays(args):
     """The fit, and its delays in samples.
 
@@ -272,7 +236,7 @@ def cmd_fit(args) -> int:
 
 def cmd_export(args) -> int:
     fitted, delays = _fit_and_delays(args)
-    cascades = _line_cascades(fitted, delays)
+    cascades = network_to_sos(fitted, delays)
 
     os.makedirs(args.out_dir, exist_ok=True)
     report_grid = FrequencyGrid.log_spaced(fitted.fs)
@@ -316,7 +280,7 @@ def cmd_render(args) -> int:
         t60_profile = achieved_t60(fitted, FrequencyGrid.log_spaced(fs).freqs)
         duration = default_render_duration(float(np.max(t60_profile)))
     render_length(duration, fs, delays)  # refused before any digitizing
-    cascades = _line_cascades(fitted, delays)
+    cascades = network_to_sos(fitted, delays)
 
     n_lines = len(delays)
     input_gains, output_gains = default_gains(n_lines)

@@ -18,7 +18,11 @@ design grid and pins are set up once, and the lines are visited from the
 shortest delay up: the shortest gets the full two-stage search, and each
 longer line runs only the second stage, around the first-stage trial
 nearest the same band's best p on the line before, falling back to the
-full search where that start cannot be trusted (see _design).
+full search where that start cannot be trusted (see _design).  It then
+refuses a network that would not decay: with orthogonal feedback the loop
+decays when every line's cascade stays below 0 dB from DC to Nyquist (Jot
+and Chaigne, AES 1991).  The digitizer silences its own numpy warnings: a
+band past its reach overflows on the way to its refusal.
 """
 
 import io
@@ -28,10 +32,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, NonDecayingResponseError
 from .peq import FittedPeq, PeqParams, peq_log_magnitude, scale_to_delay
 from .prototypes import BandParams, analog_coeffs, band_magnitude, squared_magnitude
-from .targets import check_finite, check_fs
+from .targets import check_decays, check_finite, check_fs
 
 __all__ = [
     "SosCascade",
@@ -117,6 +121,9 @@ _WARM_SCORE_FACTOR = 2.0
 _C_FLOOR = 1e-9
 # The section of a flat band: b0 = a0 = 1.
 _IDENTITY = np.array([[1.0, 0.0, 0.0, 1.0, 0.0, 0.0]])
+# Where network_to_sos checks each line's decay, as fractions of fs: DC,
+# then log spaced from 1e-6 up to Nyquist.
+_ATTENUATION_GRID = np.concatenate(([0.0], np.geomspace(1e-6, 0.5, 1024)))
 
 
 def _unstable(sections: np.ndarray) -> np.ndarray:
@@ -146,6 +153,7 @@ class _Pins(NamedTuple):
     w: np.ndarray
 
 
+@np.errstate(all="ignore")
 def _pins(fc: float, fs: float) -> _Pins:
     nyquist = 0.5 * fs
     f_pin = fc if fc < nyquist else 0.7 * nyquist
@@ -216,11 +224,11 @@ def _score_trials(p, w, m2, g0, gp, g1, c_start, resonance_m2):
 
 def _first_stage_trial(p: float, p_analog: float) -> int | None:
     """The index of the first-stage trial nearest p, or None if p lies outside that stage."""
-    with np.errstate(all="ignore"):
-        index = (np.log(np.float64(p) / p_analog) / np.log(100.0) + 1.0) * (_TRIALS - 1) / 2
+    index = (np.log(np.float64(p) / p_analog) / np.log(100.0) + 1.0) * (_TRIALS - 1) / 2
     return int(np.rint(index)) if -0.5 < index < _TRIALS - 0.5 else None
 
 
+@np.errstate(all="ignore")
 def _design(band: BandParams, pins: _Pins, prev: tuple | None = None):
     """One band's section, a (1, 6) row, and its (p, worst score), None for the identity.
 
@@ -352,9 +360,13 @@ def network_to_sos(fitted: FittedPeq, delays) -> list[SosCascade]:
     band_to_biquad's full search, as peq_to_sos gives it, and each longer
     one searches only around the same band's p on the line before (see
     _design), unless it is more than _WARM_SCORE_FACTOR times as long.
-    Equal delays share one cascade.  A refusal names the line,
-    "delay line of N samples: ..."; a refused delay is found in the order
-    given, a band no section can track on the shortest line that has one.
+    Equal delays share one cascade.  Every line's cascade must then stay
+    below 0 dB from DC to Nyquist (check_decays on _ATTENUATION_GRID): the
+    fit constrains the response only from 20 Hz up, so a fitted band can
+    still reach 0 dB below that.  A refusal names the line, "delay line of
+    N samples: ..."; a refused delay is found in the order given, then a
+    band no section can track on the shortest line that has one, then a
+    line that would not decay in the order given.
     """
     lines = {}
     for m_k in delays:
@@ -379,15 +391,23 @@ def network_to_sos(fitted: FittedPeq, delays) -> list[SosCascade]:
             found = [None] * len(pins)
         cascades[m_k] = _on_line(m_k, digitize_line, lines[m_k], found)
         m_prev = m_k
+    for m_k in lines:
+        _on_line(m_k, _check_line_decays, cascades[m_k])
     return [cascades[m_k] for m_k in delays]
+
+
+def _check_line_decays(cascade: SosCascade) -> None:
+    """Refuse a cascade that reaches 0 dB anywhere on _ATTENUATION_GRID."""
+    freqs = cascade.fs * _ATTENUATION_GRID
+    check_decays(_biquad_mag_db(cascade, freqs), freqs)
 
 
 def _on_line(m_k, step, *args):
     """step(*args), its refusal prefixed with the delay line it was for."""
     try:
         return step(*args)
-    except InvalidParameterError as exc:
-        raise InvalidParameterError(f"delay line of {m_k} samples: {exc}") from None
+    except (InvalidParameterError, NonDecayingResponseError) as exc:
+        raise type(exc)(f"delay line of {m_k} samples: {exc}") from None
 
 
 def sos_to_csv(sos: SosCascade) -> str:

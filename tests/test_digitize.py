@@ -12,6 +12,7 @@ from peqfdn import (
     FitConfig,
     FittedPeq,
     InvalidParameterError,
+    NonDecayingResponseError,
     PeqParams,
     SosCascade,
     band_magnitude,
@@ -123,17 +124,20 @@ def test_band_to_biquad_rejects_bad_rates():
             band_to_biquad(band, fs)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("fc_hz, q", [(1e-6, 0.7), (1000.0, 1e-100), (1000.0, 1e-300)])
 def test_band_to_biquad_refusal_names_the_band_without_blaming_the_gain(fc_hz, q):
-    # A shallow bell is refused for its corner or its Q; a Q of 1e-300 used
-    # to overflow (d1/d0)**2 with a bare OverflowError.
+    # A shallow bell is refused for its corner or its Q, without a numpy
+    # warning on the way; a Q of 1e-300 used to overflow (d1/d0)**2 with a
+    # bare OverflowError.
     band = BandParams(BandKind.BELL, fc_hz, -0.3, q)
-    with np.errstate(all="ignore"), pytest.raises(InvalidParameterError) as err:
+    with pytest.raises(InvalidParameterError) as err:
         band_to_biquad(band, FS)
     assert f"bell band of -0.3 dB at {fc_hz:.6g} Hz (Q {q:.6g})" in str(err.value)
     assert "past the gains" not in str(err.value)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "kind, gain_db",
     [(BandKind.BELL, -600.0), (BandKind.HIGH_SHELF, -600.0), (BandKind.LOW_SHELF, -1000.0)],
@@ -141,7 +145,7 @@ def test_band_to_biquad_refusal_names_the_band_without_blaming_the_gain(fc_hz, q
 def test_band_to_biquad_refuses_a_gain_it_cannot_design(kind, gain_db):
     # These designs come out non-finite; the refusal names the band, not NaNs.
     band = BandParams(kind, 1000.0, gain_db, 0.7)
-    with np.errstate(all="ignore"), pytest.raises(InvalidParameterError) as err:
+    with pytest.raises(InvalidParameterError) as err:
         band_to_biquad(band, FS)
     assert f"{kind.value} band of {gain_db:g} dB at 1000 Hz" in str(err.value)
     assert "nan" not in str(err.value)
@@ -447,15 +451,46 @@ def test_network_equal_delays_share_one_cascade():
     assert other.sections.tobytes() == full_search(fitted, [720])[0].sections.tobytes()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_network_refusals_name_the_line():
     fitted = median_fit()
     with pytest.raises(InvalidParameterError, match="delay line of 0 samples: m_k"):
         network_to_sos(fitted, [720, 0, -5])
     # The 4799999-sample line scales the bands past what the digitizer designs.
-    with np.errstate(all="ignore"), pytest.raises(
+    with pytest.raises(
         InvalidParameterError, match="delay line of 4799999 samples: .*no finite, stable section"
     ):
         network_to_sos(fitted, [4799999, 720])
+    # A 1e-300 Hz corner overflows the design grid's set-up, quietly.
+    bands = list(MEDIAN_FIT_BANDS)
+    bands[1] = ("bell", 1e-300, -0.3, 0.7)
+    with pytest.raises(InvalidParameterError, match="delay line of 720 samples: .*at 1e-300 Hz"):
+        network_to_sos(fitted_from(bands), [1753, 720])
+
+
+# Below -0.7 dB from 20 Hz up, but the low shelf lifts DC to +6 dB at the
+# reference delay of 4800 samples.
+DC_LIFT_BANDS = (
+    ("low_shelf", 4.0, 6.0, 0.7),
+    ("bell", 200.0, -6.0, 0.2),
+    ("high_shelf", 8000.0, -6.0, 0.7),
+)
+
+
+def test_network_refuses_a_line_that_would_not_decay():
+    # Every line is digitized first, then checked in the order given.
+    with pytest.raises(
+        NonDecayingResponseError,
+        match="delay line of 1753 samples: response must stay below 0 dB",
+    ):
+        network_to_sos(fitted_from(DC_LIFT_BANDS), [1753, 720])
+    # A band the digitizer cannot design is refused before any line's decay.
+    bands = list(DC_LIFT_BANDS)
+    bands[1] = ("bell", 1000.0, -0.3, 1e-300)
+    with pytest.raises(
+        InvalidParameterError, match="delay line of 720 samples: .*no finite, stable section"
+    ):
+        network_to_sos(fitted_from(bands), [1753, 720])
 
 
 def count_scores(monkeypatch):
