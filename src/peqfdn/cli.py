@@ -40,6 +40,7 @@ from .fdn import (
     default_gains,
     default_render_duration,
     householder_matrix,
+    octave_fits,
     render_ir,
     render_length,
     schroeder_t60,
@@ -298,7 +299,7 @@ def cmd_render(args) -> int:
     # Measure before writing, so a refused measurement leaves no WAV behind.
     measurements = []
     for band_hz in (None,) + RENDER_OCTAVES_HZ:
-        if band_hz is not None and band_hz * np.sqrt(2.0) >= fs / 2:
+        if band_hz is not None and not octave_fits(band_hz, fs):
             continue
         try:
             measurements.append(schroeder_t60(ir, fs, band_hz=band_hz))
@@ -422,15 +423,12 @@ def main(argv=None) -> int:
         # _Parser.error raises SystemExit; fold into the return code so
         # in-process callers see an int rather than an exception.
         return 0 if exc.code is None else int(exc.code)
-    except (ParseError, InvalidParameterError) as exc:
+    except (ParseError, InvalidParameterError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except PeqFdnError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERIC
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1,5 +1,18 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "PeqFdnError",
+    "InvalidParameterError",
+    "ParseError",
+    "NonDecayingResponseError",
+    "NumericalFailureError",
+    "FitDivergenceError",
+    "InstabilityError",
+    "SampleRangeError",
+    "InsufficientDecayError",
+    "CampaignError",
+]
+
 
 class PeqFdnError(Exception):
     """Base class for all errors raised by this package."""

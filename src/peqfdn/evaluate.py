@@ -9,7 +9,7 @@ cascade and synthetic smooth target curves for self-contained campaigns.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from multiprocessing import Pool
 
 import numpy as np
@@ -18,7 +18,7 @@ from .errors import CampaignError, InvalidParameterError, PeqFdnError
 from .fdn import MAX_RENDER_SAMPLES
 from .optimize import FitConfig, fit
 from .peq import FittedPeq, check_band_count, peq_log_magnitude
-from .targets import FrequencyGrid, T60Curve, check_decays, check_finite, check_fs
+from .targets import T60Curve, check_decays, check_finite, check_fs
 from .targets import check_positive, interpolate_to_grid
 
 __all__ = [
@@ -290,8 +290,7 @@ def run_campaign(
     check_fs(fs)
     if workers < 1:
         raise InvalidParameterError(f"need at least one worker, got {workers}")
-    if cfg.grid is None:
-        cfg = replace(cfg, grid=FrequencyGrid.log_spaced(fs))
+    cfg = cfg.with_default_grid(fs)
     rng = np.random.default_rng(cfg.seed)
     delays_s = rng.uniform(*DEFAULT_DELAY_DRAW_S, len(curves))
     jobs = []

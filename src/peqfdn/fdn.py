@@ -242,7 +242,10 @@ def render_length(duration_s: float, fs: float, delays) -> int:
 
 @dataclass(frozen=True)
 class FdnConfig:
-    """Everything needed to render one FDN impulse response."""
+    """Everything needed to render one FDN impulse response.
+
+    Delays are whole numbers of samples; a fractional one is refused.
+    """
 
     delays: tuple[int, ...]
     fs: float
@@ -253,8 +256,12 @@ class FdnConfig:
     duration_s: float
 
     def __post_init__(self):
-        for m in self.delays:
+        for k, m in enumerate(self.delays):
             check_delay(m, "delay length")
+            if m != int(m):
+                raise InvalidParameterError(
+                    f"delay {k} must be a whole number of samples, got {m}"
+                )
         delays = tuple(int(m) for m in self.delays)
         object.__setattr__(self, "delays", delays)
         n = len(delays)
@@ -403,6 +410,11 @@ class DecayMeasurement:
     residual_db: float
 
 
+def octave_fits(center_hz: float, fs: float) -> bool:
+    """Whether the octave band around center_hz lies above 0 Hz and below Nyquist."""
+    return 0 < center_hz / math.sqrt(2.0) and center_hz * math.sqrt(2.0) < 0.5 * fs
+
+
 def _octave_band_sos(center_hz: float, fs: float) -> np.ndarray:
     """4th-order Butterworth octave bandpass around center_hz, as two sections.
 
@@ -413,12 +425,12 @@ def _octave_band_sos(center_hz: float, fs: float) -> np.ndarray:
     (``lp2bp_zpk``), the bilinear transform at fs = 2 (``bilinear_zpk``)
     and the pairing of poles and zeros into sections (``zpk2sos``).
     """
-    lo = center_hz / math.sqrt(2.0)
-    hi = center_hz * math.sqrt(2.0)
-    if not (0 < lo and hi < 0.5 * fs):
+    if not octave_fits(center_hz, fs):
         raise InvalidParameterError(
             f"octave band at {center_hz} Hz does not fit below Nyquist at fs={fs}"
         )
+    lo = center_hz / math.sqrt(2.0)
+    hi = center_hz * math.sqrt(2.0)
     # Band edges pre-warped for the bilinear transform at fs = 2.
     warped = 4.0 * np.tan(np.pi * (np.array([lo, hi]) / (fs / 2)) / 2.0)
     bw = float(warped[1] - warped[0])

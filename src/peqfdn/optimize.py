@@ -123,6 +123,12 @@ class FitConfig:
                 f"the {self.grid.size} grid points can determine"
             )
 
+    def with_default_grid(self, fs: float) -> "FitConfig":
+        """This config, its unset grid replaced by the default log-spaced grid at fs."""
+        if self.grid is not None:
+            return self
+        return replace(self, grid=FrequencyGrid.log_spaced(fs))
+
 
 @dataclass
 class FitReport:
@@ -483,9 +489,7 @@ def fit(
     from scipy.optimize import least_squares
 
     started = time.perf_counter()
-    if cfg.grid is None:
-        cfg = replace(cfg, grid=FrequencyGrid.log_spaced(fs))
-    grid = cfg.grid
+    grid = cfg.with_default_grid(fs).grid
     t60_on_grid = interpolate_to_grid(target, grid)
     target_db = target_magnitude(t60_on_grid, m_ref, fs)
 

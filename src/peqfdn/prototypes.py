@@ -16,14 +16,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .targets import check_finite, check_positive
 
-__all__ = [
-    "BandKind",
-    "BandParams",
-    "COEFF_EXPONENTS",
-    "analog_coeffs",
-    "band_magnitude",
-    "squared_magnitude",
-]
+__all__ = ["BandKind", "BandParams", "band_magnitude"]
 
 
 class BandKind(str, Enum):

@@ -240,6 +240,14 @@ def test_fdn_config_validation():
     for delay in (0.5, math.inf, math.nan):
         with pytest.raises(InvalidParameterError, match=f"delay length .* got {delay}$"):
             FdnConfig(**{**good, "delays": (100, delay)})
+    # A fractional delay used to be truncated, so a cascade designed for
+    # 101.2 samples ran on a 101-sample ring.
+    for delays, k in (((100, 101.2), 1), ((100.9, 101.2), 0)):
+        with pytest.raises(InvalidParameterError,
+                           match=f"^delay {k} must be a whole number of samples, got {delays[k]}$"):
+            FdnConfig(**{**good, "delays": delays})
+    accepted = FdnConfig(**{**good, "delays": (100.0, np.int64(101))}).delays
+    assert accepted == (100, 101) and all(type(m) is int for m in accepted)
     for fs in (0.0, 1e300):
         with pytest.raises(InvalidParameterError, match="fs must be"):
             FdnConfig(**{**good, "fs": fs})

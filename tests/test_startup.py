@@ -93,13 +93,6 @@ def test_fit_and_campaign_load_only_the_optimizer(fitted):
         assert not loaded(modules, "scipy.io")
 
 
-def test_render_loads_the_signal_package(fitted):
-    workdir, fit_path, _ = fitted
-    modules = scipy_modules(workdir, "render", "--fit", fit_path, "--out",
-                            str(workdir / "ir.wav"), "--lines", "2", "--quiet")
-    assert loaded(modules, "scipy.signal")
-
-
 def test_render_loads_only_the_sos_kernel(fitted):
     workdir, fit_path, _ = fitted
     modules = scipy_modules(workdir, "render", "--fit", fit_path, "--out",
