@@ -297,37 +297,40 @@ class FdnConfig:
         return len(self.delays)
 
 
-SOS_KERNEL_MODULE = "scipy.signal._sosfilt"
+def scipy_kernel(module_name: str, attribute: str):
+    """``attribute`` of SciPy's compiled extension module_name, loaded alone.
+
+    The extension is found in its SciPy directory and registered under its
+    own name, as an import would, but without running the package around
+    it.  A later import of that package then reuses the module instead of
+    initialising it a second time, which a Cython module may refuse.
+    """
+    module = sys.modules.get(module_name)
+    if module is None:
+        import scipy
+
+        subpackage = module_name.split(".")[1:-1]
+        dirs = [os.path.join(d, *subpackage) for d in scipy.__path__]
+        spec = importlib.machinery.PathFinder.find_spec(module_name, dirs)
+        if spec is None:
+            raise ModuleNotFoundError(f"no {module_name} in {dirs}", name=module_name)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[module_name] = module
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[module_name]
+            raise
+    return getattr(module, attribute)
 
 
 def _sos_kernel():
     """The compiled loop behind ``sosfilt``, without the scipy.signal package.
 
     ``_sosfilt(sos, x, zi)`` filters x (n_signals, n) in place and updates
-    zi (n_signals, n_sections, 2), all C-contiguous float64.  The extension
-    is loaded from SciPy's signal directory and registered under its own
-    name, as an import would, so a later ``import scipy.signal`` reuses it
-    instead of initialising it a second time, which a Cython module may
-    refuse.
+    zi (n_signals, n_sections, 2), all C-contiguous float64.
     """
-    module = sys.modules.get(SOS_KERNEL_MODULE)
-    if module is None:
-        import scipy
-
-        signal_dirs = [os.path.join(d, "signal") for d in scipy.__path__]
-        spec = importlib.machinery.PathFinder.find_spec(SOS_KERNEL_MODULE, signal_dirs)
-        if spec is None:
-            raise ModuleNotFoundError(
-                f"no {SOS_KERNEL_MODULE} in {signal_dirs}", name=SOS_KERNEL_MODULE
-            )
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[SOS_KERNEL_MODULE] = module
-        try:
-            spec.loader.exec_module(module)
-        except BaseException:
-            del sys.modules[SOS_KERNEL_MODULE]
-            raise
-    return module._sosfilt
+    return scipy_kernel("scipy.signal._sosfilt", "_sosfilt")
 
 
 def _ring_read(ring: np.ndarray, start: int, dest: np.ndarray) -> None:

@@ -11,7 +11,9 @@ loss_and_gradient runs the same kernel on a fresh workspace, so stepping it
 with the same update reproduces a fit bit for bit.  A fit with budget left
 after its Adam warm start (a fifth of the budget, at most 2000 steps)
 polishes that result by damped Levenberg-Marquardt on the same kernel's
-residuals and Jacobian.
+residuals and Jacobian: MINPACK's compiled lmder, called as
+scipy.optimize.least_squares calls it for method="lm" and loaded alone, as
+fdn loads its SOS kernel, without the scipy.optimize package.
 A central-finite-difference oracle in the test suite is the arbiter of
 gradient correctness.
 """
@@ -28,7 +30,7 @@ from .errors import (
     InvalidParameterError,
     NumericalFailureError,
 )
-from .fdn import DEFAULT_DELAY_RANGE_S
+from .fdn import DEFAULT_DELAY_RANGE_S, scipy_kernel
 from .peq import FittedPeq, PeqParams, check_band_count
 from .prototypes import COEFF_EXPONENTS, BandKind, BandParams
 from .targets import FrequencyGrid, T60Curve, check_finite, check_positive
@@ -66,6 +68,10 @@ WARM_START_STEPS = 2000
 STEPS_PER_EVALUATION = 26
 # MINPACK counts evaluations in a C int.
 MAX_EVALUATIONS = 2**31 - 1
+# MINPACK's ftol, xtol and gtol, and the factor of its initial step bound:
+# scipy.optimize.least_squares' defaults for method="lm".
+LM_TOLERANCE = 1e-8
+LM_STEP_FACTOR = 100.0
 
 # The polish's extra rows (see _Polish).  The prior weighs log fc, gain dB
 # and log Q: it holds the corners and Q, which can run off (to fc = inf),
@@ -456,6 +462,51 @@ class _Polish:
         hinge_jac *= HINGE_WEIGHT
         return jac
 
+    def run(self, lmder, evaluations: int) -> bool:
+        """Polish from the warm start by MINPACK's lmder, spending at most
+        the given number of evaluations; False, having run nothing, if the
+        start's rows are not finite.
+
+        The calls are the ones scipy.optimize.least_squares(method="lm",
+        x_scale="jac", max_nfev=evaluations) makes: the rows and the
+        Jacobian at the start, then lmder, whose requests at the point last
+        evaluated are answered from that point's cache and any other at a
+        copy of x.
+        """
+        at = self.warm.copy()
+        cache = {"rows": self.residuals(at)}
+        if not np.isfinite(cache["rows"]).all():
+            return False
+        cache["jac"] = self.jacobian(at)
+
+        def answer(what, evaluate):
+            def call(x):
+                nonlocal at
+                if not np.array_equal(x, at):
+                    at = x.copy()
+                    cache.clear()
+                if what not in cache:
+                    cache[what] = evaluate(at)
+                return cache[what]
+
+            return call
+
+        lmder(
+            answer("rows", self.residuals),
+            answer("jac", self.jacobian),
+            self.warm.copy(),  # lmder leaves its result in x0
+            (),  # no extra arguments
+            True,  # full output
+            False,  # the Jacobian's rows are residuals
+            LM_TOLERANCE,
+            LM_TOLERANCE,
+            LM_TOLERANCE,
+            evaluations,
+            LM_STEP_FACTOR,
+            None,  # scale each parameter by its Jacobian column's norm
+        )
+        return True
+
 
 def fit(
     target: T60Curve,
@@ -472,8 +523,9 @@ def fit(
     and keeps the best-loss parameters seen (the lr-0.1 endgame oscillates,
     so the last iterate is not necessarily the best).  Each 26 steps left
     buy one evaluation of a damped Levenberg-Marquardt polish from those
-    parameters (MINPACK's, through scipy.optimize.least_squares), which may
-    stop earlier on MINPACK's convergence tests; see _Polish for its rows.
+    parameters (MINPACK's lmder, called as least_squares' method="lm" calls
+    it), which may stop earlier on MINPACK's convergence tests; see _Polish
+    for its rows.
     The fit then returns the lowest-cost parameters the polish evaluated.
     A budget that leaves fewer than two evaluations (below 65 steps) runs
     Adam alone for all of it.
@@ -484,9 +536,9 @@ def fit(
     if given, is called every 500 Adam steps with (step, current loss), and
     once at the end with (trace length, final MSE).
     """
-    # Imported before the clock starts, and by every fit, so wall_time_s
-    # never holds the import.
-    from scipy.optimize import least_squares
+    # Loaded before the clock starts, and by every fit, so wall_time_s never
+    # holds the load.
+    lmder = scipy_kernel("scipy.optimize._minpack", "_lmder")
 
     started = time.perf_counter()
     grid = cfg.with_default_grid(fs).grid
@@ -527,17 +579,9 @@ def fit(
 
         if evaluations:
             polish = _Polish(work, best_vec, m_ref, fs)
-            # least_squares refuses a start whose rows are not finite; the fit
-            # then returns its warm start.
-            if np.isfinite(polish.respond(best_vec)).all():
-                least_squares(
-                    polish.residuals,
-                    best_vec,
-                    jac=polish.jacobian,
-                    method="lm",
-                    x_scale="jac",
-                    max_nfev=evaluations,
-                )
+            # A start whose rows are not finite is not polished; the fit then
+            # returns its warm start.
+            if polish.run(lmder, evaluations):
                 trace = np.concatenate((trace, polish.losses))
                 best_vec = polish.best_vec
                 best_iteration = steps + polish.best_index

@@ -19,10 +19,12 @@ from peqfdn import (
     peq_log_magnitude,
 )
 from peqfdn.evaluate import synthetic_smooth_curves
+from peqfdn.fdn import scipy_kernel
 from peqfdn.optimize import (
     STEPS_PER_EVALUATION,
     WARM_START_STEPS,
     _adam_update,
+    _budget,
     _initial_vector,
     _Polish,
     _sorted_bands,
@@ -304,8 +306,8 @@ def test_polish_leaves_a_non_finite_trial_out(median_curve):
 
 
 def test_fit_returns_a_warm_start_the_polish_cannot_start_from(median_curve, monkeypatch):
-    # least_squares refuses a start with non-finite rows; the fit then
-    # returns its Adam steps' best, as a budget too small to polish does.
+    # The polish does not start from non-finite rows; the fit then returns
+    # its Adam steps' best, as a budget too small to polish does.
     adam = list(public_steps(median_curve, FitConfig(n_bands=4, iterations=60)))
     monkeypatch.setattr(_Polish, "respond", lambda self, vec: np.full(self.n_rows, np.nan))
     fitted, report = fit(median_curve, 4800.0, 48000.0, FitConfig(n_bands=4, iterations=300))
@@ -322,6 +324,78 @@ def test_short_t60_polish_ends_at_or_below_its_warm_start(t60_s):
     assert report.iterations > WARM_START_STEPS
     assert np.isfinite(report.loss_trace).all()
     assert report.final_mse <= report.loss_trace[:WARM_START_STEPS].min()
+
+
+def fit_warm_start(curve, n_bands, iterations, m_ref=4800.0, fs=48000.0):
+    """The grid target, Adam steps, best Adam parameters and polish
+    evaluations of fit's warm start for a budget."""
+    steps, evaluations = _budget(iterations)
+    grid = FrequencyGrid.log_spaced(fs)
+    target_db = target_magnitude(interpolate_to_grid(curve, grid), m_ref, fs)
+    work = _Workspace(n_bands, grid.freqs, target_db)
+    vec = _initial_vector(n_bands, grid, target_db)
+    m, v, scratch = np.zeros(vec.size), np.zeros(vec.size), np.empty((2, vec.size))
+    best_loss, best = math.inf, vec.copy()
+    with np.errstate(all="ignore"):
+        for t in range(1, steps + 1):
+            loss = work.evaluate(vec)
+            if loss < best_loss:
+                best_loss, best[:] = loss, vec
+            _adam_update(m, v, t, FitConfig.learning_rate, vec, work.grad, scratch)
+    return target_db, steps, best, evaluations
+
+
+@pytest.mark.parametrize(
+    "table, n_bands, iterations, evaluations",
+    [("median", 12, FitConfig.iterations, 307), ("flat", 4, 65, 2), ("flat_0.05", 12, 10000, 307)],
+)
+def test_polish_repeats_least_squares_bit_for_bit(
+    median_curve, flat_curve, table, n_bands, iterations, evaluations
+):
+    # The polish calls MINPACK's lmder as least_squares(method="lm") does.
+    # Some SciPy versions' least_squares evaluate the start a second time,
+    # as lmder's first call; that repeat is dropped before comparing.
+    from scipy.optimize import least_squares
+
+    curve = {
+        "median": median_curve,
+        "flat": flat_curve,
+        "flat_0.05": T60Curve(np.array([100.0, 10000.0]), np.array([0.05, 0.05])),
+    }[table]
+    target_db, steps, warm, budgeted = fit_warm_start(curve, n_bands, iterations)
+    assert budgeted == evaluations
+    freqs = FrequencyGrid.log_spaced(48000.0).freqs
+    ours, theirs = (
+        _Polish(_Workspace(n_bands, freqs, target_db), warm, 4800.0, 48000.0) for _ in range(2)
+    )
+    asked = []
+
+    def residuals(vec):
+        asked.append(vec.copy())
+        return theirs.residuals(vec)
+
+    with np.errstate(all="ignore"):
+        assert ours.run(scipy_kernel("scipy.optimize._minpack", "_lmder"), evaluations)
+        least_squares(
+            residuals, warm, jac=theirs.jacobian, method="lm", x_scale="jac",
+            max_nfev=evaluations,
+        )
+    losses, best_index = theirs.losses, theirs.best_index
+    if len(asked) > 1 and np.array_equal(asked[0], asked[1]):
+        # An equal cost is not a new best, so the repeat never is one.
+        del losses[1]
+        del asked[1]
+        best_index -= best_index > 0
+    assert np.array(ours.losses).tobytes() == np.array(losses).tobytes()
+    assert (ours.best_index, ours.best_vec.tobytes()) == (best_index, theirs.best_vec.tobytes())
+    assert 2 <= len(asked) <= evaluations
+    if table == "flat_0.05":
+        # Trial steps overflowed the kernel and went unrecorded.
+        assert len(losses) < len(asked)
+    # fit runs this polish from this warm start.
+    _, report = fit(curve, 4800.0, 48000.0, FitConfig(n_bands=n_bands, iterations=iterations))
+    assert report.loss_trace[steps:].tobytes() == np.array(ours.losses).tobytes()
+    assert report.best_iteration == steps + ours.best_index
 
 
 def test_fit_past_the_warm_start_polishes(median_curve):
