@@ -23,7 +23,6 @@ import os
 import struct
 import sys
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
@@ -56,11 +55,6 @@ DEFAULT_DELAY_RANGE_S = (0.015, 0.12)
 # The most samples one render holds, its output and every delay line
 # together: 2**26 float64 values are 512 MiB, 23 minutes of output at 48 kHz.
 MAX_RENDER_SAMPLES = 2**26
-# Integers default_delays sieves for primes at a time.
-PRIME_BLOCK = 2**16
-# The largest prime default_delays divides a chosen delay by to count the
-# slots it takes (see _slots_taken).
-SLOT_PRIMES_MAX = 2**12
 # The fmt chunk's format tag for 32-bit float samples.
 WAVE_FORMAT_IEEE_FLOAT = 3
 
@@ -77,73 +71,16 @@ def householder_matrix(n_lines: int) -> np.ndarray:
     return np.eye(n_lines) - (2.0 / n_lines) * np.ones((n_lines, n_lines))
 
 
-def _primes_upto(n: int) -> list[int]:
-    """The primes <= n, by the sieve of Eratosthenes."""
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.flatnonzero(sieve).tolist()
-
-
-def _count_primes(lo: int, hi: int, enough: float) -> int:
-    """Primes in [lo, hi], sieved a block at a time until there are enough."""
-    count = 0
-    start = max(lo, 2)
-    while count < enough and start <= hi:
-        stop = min(hi, start + PRIME_BLOCK - 1)
-        is_prime = np.ones(stop - start + 1, dtype=bool)
-        for p in _primes_upto(math.isqrt(stop)):
-            is_prime[max(p * p, -(-start // p) * p) - start :: p] = False
-        count += int(np.count_nonzero(is_prime))
-        start = stop + 1
-    return count
-
-
-def _coprime_capacity(first: int, last: int, enough: float) -> int:
-    """An upper bound on how many pairwise coprime integers [first, last] holds.
-
-    Members of a pairwise coprime set share no prime factor, so each member
-    above 1 has its own least prime factor: a prime <= sqrt(last), or the
-    member itself when it is a prime in [first, last].  Counting stops once
-    the bound reaches enough, so a count that fits costs little.
-    """
-    capacity = int(first == 1) + _count_primes(2, min(first - 1, math.isqrt(last)), enough)
-    return capacity + _count_primes(first, last, enough - capacity)
-
-
-def _slots_taken(member: int, first: int, last: int, small: list[int]) -> int:
-    """A lower bound on how many of _coprime_capacity's slots a member of [first, last] takes.
-
-    A slot is 1 itself, or a prime <= sqrt(last) or in [first, last]; the
-    member takes each one it is divisible by, since no member coprime to it
-    can have that least prime factor.  small holds the primes up to
-    sqrt(last), or up to SLOT_PRIMES_MAX when that is less; a factor
-    above them is counted once at most, so the count is exact only for a
-    range that ends below SLOT_PRIMES_MAX**2.
-    """
-    if member == 1:
-        return 1
-    taken, rest = 0, member
-    for p in small:
-        if p * p > rest:
-            break
-        if rest % p == 0:
-            taken += 1
-            while rest % p == 0:
-                rest //= p
-    # What is left is 1, or has a least prime factor that is a slot unless
-    # it is a prime between sqrt(last) and first.
-    return taken + int(rest > 1 and (rest * rest <= last or rest >= first))
-
-
 def default_delays(n_lines: int, lo_s: float, hi_s: float, fs: float) -> list[int]:
     """Log-spaced delay lengths in samples, nudged to mutually coprime integers.
 
     Coprime lengths keep the modal pattern of the network dense instead of
-    letting delay-line periods coincide.  Every delay lies inside the range;
-    a range that does not hold n_lines distinct coprime integers is refused.
+    letting delay-line periods coincide.  Each line takes the integer nearest
+    its log-spaced target that no chosen delay uses or shares a prime factor
+    with.  A tie goes to whichever of base + step and base - step comes first
+    when CPython iterates the two-element set, kept so that lists do not
+    move.  A refusal means this search cannot place every line; a range
+    ending past MAX_RENDER_SAMPLES is refused too.
     """
     _check_lines(n_lines)
     if not (0 < lo_s <= hi_s):
@@ -153,6 +90,11 @@ def default_delays(n_lines: int, lo_s: float, hi_s: float, fs: float) -> list[in
             f"delay range ({lo_s}, {hi_s}) s is not finite in samples at fs={fs}"
         )
     first, last = max(1, math.ceil(lo_s * fs)), math.floor(hi_s * fs)
+    if last > MAX_RENDER_SAMPLES:
+        raise InvalidParameterError(
+            f"delay range ({lo_s}, {hi_s}) s ends at {hi_s * fs:.10g} samples at fs={fs}, "
+            f"past the {MAX_RENDER_SAMPLES} (2**26) samples a render may hold"
+        )
     refusal = (
         f"delay range ({lo_s}, {hi_s}) s does not hold {n_lines} distinct "
         f"coprime delays at fs={fs}"
@@ -160,42 +102,30 @@ def default_delays(n_lines: int, lo_s: float, hi_s: float, fs: float) -> list[in
     # Refused before anything is sized by n_lines.
     if n_lines > last - first + 1:
         raise InvalidParameterError(f"{refusal}: it spans {max(0, last - first + 1)} integers")
-    capacity = _coprime_capacity(first, last, n_lines)
-    if n_lines > capacity:
-        raise InvalidParameterError(f"{refusal}: it holds at most {capacity}")
-    raw = np.geomspace(lo_s * fs, hi_s * fs, n_lines)
+    # The integers in range that are unused and coprime to every chosen delay.
+    free = np.ones(last - first + 1, dtype=bool)
     delays: list[int] = []
-    # A candidate is coprime to every chosen delay when it is coprime to
-    # their product; only a repeated delay of 1 would pass that test too.
-    product = 1
-    # The search stops once the slots the chosen delays leave cannot hold
-    # the lines still wanted.  The capacity was counted only as far as
-    # n_lines, so it is counted further before that refuses.
-    small = _primes_upto(min(math.isqrt(last), SLOT_PRIMES_MAX))
-    taken = 0
-    for value in raw:
-        needed = n_lines - len(delays) + taken
-        if needed > capacity:
-            capacity = _coprime_capacity(first, last, needed)
-            if needed > capacity:
-                raise InvalidParameterError(refusal)
+    for value in np.geomspace(lo_s * fs, hi_s * fs, n_lines):
         base = max(1, round(float(value)))
-        for step in range(last - first + 2):
-            for candidate in ({base} if step == 0 else {base + step, base - step}):
-                if (
-                    first <= candidate <= last
-                    and gcd(candidate, product) == 1
-                    and candidate not in delays
-                ):
-                    break
-            else:
-                continue
-            break
-        else:
-            raise InvalidParameterError(refusal)
-        product *= candidate
-        delays.append(candidate)
-        taken += _slots_taken(candidate, first, last, small)
+        at, reach = base - first, 1
+        while not free[max(0, at - reach) : at + reach + 1].any():
+            if reach > last - first:
+                raise InvalidParameterError(refusal)
+            reach *= 4
+        lo = max(0, at - reach)
+        step = int(np.abs(np.flatnonzero(free[lo : at + reach + 1]) + lo - at).min())
+        for chosen in {base} if step == 0 else {base + step, base - step}:
+            if first <= chosen <= last and free[chosen - first]:
+                break
+        delays.append(chosen)
+        free[chosen - first] = False
+        rest = chosen
+        while rest > 1:
+            # The least prime factor of what is left, by trial division.
+            p = next((q for q in range(2, math.isqrt(rest) + 1) if rest % q == 0), rest)
+            free[-first % p :: p] = False
+            while rest % p == 0:
+                rest //= p
     return delays
 
 

@@ -451,6 +451,8 @@ def test_render_rejects_zero_duration(flat_csv, tmp_path):
         (["export", "--fit", "{fit}", "--out-dir", "{out}", "--lines", "2",
           "--delay-range", "0.015:1e3"], ["delay line of 4799999", " dB at "]),
         # Sizes refused before any digitizing or allocation.
+        (["export", "--fit", "{fit}", "--out-dir", "{out}", "--delay-range", "0.015:1e300"],
+         ["0.015", "1e+300", "2**26"]),
         (["render", "--fit", "{fit}", "--out", "{out}/ir.wav", "--duration", "1e300"],
          ["1e+300 s render", "2**26"]),
         (["render", "--fit", "{fit}", "--out", "{out}/ir.wav", "--duration", "1e6"],
@@ -474,14 +476,14 @@ def test_render_rejects_zero_duration(flat_csv, tmp_path):
           "--iterations", "99999999999999999999"], ["2**31 - 1"]),
         (["campaign", "--synthetic", "2", "--out-dir", "{out}",
           "--iterations", "99999999999999999999"], ["2**31 - 1"]),
-        # The default range spans 5041 integer delays, of which at most 650
-        # are pairwise coprime.
+        # The default range spans 5041 integer delays, of which the search
+        # places at most 643 pairwise coprime.
         (["export", "--fit", "{fit}", "--out-dir", "{out}", "--lines", "99999999999999999999"],
          ["99999999999999999999 distinct", "5041 integers"]),
         (["render", "--fit", "{fit}", "--out", "{out}/ir.wav", "--lines", "6000"],
          ["6000 distinct", "5041 integers"]),
         (["export", "--fit", "{fit}", "--out-dir", "{out}", "--lines", "800"],
-         ["800 distinct coprime", "at most 650"]),
+         ["800 distinct coprime delays at fs=48000.0"]),
         (["campaign", "--synthetic", "99999999999999999999", "--out-dir", "{out}"],
          ["99999999999999999999 synthetic curves", "2**26"]),
     ],
@@ -491,7 +493,8 @@ def test_render_rejects_zero_duration(flat_csv, tmp_path):
         "fit_delay_ms_0", "campaign_synthetic_0", "campaign_dir_is_file",
         "render_too_short_to_measure", "fit_delay_ms_nan", "fit_delay_samples_inf",
         "render_nothing_measurable", "export_range_below_one_sample",
-        "export_line_too_deep_to_digitize", "render_duration_1e300", "render_duration_1e6",
+        "export_line_too_deep_to_digitize", "export_range_1e300", "render_duration_1e300",
+        "render_duration_1e6",
         "render_default_length_huge_delays",
         "fit_bands_100000", "campaign_bands_100000", "fit_fs_1e300", "campaign_fs_1e300",
         "campaign_seed_negative", "fit_iterations_huge", "campaign_iterations_huge",

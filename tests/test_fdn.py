@@ -5,7 +5,6 @@ import io
 import math
 import time
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -141,61 +140,78 @@ def test_default_delays_validation():
         default_delays(8, 0.001, 0.0011, FS)
     with pytest.raises(InvalidParameterError, match="8 distinct coprime"):
         default_delays(8, 1e-9, 1e-8, FS)
-    # 720 to 5760 samples: 21 primes up to 75 and 629 primes in the range.
-    with pytest.raises(InvalidParameterError, match="660 distinct coprime .* at most 650"):
+    # 720 to 5760 samples: the search places at most 643 lines.
+    with pytest.raises(InvalidParameterError, match="660 distinct coprime delays at fs=48000.0$"):
         default_delays(660, 0.015, 0.12, FS)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(first=st.integers(1, 300), width=st.integers(0, 300), rng=st.randoms(use_true_random=False))
-def test_coprime_bound_never_refuses_a_count_the_search_accepts(first, width, rng):
+def test_default_delays_refuse_a_range_ending_past_the_render_cap():
+    # The last sample may be 2**26, the most a render holds, and no more.
+    top = MAX_RENDER_SAMPLES
+    assert default_delays(2, top - 10, top, 1.0) == [top - 10, top - 3]
+    with pytest.raises(InvalidParameterError, match=rf"ends at {top + 1} samples .*\(2\*\*26\)"):
+        default_delays(2, top - 10, top + 1, 1.0)
+
+
+def reference_delays(n_lines, first, last):
+    """The plain greedy search: for each log-spaced target, the nearest
+    unused integer coprime to the product of the delays chosen so far, ties
+    in the order CPython iterates {base + step, base - step}; None when some
+    line finds no such integer."""
+    delays, product = [], 1
+    for value in np.geomspace(first, last, n_lines):
+        base = max(1, round(float(value)))
+        for step in range(last - first + 2):
+            for candidate in ({base} if step == 0 else {base + step, base - step}):
+                if (
+                    first <= candidate <= last
+                    and math.gcd(candidate, product) == 1
+                    and candidate not in delays
+                ):
+                    break
+            else:
+                continue
+            break
+        else:
+            return None
+        product *= candidate
+        delays.append(candidate)
+    return delays
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(first=st.integers(1, 300), width=st.integers(0, 300), data=st.data())
+def test_default_delays_match_the_plain_greedy_search(first, width, data):
     last = first + width
-    bound = fdn._coprime_capacity(first, last, math.inf)
-    # Any pairwise coprime set in the range, here one built greedily in a
-    # random order, is no larger than the bound.
-    chosen = []
-    for m in rng.sample(range(first, last + 1), width + 1):
-        if all(math.gcd(m, c) == 1 for c in chosen):
-            chosen.append(m)
-    assert len(chosen) <= bound
-    # The range's integer count refuses first when the bound is all of them.
-    named = f"at most {bound}$" if bound <= width else f"spans {width + 1} integers$"
-    with pytest.raises(InvalidParameterError, match=named):
-        default_delays(bound + 1, first, last, 1.0)
-    # With the bound out of the way, the search refuses the same counts.
-    with mock.patch.object(fdn, "_coprime_capacity", lambda first, last, enough: enough):
-        for n in range(bound + 1, min(bound + 3, width + 2)):
-            with pytest.raises(InvalidParameterError, match="coprime delays at fs=1.0$"):
-                default_delays(n, first, last, 1.0)
+    n_lines = data.draw(st.integers(1, width + 2), label="n_lines")
+    expected = reference_delays(n_lines, first, last)
+    if expected is None:
+        with pytest.raises(InvalidParameterError, match="coprime delays at fs=1.0"):
+            default_delays(n_lines, first, last, 1.0)
+    else:
+        assert default_delays(n_lines, first, last, 1.0) == expected
+
+
+def test_default_delays_place_643_lines_in_the_default_range_at_once():
+    # The search used to take 1.2-1.5 s here, recounting a bound on the
+    # coprime integers the range holds as it went.
+    started = time.perf_counter()
+    delays = default_delays(643, *DEFAULT_DELAY_RANGE_S, FS)
+    assert time.perf_counter() - started < 0.2
+    assert len(set(delays)) == 643
+    assert all(720 <= m <= 5760 for m in delays)
+    assert all(math.gcd(a, b) == 1 for i, a in enumerate(delays) for b in delays[i + 1 :])
+    with pytest.raises(InvalidParameterError, match="644 distinct coprime delays at fs=48000.0$"):
+        default_delays(644, *DEFAULT_DELAY_RANGE_S, FS)
 
 
 def test_default_delays_refuses_a_count_the_range_cannot_place_at_once():
-    # 650 lines pass the prime bound in the default range, but the first
-    # delay, 720 = 2^4 3^2 5, takes three of its 650 slots.  The search used
-    # to try every candidate for every line before refusing, in about 1.5 s.
+    # The search places at most 643 lines in the default range.  It used to
+    # try every candidate for every line before refusing 650, in about 1.5 s.
     started = time.perf_counter()
     with pytest.raises(InvalidParameterError, match="650 distinct coprime delays at fs=48000.0$"):
         default_delays(650, *DEFAULT_DELAY_RANGE_S, FS)
     assert time.perf_counter() - started < 0.2
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(first=st.integers(1, 200), width=st.integers(0, 200))
-def test_early_refusal_agrees_with_the_exhaustive_search(first, width):
-    # Counting no slot as taken turns the early refusal off; every count up
-    # to the bound then gets the same list, or the same refusal, either way.
-    last = first + width
-    bound = fdn._coprime_capacity(first, last, math.inf)
-
-    def delays_or_refusal(n):
-        try:
-            return default_delays(n, first, last, 1.0)
-        except InvalidParameterError as exc:
-            return str(exc)
-
-    early = [delays_or_refusal(n) for n in range(1, bound + 1)]
-    with mock.patch.object(fdn, "_slots_taken", lambda *args: 0):
-        assert [delays_or_refusal(n) for n in range(1, bound + 1)] == early
 
 
 def test_default_gains_shape_and_magnitude():
