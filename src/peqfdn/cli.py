@@ -40,6 +40,7 @@ from .fdn import (
     default_gains,
     default_render_duration,
     householder_matrix,
+    network_delays,
     octave_fits,
     render_ir,
     render_length,
@@ -92,9 +93,9 @@ def _write_atomic(path: str, data: str | Callable[[BinaryIO], object]) -> None:
         raise
 
 
-def _sidecar_path(path: str | None, out: str, suffix: str) -> str:
-    """path if given, else out with its extension replaced by suffix."""
-    return path if path is not None else os.path.splitext(out)[0] + suffix
+def _sidecar_path(out: str, suffix: str) -> str:
+    """out with its extension replaced by suffix."""
+    return os.path.splitext(out)[0] + suffix
 
 
 def _json_dumps(obj) -> str:
@@ -104,8 +105,9 @@ def _json_dumps(obj) -> str:
 
 
 def _read_text(path: str) -> str:
+    # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8" exports start with.
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
@@ -226,7 +228,7 @@ def cmd_fit(args) -> int:
     report_doc["curve"] = curve.name
     report_doc["m_ref"] = m_ref
     report_doc.update(_cost_fields(args.bands))
-    _write_atomic(_sidecar_path(args.report, args.out, ".report.json"), _json_dumps(report_doc))
+    _write_atomic(_sidecar_path(args.out, ".report.json"), _json_dumps(report_doc))
     if not args.quiet:
         sys.stderr.write(
             f"fit {curve.name or args.t60}: mse {report.final_mse:.6e} dB^2 "
@@ -273,6 +275,7 @@ def cmd_export(args) -> int:
 
 def cmd_render(args) -> int:
     fitted, delays = _fit_and_delays(args)
+    delays = network_delays(delays)  # refused before the length and any digitizing
     fs = fitted.fs
     duration = args.duration
     if duration is None:
@@ -286,7 +289,7 @@ def cmd_render(args) -> int:
     n_lines = len(delays)
     input_gains, output_gains = default_gains(n_lines)
     cfg = FdnConfig(
-        delays=tuple(delays),
+        delays=delays,
         fs=fs,
         feedback=householder_matrix(n_lines),
         cascades=tuple(cascades),
@@ -312,7 +315,7 @@ def cmd_render(args) -> int:
     decay_csv = decay_measurements_to_csv(measurements)
 
     _write_atomic(args.out, lambda handle: write_wav(handle, ir, fs))
-    _write_atomic(_sidecar_path(args.decay_csv, args.out, ".decay.csv"), decay_csv)
+    _write_atomic(_sidecar_path(args.out, ".decay.csv"), decay_csv)
     if not args.quiet:
         for meas in measurements:
             sys.stderr.write(f"T60 {_band_label(meas.band_hz)}: {meas.t60_s:.3f} s\n")
@@ -369,7 +372,6 @@ def build_parser() -> _Parser:
     p_fit = sub.add_parser("fit", help="fit a PEQ to a T60 table")
     p_fit.add_argument("--t60", required=True, help="CSV of freq_hz,t60_s rows")
     p_fit.add_argument("--out", required=True, help="fit result JSON path")
-    p_fit.add_argument("--report", default=None, help="fit report JSON path")
     delay = p_fit.add_mutually_exclusive_group()
     delay.add_argument("--delay-ms", type=float, default=None)
     delay.add_argument("--delay-samples", type=float, default=None)
@@ -389,7 +391,6 @@ def build_parser() -> _Parser:
     p_render = sub.add_parser("render", help="render an FDN impulse response")
     p_render.add_argument("--fit", required=True, help="fit result JSON")
     p_render.add_argument("--out", required=True, help="output WAV path")
-    p_render.add_argument("--decay-csv", default=None, help="decay table path")
     _add_delay_args(p_render)
     p_render.add_argument(
         "--duration", type=float, default=None, help="seconds of output"

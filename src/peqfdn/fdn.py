@@ -170,11 +170,28 @@ def render_length(duration_s: float, fs: float, delays) -> int:
     return int(round(samples))
 
 
+def network_delays(delays) -> tuple[int, ...]:
+    """The delays of one network as ints, refusing a list no network renders.
+
+    Each must be a whole number of samples, at least one; there must be at
+    least one line, and no two may be equal.
+    """
+    for k, m in enumerate(delays):
+        check_delay(m, "delay length")
+        if m != int(m):
+            raise InvalidParameterError(f"delay {k} must be a whole number of samples, got {m}")
+    delays = tuple(int(m) for m in delays)
+    _check_lines(len(delays))
+    if len(set(delays)) != len(delays):
+        raise InvalidParameterError(f"delay lengths must be distinct, got {delays}")
+    return delays
+
+
 @dataclass(frozen=True)
 class FdnConfig:
     """Everything needed to render one FDN impulse response.
 
-    Delays are whole numbers of samples; a fractional one is refused.
+    Its delays follow network_delays: whole, distinct numbers of samples.
     """
 
     delays: tuple[int, ...]
@@ -186,18 +203,9 @@ class FdnConfig:
     duration_s: float
 
     def __post_init__(self):
-        for k, m in enumerate(self.delays):
-            check_delay(m, "delay length")
-            if m != int(m):
-                raise InvalidParameterError(
-                    f"delay {k} must be a whole number of samples, got {m}"
-                )
-        delays = tuple(int(m) for m in self.delays)
+        delays = network_delays(self.delays)
         object.__setattr__(self, "delays", delays)
         n = len(delays)
-        _check_lines(n)
-        if len(set(delays)) != n:
-            raise InvalidParameterError(f"delay lengths must be distinct, got {delays}")
         check_fs(self.fs)
         feedback = np.asarray(self.feedback, dtype=np.float64)
         if feedback.shape != (n, n):

@@ -171,20 +171,22 @@ def test_fit_divergence_exits_2(flat_csv, tmp_path):
 
 def test_export_writes_one_file_pair_per_line(flat_csv, tmp_path):
     fit_path = run_fit(flat_csv, tmp_path)
-    out_dir = tmp_path / "sos"
-    rc = cli.main(
-        ["export", "--fit", fit_path, "--out-dir", str(out_dir), "--lines", "8",
-         "--quiet"]
-    )
-    assert rc == 0
-    manifest = json.loads((out_dir / "manifest.json").read_text())
-    assert len(manifest["lines"]) == 8
-    assert sum(entry["sections"] for entry in manifest["lines"]) == 8 * 4
-    for entry in manifest["lines"]:
-        assert (out_dir / entry["csv"]).exists()
-        doc = json.loads((out_dir / entry["json"]).read_text())
-        assert len(doc["sections"]) == 4
-        assert doc["digitization"]["max_abs_dev_below_db"] <= 0.5
+    # 64 lines are digitized as one network too, shortest line first.
+    for n_lines in (8, 64):
+        out_dir = tmp_path / f"sos{n_lines}"
+        rc = cli.main(
+            ["export", "--fit", fit_path, "--out-dir", str(out_dir), "--lines", str(n_lines),
+             "--quiet"]
+        )
+        assert rc == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert len(manifest["lines"]) == n_lines
+        assert sum(entry["sections"] for entry in manifest["lines"]) == n_lines * 4
+        for entry in manifest["lines"]:
+            assert (out_dir / entry["csv"]).exists()
+            doc = json.loads((out_dir / entry["json"]).read_text())
+            assert len(doc["sections"]) == 4
+            assert doc["digitization"]["max_abs_dev_below_db"] <= 0.5
 
 
 def test_export_explicit_delays(flat_csv, tmp_path):
@@ -461,6 +463,10 @@ def test_render_rejects_zero_duration(flat_csv, tmp_path):
         # before the digitizer sees a 40-million-sample line.
         (["render", "--fit", "{fit}", "--out", "{out}/ir.wav",
           "--delay-samples", "40000000,40000001"], ["80000001 samples", "2**26"]),
+        # Repeated delays are refused with the delays, before the digitizer
+        # refuses the 4.8-million-sample line.
+        (["render", "--fit", "{fit}", "--out", "{out}/ir.wav", "--duration", "0.5",
+          "--delay-samples", "720,720,4799999"], ["distinct", "(720, 720, 4799999)"]),
         (["fit", "--t60", "{table}", "--out", "{out}/fit.json", "--bands", "100000"],
          ["100000 bands", "512 grid points"]),
         (["campaign", "--synthetic", "2", "--out-dir", "{out}", "--bands", "100000"],
@@ -495,7 +501,7 @@ def test_render_rejects_zero_duration(flat_csv, tmp_path):
         "render_nothing_measurable", "export_range_below_one_sample",
         "export_line_too_deep_to_digitize", "export_range_1e300", "render_duration_1e300",
         "render_duration_1e6",
-        "render_default_length_huge_delays",
+        "render_default_length_huge_delays", "render_delays_repeated",
         "fit_bands_100000", "campaign_bands_100000", "fit_fs_1e300", "campaign_fs_1e300",
         "campaign_seed_negative", "fit_iterations_huge", "campaign_iterations_huge",
         "export_lines_huge", "render_lines_6000", "export_lines_800", "campaign_synthetic_huge",
@@ -526,13 +532,16 @@ def test_library_refusals_exit_1_and_write_nothing(flat_csv, tmp_path, capsys, a
          ["band of -1e+300 dB", "float64"]),
         ("q", 1, 1e-300, ["delay line of 720 samples", "(Q 1e-300)", "no finite, stable section"],
          ["(Q 1e-300)", "magnitude past float64's range"]),
+        ("q", 0, 1e-300, ["delay line of 720 samples", "(Q 1e-300)", "no finite, stable section"],
+         ["(Q 1e-300)", "magnitude past float64's range"]),
         ("m_ref", None, 10**400, ["{fit}", "malformed fitted-PEQ document", "OverflowError"], None),
         # Refused where it is read, by the rule fit applies, not deep in the
         # digitizer with a 30-digit delay line.
         ("fs", None, 1e300, ["{fit}", "fs must be > 0 and <= 1e+07 Hz, got 1e+300"], None),
         ("bands", None, None, ["{fit}", "malformed fitted-PEQ document", "TypeError"], None),
     ],
-    ids=["gain_1e300", "gain_-1e300", "q_1e-300", "m_ref_10**400", "fs_1e300", "bands_null"],
+    ids=["gain_1e300", "gain_-1e300", "q_1e-300", "low_shelf_q_1e-300", "m_ref_10**400",
+         "fs_1e300", "bands_null"],
 )
 def test_fit_file_refusals_exit_1_and_write_nothing(
     flat_csv, tmp_path, capsys, command, field, band, value, named, length_named
@@ -609,6 +618,25 @@ def test_non_utf8_files_exit_1_and_write_nothing(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: not UTF-8 text")
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_files_that_start_with_a_utf8_byte_order_mark_are_read(flat_csv, tmp_path):
+    # Spreadsheet "CSV UTF-8" exports start with one; it used to fail the header check.
+    bom_csv = tmp_path / "bom.csv"
+    bom_csv.write_bytes(b"\xef\xbb\xbf" + FLAT_TABLE.encode("utf-8"))
+    plain = run_fit(flat_csv, tmp_path, name="plain.json")
+    marked = run_fit(str(bom_csv), tmp_path, name="marked.json")
+    assert open(marked, "rb").read() == open(plain, "rb").read()
+    bom_fit = tmp_path / "bom.fit.json"
+    bom_fit.write_bytes(b"\xef\xbb\xbf" + open(plain, "rb").read())
+    for fit_path, out_dir in ((plain, tmp_path / "plain"), (str(bom_fit), tmp_path / "marked")):
+        argv = ["export", "--fit", fit_path, "--out-dir", str(out_dir), "--lines", "2", "--quiet"]
+        assert cli.main(argv) == 0
+    for (m_plain, plain_sos), (m_marked, marked_sos) in zip(
+        read_export(tmp_path / "plain"), read_export(tmp_path / "marked"), strict=True
+    ):
+        assert m_plain == m_marked
+        assert np.array_equal(plain_sos, marked_sos)
 
 
 def test_fit_refuses_a_vanishing_t60(tmp_path, capsys):
