@@ -70,26 +70,40 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _write_atomic(path: str, data: str | Callable[[BinaryIO], object]) -> None:
-    """Atomically write text (as UTF-8), or what data(handle) writes, to path.
+def _write_atomic(*outputs: tuple[str, str | Callable[[BinaryIO], object]]) -> None:
+    """Atomically write each (path, data) pair: text as UTF-8, or what
+    data(handle) writes.
 
-    The output goes to a same-directory temp file that is renamed into place.
+    Every output goes to a same-directory temp file first; only once all of
+    them are written are they renamed into place.  If a write or a rename
+    fails, the temp files and the outputs already renamed are removed, so a
+    failed call leaves none of its paths written.
     """
-    path = os.path.abspath(path)
-    directory = os.path.dirname(path)
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.")
+    temps = []
     try:
-        with os.fdopen(fd, "wb") as handle:
-            if callable(data):
-                data(handle)
-            else:
-                handle.write(data.encode("utf-8"))
-        os.chmod(tmp, 0o644)  # mkstemp creates 0600
-        os.replace(tmp, path)
+        for path, data in outputs:
+            path = os.path.abspath(path)
+            directory = os.path.dirname(path)
+            os.makedirs(directory, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.")
+            temps.append((tmp, path))
+            with os.fdopen(fd, "wb") as handle:
+                if callable(data):
+                    data(handle)
+                else:
+                    handle.write(data.encode("utf-8"))
+            os.chmod(tmp, 0o644)  # mkstemp creates 0600
+        for done, (tmp, path) in enumerate(temps):
+            try:
+                os.replace(tmp, path)
+            except BaseException:
+                for _, renamed in temps[:done]:
+                    os.unlink(renamed)
+                raise
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp, _ in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
@@ -223,12 +237,14 @@ def cmd_fit(args) -> int:
 
     fitted, report = fit(curve, m_ref, args.fs, cfg, progress=progress)
 
-    _write_atomic(args.out, _json_dumps(fitted.to_dict()))
     report_doc = report.to_dict()
     report_doc["curve"] = curve.name
     report_doc["m_ref"] = m_ref
     report_doc.update(_cost_fields(args.bands))
-    _write_atomic(_sidecar_path(args.out, ".report.json"), _json_dumps(report_doc))
+    _write_atomic(
+        (args.out, _json_dumps(fitted.to_dict())),
+        (_sidecar_path(args.out, ".report.json"), _json_dumps(report_doc)),
+    )
     if not args.quiet:
         sys.stderr.write(
             f"fit {curve.name or args.t60}: mse {report.final_mse:.6e} dB^2 "
@@ -244,16 +260,16 @@ def cmd_export(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     report_grid = FrequencyGrid.log_spaced(fitted.fs)
     manifest = {"fs": fitted.fs, "m_ref": fitted.m_ref, "lines": []}
+    outputs = []
     for k, (m_k, cascade) in enumerate(zip(delays, cascades)):
         stem = f"line{k:02d}_m{m_k}"
         csv_path = os.path.join(args.out_dir, stem + ".csv")
         json_path = os.path.join(args.out_dir, stem + ".json")
-        _write_atomic(csv_path, sos_to_csv(cascade))
         doc = sos_to_dict(cascade)
         doc["delay_samples"] = m_k
         params = scale_to_delay(fitted, m_k)
         doc["digitization"] = digitization_report(params, cascade, report_grid.freqs)
-        _write_atomic(json_path, _json_dumps(doc))
+        outputs += [(csv_path, sos_to_csv(cascade)), (json_path, _json_dumps(doc))]
         manifest["lines"].append(
             {
                 "delay_samples": m_k,
@@ -262,9 +278,7 @@ def cmd_export(args) -> int:
                 "json": os.path.basename(json_path),
             }
         )
-    _write_atomic(
-        os.path.join(args.out_dir, "manifest.json"), _json_dumps(manifest)
-    )
+    _write_atomic(*outputs, (os.path.join(args.out_dir, "manifest.json"), _json_dumps(manifest)))
     if not args.quiet:
         total = sum(entry["sections"] for entry in manifest["lines"])
         sys.stderr.write(
@@ -314,8 +328,10 @@ def cmd_render(args) -> int:
         )
     decay_csv = decay_measurements_to_csv(measurements)
 
-    _write_atomic(args.out, lambda handle: write_wav(handle, ir, fs))
-    _write_atomic(_sidecar_path(args.out, ".decay.csv"), decay_csv)
+    _write_atomic(
+        (args.out, lambda handle: write_wav(handle, ir, fs)),
+        (_sidecar_path(args.out, ".decay.csv"), decay_csv),
+    )
     if not args.quiet:
         for meas in measurements:
             sys.stderr.write(f"T60 {_band_label(meas.band_hz)}: {meas.t60_s:.3f} s\n")
@@ -342,9 +358,9 @@ def cmd_campaign(args) -> int:
     summary = result.to_summary_dict()
     summary["bands"] = args.bands
     summary.update(_cost_fields(args.bands))
-    _write_atomic(os.path.join(args.out_dir, "summary.json"), _json_dumps(summary))
     _write_atomic(
-        os.path.join(args.out_dir, "histogram.csv"), result.distribution.to_csv()
+        (os.path.join(args.out_dir, "summary.json"), _json_dumps(summary)),
+        (os.path.join(args.out_dir, "histogram.csv"), result.distribution.to_csv()),
     )
     if not args.quiet:
         dist = result.distribution

@@ -3,15 +3,20 @@
 The composite dB response and the exact loss gradient with respect to every
 band parameter are one closed-form expression over bands x grid, whatever
 the band kind: each band's coefficients are powers of A read from
-prototypes.COEFF_EXPONENTS.  The parameters live in log domain for fc and Q
-so they stay positive, and a self-contained Adam loop drives the
-mean-squared-error loss.  fit evaluates the kernel in one workspace
-allocated per fit and updates the Adam moments and parameters in place;
-loss_and_gradient runs the same kernel on a fresh workspace, so stepping it
-with the same update reproduces a fit bit for bit.  A fit with budget left
-after its Adam warm start (a fifth of the budget, at most 2000 steps)
-polishes that result by damped Levenberg-Marquardt on the same kernel's
-residuals and Jacobian: MINPACK's compiled lmder, called as
+prototypes.COEFF_EXPONENTS.  Each band's |H|^2 numerator and denominator is
+a quadratic in f^2 whose terms are exponentials of linear maps of the
+parameters, so one matrix product gives every numerator and denominator
+over the grid, and the gradient needs only three moments of the loss
+weight over each of them (see _Workspace).  The parameters live in log
+domain for fc and Q so they stay positive, and a self-contained Adam loop
+drives the mean-squared-error loss.  fit evaluates the kernel in one
+workspace allocated per fit and updates the Adam moments and parameters in
+place; loss_and_gradient runs the same kernel on a fresh workspace, so
+stepping it with the same update reproduces a fit bit for bit.  A fit with
+budget left after its Adam warm start (a fifth of the budget, at most 2000
+steps) polishes that result by damped Levenberg-Marquardt on the same
+kernel's residuals and Jacobian, its gain-scaled hinge rows batched in one
+more workspace: MINPACK's compiled lmder, called as
 scipy.optimize.least_squares calls it for method="lm" and loaded alone, as
 fdn loads its SOS kernel, without the scipy.optimize package.
 A central-finite-difference oracle in the test suite is the arbiter of
@@ -62,8 +67,9 @@ PROGRESS_EVERY = 500
 # A fit's budget is cfg.iterations Adam steps.  Adam takes a fifth of them,
 # rounded up, and at most WARM_START_STEPS; every STEPS_PER_EVALUATION steps
 # left buy one evaluation of the Levenberg-Marquardt polish.  An evaluation
-# costs about 8 Adam steps; the charge stays at 26 because any other value
-# would change every default (10k-step) fit.
+# costs about 15 Adam steps at N = 12, most of it MINPACK's own work; the
+# charge stays at 26 because any other value would change every default
+# (10k-step) fit.
 WARM_START_STEPS = 2000
 STEPS_PER_EVALUATION = 26
 # MINPACK counts evaluations in a C int.
@@ -181,116 +187,127 @@ def _vector_to_bands(vec: np.ndarray) -> list[BandParams]:
 
 
 class _Workspace:
-    """Every array one kernel evaluation writes, allocated once per (N, grid).
+    """Every array one kernel evaluation writes, allocated once per (N, grid,
+    gain scales).
 
     Each band contributes k ln(U/V), k = 10/ln 10, where U = (c0 - c2 X)^2 +
     c1^2 X in X = (f/fc)^2 and V is the same in the denominator
-    coefficients.  With c = A^alpha (c1 also over Q), P = c0 - c2 X and
-    S = c1^2 X, U's partials are 2P(alpha0 c0 - alpha2 c2 X) + 2 alpha1 S in
-    ln A, S - 2P c2 X in ln X, and -2S in ln Q; ln A = G ln10/40 and
-    ln X = 2 ln f - 2 ln fc.  Over U every partial is a combination of the
-    three (2, N, P) arrays P/U, P c2 X/U and S/U with per-band coefficients,
-    so one matrix-vector product of their rows with the loss weight gives
-    every gradient entry, and no per-parameter partial is ever built.
+    coefficients.  Expanded in f^2, U = a0 + a1 f^2 + a2 f^4 with a0 = c0^2,
+    a1 = c1^2/fc^2 - 2 c0 c2/fc^2 and a2 = (c2/fc^2)^2.  With c = A^alpha
+    (c1 also over Q) and ln A = G ln10/40, the logs of the four terms a0,
+    a2, c1^2/fc^2 and c0 c2/fc^2 are linear in the parameter vector: one
+    product with log_map and one exp give them all, and one (rows, 4) @
+    (4, P) product with the powers [1, f^4, f^2, -2 f^2] gives every U and V.
 
-    X is not stored either: c2 X = (c2/fc^2) f^2 and S = (c1^2/fc^2) f^2, and
-    the logs of c2/fc^2, c1^2/fc^2 and c0 are linear in the parameter
-    vector, so one product and one exp give all three for both sides.
+    A term's partial over vec is the term times its row of log_map, so U's
+    partials are sums of term x f^(2j) x log_map entries.  The loss gradient
+    needs only each term's moment sum_f w f^(2j)/U of the loss weight w: one
+    reciprocal, one (rows, P) @ (P, 4) product, and a map back through
+    log_map's entries.  The Jacobian's columns of band i are its own
+    (side, term) x (log fc, gain, log Q) coefficients, one product with the
+    powers, times 1/U.  No per-parameter partial over the grid is built.
+
+    scales holds gain scales: each gets its own copy of log_map with the
+    gain columns times the scale, and so its own response rows, the response
+    with every gain times the scale, against its own row of target_db.  The
+    Jacobian of those rows is with respect to the unscaled vector.
     """
 
-    def __init__(self, n_bands: int, freqs: np.ndarray, target_db: np.ndarray):
+    def __init__(self, n_bands: int, freqs: np.ndarray, target_db: np.ndarray, scales=(1.0,)):
         n = n_bands
+        scales = np.asarray(scales, dtype=np.float64)
+        size = scales.size * freqs.size
         table = np.array([COEFF_EXPONENTS[kind] for kind in _band_kinds(n)])
-        alpha2, alpha1, alpha0 = table.T  # each (num, den) x N
-        ln_a = math.log(10.0) / 40.0  # d ln A / d gain
+        alpha2, alpha1, alpha0 = table.T[..., None]  # each (num, den) x N x 1
+        ln_a = math.log(10.0) / 40.0 * scales  # d ln A / d gain at each scale
+        # d ln c2/fc^2, d ln c1^2/fc^2 and d ln c0 over band i's (log fc,
+        # gain, log Q), by (side, band i, scale).
+        d_c2, d_c1, d_c0 = np.zeros((3, 3, 2, n, scales.size))
+        d_c2[0], d_c2[1] = -2.0, ln_a * alpha2
+        d_c1[0], d_c1[1], d_c1[2] = -2.0, 2.0 * ln_a * alpha1, -2.0
+        d_c0[1] = ln_a * alpha0
+        # d ln of the terms a0, a2, c1^2/fc^2 and c0 c2/fc^2.
+        d_log = np.stack((2.0 * d_c0, 2.0 * d_c2, d_c1, d_c0 + d_c2), axis=-1)
+        f_sq = freqs * freqs
+        self.powers = np.stack((np.ones_like(freqs), f_sq * f_sq, f_sq, f_sq))
+        in_u = np.array([1.0, 1.0, 1.0, -2.0])  # each term's factor in U
+        self.u_powers = self.powers * in_u[:, None]
         eye = np.eye(n)
-        # ln(c2/fc^2), ln(c1^2/fc^2) and ln c0 over (log fc, gain, log Q).
-        log_map = np.zeros((3, 2, n, 3, n))
-        log_map[0, :, :, 0] = -2.0 * eye
-        log_map[0, :, :, 1] = ln_a * alpha2[..., None] * eye
-        log_map[1, :, :, 0] = -2.0 * eye
-        log_map[1, :, :, 1] = 2.0 * ln_a * alpha1[..., None] * eye
-        log_map[1, :, :, 2] = -2.0 * eye
-        log_map[2, :, :, 1] = ln_a * alpha0[..., None] * eye
-        self.log_map = log_map.reshape(6 * n, 3 * n)
-        self.coefs = np.empty(6 * n)
-        # (2, N, 1) views that broadcast over the grid.
-        self.c2_fc, self.c1sq_fc, self.c0 = self.coefs.reshape(3, 2, n, 1)
-        self.c0_flat = self.coefs[4 * n :]
-
-        self.freqs_sq = freqs * freqs
+        # Rows (side, band, scale, term) by columns (parameter, band).
+        self.log_map = np.moveaxis(d_log[..., None] * eye[:, None, None, :], 0, -2).reshape(
+            -1, 3 * n
+        )
+        rows = 2 * n * scales.size
+        self.terms = np.empty((rows, 4))
+        self.terms_flat = self.terms.reshape(-1)
+        self.u = np.empty((rows, freqs.size))
+        self.recip = np.empty_like(self.u)
+        # U and 1/U by (side, band, scale x frequency).
+        self.u_by_side = self.u.reshape(2, n, size)
+        self.recip_by_side = self.recip.reshape(2, n, size)
+        # The band sum's last row subtracts the target.
+        self.log_ratio = np.empty((n + 1, size))
+        self.log_ratio[n] = target_db.ravel()
+        self.band_log_ratio = self.log_ratio[:n]
+        self.sum_db = np.append(np.full(n, _DB_PER_LN), -1.0)
+        self.residual = np.empty(size)
         self.target_db = target_db
-        self.sum_db = np.full(n, _DB_PER_LN)
-        shape = (2, n, freqs.size)
-        self.c2x = np.empty(shape)
-        self.p = np.empty(shape)
-        self.s = np.empty(shape)
-        self.u = np.empty(shape)
-        self.log_ratio = np.empty(shape[1:])
-        self.residual = np.empty(freqs.size)
-        # P/U, P c2 X/U and S/U; C order makes each (array, side, band) one row.
-        self.basis = np.empty((3,) + shape)
-        self.rows = self.basis.reshape(6 * n, freqs.size)
-        self.projections = np.empty(6 * n)
 
-        # Gradient = to_grad @ projections.  Row (parameter, band i) weighs
-        # the three arrays of band i, numerator minus denominator.  The gain
-        # rows' P/U entries, alpha0 c0 / 2, follow the parameters.
-        side = np.array([1.0, -1.0])[:, None]
-        weights = np.zeros((3, 3, 2, n))  # (log fc, gain, log Q) x array x side x band
-        weights[0, 1] = 4.0 * _DB_PER_LN * side
-        weights[0, 2] = -2.0 * _DB_PER_LN * side
-        weights[1, 1] = -0.5 * alpha2 * side
-        weights[1, 2] = 0.5 * alpha1 * side
-        weights[2, 2] = -2.0 * _DB_PER_LN * side
-        band = np.arange(n)
-        to_grad = np.zeros((3, n, 3, 2, n))
-        to_grad[:, band, :, :, band] = np.moveaxis(weights, -1, 0)
-        self.to_grad = to_grad.reshape(3 * n, 6 * n)
-        entries = np.arange(to_grad.size).reshape(to_grad.shape)
-        self.gain_p_entries = entries[1, band, 0, :, band].T.ravel()  # side x band
-        self.half_alpha0 = (0.5 * alpha0 * side).ravel()
+        # weigh: d term / d vec over the term, times its factor in U and +-k
+        # (numerator or denominator), by (side, parameter, band, scale, term).
+        side = np.array([_DB_PER_LN, -_DB_PER_LN])[:, None, None, None, None]
+        self.weigh = np.moveaxis(d_log * in_u, 0, 1) * side
+        # Gradient = to_grad @ (terms * moments): weigh over (parameter,
+        # band), times the loss weight's 2/size.
+        to_grad = self.weigh[..., None] * (2.0 / size) * eye[:, None, None, :]
+        self.to_grad = np.ascontiguousarray(np.moveaxis(to_grad, 1, -2).reshape(-1, 3 * n).T)
+        self.weighted_powers = np.empty((4, size))
+        self.moments = np.empty((rows, 4))
+        self.moments_flat = self.moments.reshape(-1)
         self.grad = np.empty(3 * n)
+        # Jacobian columns by (side, parameter, band, scale, frequency).
+        self.terms_by_param = self.terms.reshape(2, 1, n, scales.size, 4)
+        self.column_coefs = np.empty(self.weigh.shape)
+        self.columns = np.empty((2, 3, n, scales.size, freqs.size))
+        self.recip_by_param = self.recip.reshape(2, 1, n, scales.size, freqs.size)
 
     def respond(self, vec: np.ndarray) -> np.ndarray:
-        """Response minus target at vec, in self.residual.
+        """Response minus target at vec, scale by scale, in self.residual.
 
-        Also leaves the basis rows and to_grad at vec, for evaluate's
-        gradient and for jacobian.
+        Also leaves the terms and 1/U at vec, for evaluate's gradient and
+        for jacobian.
         """
-        np.matmul(self.log_map, vec, out=self.coefs)
-        np.exp(self.coefs, out=self.coefs)
-        c2x, p, s, u = self.c2x, self.p, self.s, self.u
-        np.multiply(self.c2_fc, self.freqs_sq, out=c2x)
-        np.subtract(self.c0, c2x, out=p)
-        np.multiply(self.c1sq_fc, self.freqs_sq, out=s)
-        np.multiply(p, p, out=u)
-        u += s
-        np.divide(u[0], u[1], out=self.log_ratio)
-        np.log(self.log_ratio, out=self.log_ratio)
-        residual = self.residual
-        np.matmul(self.sum_db, self.log_ratio, out=residual)
-        residual -= self.target_db
-
-        p_u, pc2x_u, s_u = self.basis
-        np.divide(p, u, out=p_u)
-        np.multiply(p_u, c2x, out=pc2x_u)
-        np.divide(s, u, out=s_u)
-        self.to_grad.flat[self.gain_p_entries] = self.half_alpha0 * self.c0_flat
-        return residual
+        np.matmul(self.log_map, vec, out=self.terms_flat)
+        np.exp(self.terms_flat, out=self.terms_flat)
+        np.matmul(self.terms, self.u_powers, out=self.u)
+        np.reciprocal(self.u, out=self.recip)
+        log_ratio = self.band_log_ratio
+        np.multiply(self.u_by_side[0], self.recip_by_side[1], out=log_ratio)
+        np.log(log_ratio, out=log_ratio)
+        return np.matmul(self.sum_db, self.log_ratio, out=self.residual)
 
     def evaluate(self, vec: np.ndarray) -> float:
-        """MSE loss at vec; its gradient is left in self.grad."""
+        """MSE loss at vec of a single-scale workspace; its gradient is left
+        in self.grad."""
         residual = self.respond(vec)
         loss = float(residual @ residual) / residual.size
-        residual *= 2.0 / residual.size  # d loss / d response
-        np.matmul(self.rows, residual, out=self.projections)
-        np.matmul(self.to_grad, self.projections, out=self.grad)
+        np.multiply(self.powers, residual, out=self.weighted_powers)
+        np.matmul(self.recip, self.weighted_powers.T, out=self.moments)
+        self.moments *= self.terms
+        np.matmul(self.to_grad, self.moments_flat, out=self.grad)
         return loss
 
     def jacobian(self, out: np.ndarray) -> np.ndarray:
-        """d response / d vec at the last respond, as a (P, 3N) array in out."""
-        return np.matmul(self.rows.T, self.to_grad.T, out=out)
+        """d response / d vec at the last respond, as a (scales x P, 3N)
+        array in out."""
+        np.multiply(self.terms_by_param, self.weigh, out=self.column_coefs)
+        columns = self.columns
+        _, n_params, n, scales, size = columns.shape
+        np.matmul(self.column_coefs.reshape(-1, 4), self.powers, out=columns.reshape(-1, size))
+        columns *= self.recip_by_param
+        by_column = out.reshape(scales, size, n_params, n).transpose(2, 3, 0, 1)
+        np.add(columns[0], columns[1], out=by_column)
+        return out
 
 
 def _check_finite(vec: np.ndarray, loss: float, grad: np.ndarray) -> None:
@@ -381,17 +398,17 @@ class _Polish:
     - PRIOR_WEIGHTS (vec - warm), which damps the polish toward the Adam
       warm start and keeps the Jacobian's columns independent;
     - HINGE_WEIGHT max(0, H_s(f) - s cap) at each check frequency f and gain
-      scale s.  H_s is the response with every gain times s, as
+      scale s, by scale.  H_s is the response with every gain times s, as
       scale_to_delay gives a line s m_ref samples long; the scales span the
       default delay range.  cap is half the target at the grid edge nearest
       f, so every default line keeps a margin below 0 dB where the grid does
-      not look.
+      not look.  One workspace holds every scale, the caps as its targets.
 
     residuals records each finite evaluation's grid MSE and keeps the
     parameters of the lowest total cost seen.  An evaluation with a
     non-finite row, say a trial step that overflows the kernel, is left out
     of that record; MINPACK rejects it as a step that does not lower the
-    cost, so the polish never returns worse than its warm start.
+    cost, so the polish never returns a higher cost than its warm start's.
     """
 
     def __init__(self, work: _Workspace, warm: np.ndarray, m_ref: float, fs: float):
@@ -401,13 +418,13 @@ class _Polish:
         lo_s, hi_s = DEFAULT_DELAY_RANGE_S
         self.scales = np.geomspace(lo_s * fs / m_ref, hi_s * fs / m_ref, HINGE_SCALES)
         self.caps = self.scales[:, None] * cap  # (scale, check frequency)
-        self.active = np.empty(self.caps.shape, dtype=bool)
+        self.active = np.empty(self.caps.size, dtype=bool)
         n = warm.size // 3
-        self.hinges = [_Workspace(n, check_freqs, np.zeros(check_freqs.size)) for _ in self.scales]
+        # The hinge rows' target is the cap, so their residual is the excess.
+        self.hinge = _Workspace(n, check_freqs, self.caps, self.scales)
         self.work = work
         self.warm = warm.copy()
         self.prior = np.repeat(PRIOR_WEIGHTS, n)
-        self.gains = slice(n, 2 * n)
         self.grid_end = work.residual.size
         self.prior_end = self.grid_end + warm.size
         self.n_rows = self.prior_end + self.caps.size
@@ -421,15 +438,11 @@ class _Polish:
         rows = np.empty(self.n_rows)
         rows[: self.grid_end] = self.work.respond(vec)
         rows[self.grid_end : self.prior_end] = self.prior * (vec - self.warm)
-        excess = rows[self.prior_end :].reshape(self.caps.shape)
-        scaled = vec.copy()
-        for k, hinge in enumerate(self.hinges):
-            scaled[self.gains] = self.scales[k] * vec[self.gains]
-            excess[k] = hinge.respond(scaled)
-        excess -= self.caps
+        excess = self.hinge.respond(vec)
         np.greater(excess, 0.0, out=self.active)
-        excess[~self.active] = 0.0
-        excess *= HINGE_WEIGHT
+        hinge = rows[self.prior_end :]
+        np.multiply(excess, HINGE_WEIGHT, out=hinge)
+        hinge[~self.active] = 0.0
         self.at = vec.copy()
         return rows
 
@@ -451,13 +464,12 @@ class _Polish:
         """d rows / d vec, an (n_rows, 3N) array."""
         if not np.array_equal(vec, self.at):
             self.respond(vec)
-        jac = np.zeros((self.n_rows, vec.size))
+        jac = np.empty((self.n_rows, vec.size))
         self.work.jacobian(jac[: self.grid_end])
-        np.fill_diagonal(jac[self.grid_end : self.prior_end], self.prior)
-        hinge_jac = jac[self.prior_end :].reshape(self.caps.shape + (vec.size,))
-        for k, hinge in enumerate(self.hinges):
-            hinge.jacobian(hinge_jac[k])
-        hinge_jac[:, :, self.gains] *= self.scales[:, None, None]
+        prior_jac = jac[self.grid_end : self.prior_end]
+        prior_jac.fill(0.0)
+        np.fill_diagonal(prior_jac, self.prior)
+        hinge_jac = self.hinge.jacobian(jac[self.prior_end :])
         hinge_jac[~self.active] = 0.0
         hinge_jac *= HINGE_WEIGHT
         return jac
@@ -560,12 +572,16 @@ def fit(
     with np.errstate(all="ignore"):
         for iteration in range(steps):
             loss = work.evaluate(vec)
-            try:
-                _check_finite(vec, loss, work.grad)
-            except NumericalFailureError as exc:
-                raise FitDivergenceError(
-                    f"fit diverged at iteration {iteration}: {exc}", iteration=iteration
-                ) from exc
+            # One reduction is non-finite whenever the loss, a parameter or
+            # a gradient entry is; only then is the culprit looked for (the
+            # product of finite values can also overflow).
+            if not math.isfinite(loss + vec @ work.grad):
+                try:
+                    _check_finite(vec, loss, work.grad)
+                except NumericalFailureError as exc:
+                    raise FitDivergenceError(
+                        f"fit diverged at iteration {iteration}: {exc}", iteration=iteration
+                    ) from exc
             trace[iteration] = loss
             if loss < best_loss:
                 best_loss = loss

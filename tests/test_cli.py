@@ -390,6 +390,41 @@ def test_failed_write_leaves_no_file(flat_csv, tmp_path, monkeypatch):
     assert os.listdir(out_dir) == []
 
 
+@pytest.mark.parametrize("command", ["fit", "render"])
+def test_a_sidecar_that_cannot_be_written_leaves_neither_file(
+    flat_csv, tmp_path, capsys, command
+):
+    # A directory where the sidecar goes: the main file is not left behind.
+    out_dir = tmp_path / "out"
+    if command == "fit":
+        argv = ["fit", "--t60", flat_csv, "--bands", "4", "--iterations", "100"]
+        out, sidecar = out_dir / "fit.json", out_dir / "fit.report.json"
+    else:
+        argv = ["render", "--fit", run_fit(flat_csv, tmp_path), "--lines", "2",
+                "--duration", "0.5"]
+        out, sidecar = out_dir / "ir.wav", out_dir / "ir.decay.csv"
+    sidecar.mkdir(parents=True)
+    capsys.readouterr()
+    assert cli.main([*argv, "--out", str(out), "--quiet"]) == 1
+    assert "Is a directory" in capsys.readouterr().err
+    assert not out.exists()
+    assert os.listdir(out_dir) == [sidecar.name]
+    assert os.listdir(sidecar) == []
+
+
+def test_an_export_whose_manifest_cannot_be_written_leaves_no_line_file(
+    flat_csv, tmp_path, capsys
+):
+    fit_path = run_fit(flat_csv, tmp_path)
+    out_dir = tmp_path / "out"
+    (out_dir / "manifest.json").mkdir(parents=True)
+    capsys.readouterr()
+    argv = ["export", "--fit", fit_path, "--out-dir", str(out_dir), "--lines", "2", "--quiet"]
+    assert cli.main(argv) == 1
+    assert "Is a directory" in capsys.readouterr().err
+    assert os.listdir(out_dir) == ["manifest.json"]
+
+
 def test_render_is_byte_reproducible(flat_csv, tmp_path):
     fit_path = run_fit(flat_csv, tmp_path)
     a = tmp_path / "a.wav"

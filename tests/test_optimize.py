@@ -1,9 +1,12 @@
 """Gradient correctness, Adam behavior, and the end-to-end fit loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from peqfdn import (
     BandKind,
@@ -21,6 +24,7 @@ from peqfdn import (
 from peqfdn.evaluate import synthetic_smooth_curves
 from peqfdn.fdn import scipy_kernel
 from peqfdn.optimize import (
+    HINGE_LOW_HZ,
     STEPS_PER_EVALUATION,
     WARM_START_STEPS,
     _adam_update,
@@ -31,7 +35,7 @@ from peqfdn.optimize import (
     _vector_to_bands,
     _Workspace,
 )
-from peqfdn.prototypes import COEFF_EXPONENTS
+from peqfdn.prototypes import COEFF_EXPONENTS, band_magnitude
 from peqfdn.targets import FrequencyGrid, interpolate_to_grid, target_magnitude
 
 
@@ -133,6 +137,128 @@ def test_loss_matches_direct_response(rng, n_bands):
     )
     response = peq_log_magnitude(params, grid.freqs)
     assert loss == pytest.approx(np.mean((response - target_db) ** 2), rel=1e-12)
+
+
+# Bounds of the kernel property tests below, set from the kernel's worst
+# conditioning before they were first run.  U = a0 + a1 f^2 + a2 f^4 cancels
+# most at a bell's centre, where its terms add to about 4 and U is c1^2 =
+# (A/Q)^2; at Q = 100 and a gain of -60 dB times the largest hinge scale
+# (1.2), c1^2 = 2.5e-8, so a band's dB response is off by at most about
+# 4.34 x 4 eps x 1.6e8 = 6e-7 dB.  Derivatives are held relative to their
+# largest entry, far above the central differences' truncation (about
+# 1e-8 of it at Q = 100) and the reference's rounding.
+KERNEL_DB = 1e-5
+KERNEL_DERIVATIVE = 1e-5
+# Batched gain scales and single-scale workspaces differ only in BLAS
+# blocking.
+KERNEL_BATCH = 1e-12
+
+
+@st.composite
+def kernel_vectors(draw):
+    """(log fc, gain dB, log Q) of N = 3, 8 or 12 bands: fc 20 Hz-20 kHz,
+    gains within +-60 dB, Q from 0.1 to 100."""
+    n = draw(st.sampled_from([3, 8, 12]))
+
+    def entries(lo, hi):
+        return draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n))
+
+    vec = np.array(
+        entries(np.log(20.0), np.log(20000.0))
+        + entries(-60.0, 60.0)
+        + entries(np.log(0.1), np.log(100.0))
+    )
+    # PeqParams orders the bells by fc and refuses a tie.
+    bells = np.sort(vec[1 : n - 1])
+    assume(bells.size < 2 or np.diff(bells).min() > 1e-3)
+    return vec
+
+
+def reference_db(vec, freqs, scale=1.0):
+    """Each band's dB from band_magnitude, gains times scale, summed: what
+    peq_log_magnitude adds up, here also at the hinge's f = 0."""
+    return sum(
+        20.0 * np.log10(band_magnitude(freqs, replace(band, gain_db=scale * band.gain_db)))
+        for band in _vector_to_bands(vec)
+    )
+
+
+def central_differences(f, vec, h=1e-6):
+    """d f / d vec, one column per parameter, by central differences."""
+    columns = []
+    for i in range(vec.size):
+        step = np.zeros(vec.size)
+        step[i] = h
+        columns.append((f(vec + step) - f(vec - step)) / (2.0 * h))
+    return np.stack(columns, axis=-1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(vec=kernel_vectors())
+def test_kernel_residual_and_gradient_match_the_band_responses(vec):
+    grid = FrequencyGrid.log_spaced(48000.0, size=64)
+    target_db = np.linspace(-20.0, -2.0, grid.size)
+    work = _Workspace(vec.size // 3, grid.freqs, target_db)
+    with np.errstate(all="ignore"):
+        work.evaluate(vec)
+    params = PeqParams(_sorted_bands(_vector_to_bands(vec)))
+    reference = peq_log_magnitude(params, grid.freqs) - target_db
+    assert np.abs(work.residual - reference).max() <= KERNEL_DB
+
+    def reference_loss(v):
+        return np.mean((reference_db(v, grid.freqs) - target_db) ** 2)
+
+    numeric = central_differences(reference_loss, vec)
+    assert np.abs(work.grad - numeric).max() <= KERNEL_DERIVATIVE * (np.abs(numeric).max() + 1.0)
+
+
+def hinge_scales_and_freqs():
+    """_Polish's gain scales and check frequencies at m_ref = 4800, 48 kHz."""
+    probe = _Polish(_Workspace(3, np.ones(3), np.zeros(3)), np.zeros(9), 4800.0, 48000.0)
+    freqs = np.concatenate((HINGE_LOW_HZ, np.geomspace(12000.0, 24000.0, 6)))
+    return probe.scales, freqs
+
+
+@settings(max_examples=40, deadline=None)
+@given(vec=kernel_vectors())
+def test_kernel_jacobian_matches_central_differences(vec):
+    # The grid's rows at scale 1, and the hinge's rows at each of its gain
+    # scales, whose Jacobian is over the unscaled gains.
+    n = vec.size // 3
+    scales, hinge_freqs = hinge_scales_and_freqs()
+    for freqs, gain_scales in ((FrequencyGrid.log_spaced(48000.0, size=64).freqs, (1.0,)),
+                               (hinge_freqs, scales)):
+        target_db = np.full((len(gain_scales), freqs.size), -3.0)
+        work = _Workspace(n, freqs, target_db, gain_scales)
+        with np.errstate(all="ignore"):
+            rows = work.respond(vec).copy()
+            analytic = work.jacobian(np.empty((rows.size, vec.size)))
+
+        def reference_rows(v):
+            response = np.concatenate([reference_db(v, freqs, s) for s in gain_scales])
+            return response - target_db.ravel()
+
+        assert np.abs(rows - reference_rows(vec)).max() <= KERNEL_DB
+        numeric = central_differences(reference_rows, vec)
+        assert np.abs(analytic - numeric).max() <= KERNEL_DERIVATIVE * (np.abs(numeric).max() + 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(vec=kernel_vectors())
+def test_batched_gain_scales_match_single_scale_workspaces(vec):
+    n = vec.size // 3
+    scales, freqs = hinge_scales_and_freqs()
+    target_db = -np.outer(scales, np.linspace(1.0, 10.0, freqs.size))
+    batched = _Workspace(n, freqs, target_db, scales)
+    with np.errstate(all="ignore"):
+        rows = batched.respond(vec).reshape(scales.size, freqs.size).copy()
+        jac = batched.jacobian(np.empty((rows.size, vec.size))).reshape(scales.size, freqs.size, -1)
+        for k, scale in enumerate(scales):
+            single = _Workspace(n, freqs, target_db[k], (scale,))
+            single_rows = single.respond(vec)
+            single_jac = single.jacobian(np.empty((freqs.size, vec.size)))
+            assert np.abs(rows[k] - single_rows).max() <= KERNEL_BATCH * np.abs(single_rows).max()
+            assert np.abs(jac[k] - single_jac).max() <= KERNEL_BATCH * np.abs(single_jac).max()
 
 
 def test_loss_and_gradient_rejects_non_finite_params():
@@ -278,9 +404,7 @@ def test_polish_jacobian_matches_central_differences(rng, median_curve, n_bands)
     polish.residuals(vec)
     # Every hinge row is checked at a gain scale s != 1; rows within 1e-3 dB
     # of the hinge's kink are left out, where a difference straddles it.
-    excess = np.concatenate(
-        [hinge.residual - cap for hinge, cap in zip(polish.hinges, polish.caps)]
-    )
+    excess = polish.hinge.residual
     assert not np.any(polish.scales == 1.0)
     assert 0 < np.count_nonzero(excess > 0) < excess.size
     keep = np.ones(polish.n_rows, dtype=bool)
