@@ -257,7 +257,6 @@ def cmd_export(args) -> int:
     fitted, delays = _fit_and_delays(args)
     cascades = network_to_sos(fitted, delays)
 
-    os.makedirs(args.out_dir, exist_ok=True)
     report_grid = FrequencyGrid.log_spaced(fitted.fs)
     manifest = {"fs": fitted.fs, "m_ref": fitted.m_ref, "lines": []}
     outputs = []
@@ -354,7 +353,6 @@ def cmd_campaign(args) -> int:
         curves = synthetic_smooth_curves(args.synthetic, seed=args.seed)
     result = run_campaign(curves, cfg, fs=args.fs, workers=args.workers)
 
-    os.makedirs(args.out_dir, exist_ok=True)
     summary = result.to_summary_dict()
     summary["bands"] = args.bands
     summary.update(_cost_fields(args.bands))

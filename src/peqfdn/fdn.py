@@ -75,12 +75,11 @@ def default_delays(n_lines: int, lo_s: float, hi_s: float, fs: float) -> list[in
     """Log-spaced delay lengths in samples, nudged to mutually coprime integers.
 
     Coprime lengths keep the modal pattern of the network dense instead of
-    letting delay-line periods coincide.  Each line takes the integer nearest
-    its log-spaced target that no chosen delay uses or shares a prime factor
-    with.  A tie goes to whichever of base + step and base - step comes first
-    when CPython iterates the two-element set, kept so that lists do not
-    move.  A refusal means this search cannot place every line; a range
-    ending past MAX_RENDER_SAMPLES is refused too.
+    letting delay-line periods coincide.  Each line takes the free integer
+    nearest its log-spaced target rounded to a whole sample, free meaning
+    that no chosen delay uses it or shares a prime factor with it; a tie
+    goes to the shorter delay.  A refusal means this search cannot place
+    every line; a range ending past MAX_RENDER_SAMPLES is refused too.
     """
     _check_lines(n_lines)
     if not (0 < lo_s <= hi_s):
@@ -113,10 +112,10 @@ def default_delays(n_lines: int, lo_s: float, hi_s: float, fs: float) -> list[in
                 raise InvalidParameterError(refusal)
             reach *= 4
         lo = max(0, at - reach)
-        step = int(np.abs(np.flatnonzero(free[lo : at + reach + 1]) + lo - at).min())
-        for chosen in {base} if step == 0 else {base + step, base - step}:
-            if first <= chosen <= last and free[chosen - first]:
-                break
+        # Offsets of the free integers in the window, in ascending order, so
+        # argmin takes the shorter of two at the same distance.
+        offsets = np.flatnonzero(free[lo : at + reach + 1]) + lo
+        chosen = first + int(offsets[np.argmin(np.abs(offsets - at))])
         delays.append(chosen)
         free[chosen - first] = False
         rest = chosen
@@ -364,7 +363,8 @@ def _octave_band_sos(center_hz: float, fs: float) -> np.ndarray:
     floating-point operations, so the sections equal SciPy's to the bit:
     the analog prototype (``buttap``), the bandpass transform
     (``lp2bp_zpk``), the bilinear transform at fs = 2 (``bilinear_zpk``)
-    and the pairing of poles and zeros into sections (``zpk2sos``).
+    and the pairing of poles and zeros into sections (``zpk2sos``), here
+    one fixed pairing.
     """
     if not octave_fits(center_hz, fs):
         raise InvalidParameterError(
@@ -387,25 +387,17 @@ def _octave_band_sos(center_hz: float, fs: float) -> np.ndarray:
     # the two zeros at the origin put 4 * 4 in the gain.
     p_z = (4.0 + p_bp) / (4.0 - p_bp)
     gain = bw**2 * np.real(16.0 / np.prod(4.0 - p_bp))
-    # Pairing: one pole per conjugate pair, averaged with its mirror and
-    # sorted by real part as zpk2sos takes them; the pole nearest the unit
-    # circle goes in the last section, with the two zeros nearest it.
+    # Pairing, as zpk2sos does it: one pole per conjugate pair, averaged
+    # with its mirror.  The pole nearest the unit circle goes in section 1
+    # with the double zero on the side of its real part, z = 1 if it is
+    # positive, else z = -1; section 0 takes the other pole and zero pair.
     upper = np.sort_complex(p_z[p_z.imag > 0])
     lower = np.sort_complex(p_z[p_z.imag < 0].conj())
     poles = (upper + lower) / 2
-    zeros = np.array([-1.0, -1.0, 1.0, 1.0])
-    sos = np.zeros((2, 6))
-    for section in (1, 0):
-        worst = np.argmin(np.abs(1 - np.abs(poles)))
-        pole = poles[worst]
-        poles = np.delete(poles, worst)
-        pair = []
-        for _ in range(2):
-            nearest = np.argsort(np.abs(zeros - pole))[0]
-            pair.append(zeros[nearest])
-            zeros = np.delete(zeros, nearest)
-        sos[section, :3] = np.poly(pair)
-        sos[section, 3:] = np.poly([pole, pole.conj()])
+    near = np.argmin(np.abs(1 - np.abs(poles)))
+    side = 1.0 if poles[near].real > 0 else -1.0
+    pairs = ((poles[1 - near], -side), (poles[near], side))
+    sos = np.array([np.concatenate((np.poly([z, z]), np.poly([p, p.conj()]))) for p, z in pairs])
     sos[0, :3] *= gain
     return sos
 

@@ -16,8 +16,8 @@ stepping it with the same update reproduces a fit bit for bit.  A fit with
 budget left after its Adam warm start (a fifth of the budget, at most 2000
 steps) polishes that result by damped Levenberg-Marquardt on the same
 kernel's residuals and Jacobian, its gain-scaled hinge rows batched in one
-more workspace: MINPACK's compiled lmder, called as
-scipy.optimize.least_squares calls it for method="lm" and loaded alone, as
+more workspace: MINPACK's compiled lmder, given the arguments
+scipy.optimize.least_squares gives it for method="lm" and loaded alone, as
 fdn loads its SOS kernel, without the scipy.optimize package.
 A central-finite-difference oracle in the test suite is the arbiter of
 gradient correctness.
@@ -404,11 +404,16 @@ class _Polish:
       f, so every default line keeps a margin below 0 dB where the grid does
       not look.  One workspace holds every scale, the caps as its targets.
 
-    residuals records each finite evaluation's grid MSE and keeps the
-    parameters of the lowest total cost seen.  An evaluation with a
-    non-finite row, say a trial step that overflows the kernel, is left out
-    of that record; MINPACK rejects it as a step that does not lower the
-    cost, so the polish never returns a higher cost than its warm start's.
+    residuals and jacobian share one cache of the point last evaluated: its
+    rows, its Jacobian once asked for, and whether its rows were recorded.
+    So each point is evaluated once, however often it is asked about, and
+    any driver can call residuals and jacobian directly.  residuals records
+    each point's grid MSE once, if all its rows are finite, and keeps the
+    parameters of the lowest total cost seen; jacobian at a new point
+    evaluates its rows without recording them.  A point with a non-finite
+    row, say a trial step that overflows the kernel, is left out of that
+    record; MINPACK rejects it as a step that does not lower the cost, so
+    the polish never returns a higher cost than its warm start's.
     """
 
     def __init__(self, work: _Workspace, warm: np.ndarray, m_ref: float, fs: float):
@@ -428,13 +433,15 @@ class _Polish:
         self.grid_end = work.residual.size
         self.prior_end = self.grid_end + warm.size
         self.n_rows = self.prior_end + self.caps.size
-        self.at = None
+        self.at = self.rows = self.jac = None
+        self.recorded = False
         self.losses: list[float] = []
         self.best_cost = math.inf
         self.best_vec = self.warm.copy()
         self.best_index = 0
 
     def respond(self, vec: np.ndarray) -> np.ndarray:
+        """Every row at vec, evaluated afresh."""
         rows = np.empty(self.n_rows)
         rows[: self.grid_end] = self.work.respond(vec)
         rows[self.grid_end : self.prior_end] = self.prior * (vec - self.warm)
@@ -443,14 +450,22 @@ class _Polish:
         hinge = rows[self.prior_end :]
         np.multiply(excess, HINGE_WEIGHT, out=hinge)
         hinge[~self.active] = 0.0
-        self.at = vec.copy()
         return rows
 
+    def _visit(self, vec: np.ndarray) -> None:
+        """Make vec the point last evaluated, evaluating it if it is new."""
+        if not np.array_equal(vec, self.at):
+            self.at, self.rows = vec.copy(), self.respond(vec)
+            self.jac, self.recorded = None, False
+
     def residuals(self, vec: np.ndarray) -> np.ndarray:
-        """Every row at vec, recorded if all of them are finite."""
-        rows = self.respond(vec)
-        if not np.isfinite(rows).all():
+        """Every row at vec; each point's rows are recorded once, if all of
+        them are finite."""
+        self._visit(vec)
+        rows = self.rows
+        if self.recorded or not np.isfinite(rows).all():
             return rows
+        self.recorded = True
         grid = rows[: self.grid_end]
         self.losses.append(float(grid @ grid) / grid.size)
         cost = float(rows @ rows)
@@ -462,9 +477,10 @@ class _Polish:
 
     def jacobian(self, vec: np.ndarray) -> np.ndarray:
         """d rows / d vec, an (n_rows, 3N) array."""
-        if not np.array_equal(vec, self.at):
-            self.respond(vec)
-        jac = np.empty((self.n_rows, vec.size))
+        self._visit(vec)
+        if self.jac is not None:
+            return self.jac
+        jac = self.jac = np.empty((self.n_rows, vec.size))
         self.work.jacobian(jac[: self.grid_end])
         prior_jac = jac[self.grid_end : self.prior_end]
         prior_jac.fill(0.0)
@@ -479,33 +495,16 @@ class _Polish:
         the given number of evaluations; False, having run nothing, if the
         start's rows are not finite.
 
-        The calls are the ones scipy.optimize.least_squares(method="lm",
-        x_scale="jac", max_nfev=evaluations) makes: the rows and the
-        Jacobian at the start, then lmder, whose requests at the point last
-        evaluated are answered from that point's cache and any other at a
-        copy of x.
+        lmder is called with the arguments scipy.optimize.least_squares(
+        method="lm", x_scale="jac", max_nfev=evaluations) gives it.  Its
+        requests at the start, and every Jacobian request, are at the point
+        last evaluated, so they are answered from this polish's cache.
         """
-        at = self.warm.copy()
-        cache = {"rows": self.residuals(at)}
-        if not np.isfinite(cache["rows"]).all():
+        if not np.isfinite(self.residuals(self.warm)).all():
             return False
-        cache["jac"] = self.jacobian(at)
-
-        def answer(what, evaluate):
-            def call(x):
-                nonlocal at
-                if not np.array_equal(x, at):
-                    at = x.copy()
-                    cache.clear()
-                if what not in cache:
-                    cache[what] = evaluate(at)
-                return cache[what]
-
-            return call
-
         lmder(
-            answer("rows", self.residuals),
-            answer("jac", self.jacobian),
+            self.residuals,
+            self.jacobian,
             self.warm.copy(),  # lmder leaves its result in x0
             (),  # no extra arguments
             True,  # full output
@@ -535,9 +534,9 @@ def fit(
     and keeps the best-loss parameters seen (the lr-0.1 endgame oscillates,
     so the last iterate is not necessarily the best).  Each 26 steps left
     buy one evaluation of a damped Levenberg-Marquardt polish from those
-    parameters (MINPACK's lmder, called as least_squares' method="lm" calls
-    it), which may stop earlier on MINPACK's convergence tests; see _Polish
-    for its rows.
+    parameters (MINPACK's lmder, given the arguments least_squares' method="lm"
+    gives it, so the same bits), which may stop earlier on MINPACK's
+    convergence tests; see _Polish for its rows and its cache.
     The fit then returns the lowest-cost parameters the polish evaluated.
     A budget that leaves fewer than two evaluations (below 65 steps) runs
     Adam alone for all of it.

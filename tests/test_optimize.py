@@ -478,7 +478,7 @@ def test_polish_repeats_least_squares_bit_for_bit(
 ):
     # The polish calls MINPACK's lmder as least_squares(method="lm") does.
     # Some SciPy versions' least_squares evaluate the start a second time,
-    # as lmder's first call; that repeat is dropped before comparing.
+    # as lmder's first call; like the polish, asked counts a point once.
     from scipy.optimize import least_squares
 
     curve = {
@@ -495,7 +495,8 @@ def test_polish_repeats_least_squares_bit_for_bit(
     asked = []
 
     def residuals(vec):
-        asked.append(vec.copy())
+        if not asked or not np.array_equal(vec, asked[-1]):
+            asked.append(vec.copy())
         return theirs.residuals(vec)
 
     with np.errstate(all="ignore"):
@@ -505,11 +506,6 @@ def test_polish_repeats_least_squares_bit_for_bit(
             max_nfev=evaluations,
         )
     losses, best_index = theirs.losses, theirs.best_index
-    if len(asked) > 1 and np.array_equal(asked[0], asked[1]):
-        # An equal cost is not a new best, so the repeat never is one.
-        del losses[1]
-        del asked[1]
-        best_index -= best_index > 0
     assert np.array(ours.losses).tobytes() == np.array(losses).tobytes()
     assert (ours.best_index, ours.best_vec.tobytes()) == (best_index, theirs.best_vec.tobytes())
     assert 2 <= len(asked) <= evaluations
@@ -521,6 +517,25 @@ def test_polish_repeats_least_squares_bit_for_bit(
     assert report.loss_trace[steps:].tobytes() == np.array(ours.losses).tobytes()
     assert report.best_iteration == steps + ours.best_index
 
+
+def test_polish_evaluates_and_records_each_point_once(median_curve):
+    # MINPACK asks for the rows and then the Jacobian at the same point; a
+    # repeated request is answered from the polish's cache and not recorded.
+    target_db, _, warm, _ = fit_warm_start(median_curve, 12, FitConfig.iterations)
+    freqs = FrequencyGrid.log_spaced(48000.0).freqs
+    polish = _Polish(_Workspace(12, freqs, target_db), warm, 4800.0, 48000.0)
+    responded = []
+    respond = polish.respond
+    polish.respond = lambda vec: responded.append(vec.copy()) or respond(vec)
+    rows = polish.residuals(warm).copy()
+    assert polish.residuals(warm.copy()).tobytes() == rows.tobytes()
+    assert len(polish.losses) == 1
+    moved = warm + 0.01
+    polish.jacobian(moved)
+    assert len(polish.losses) == 1
+    polish.residuals(moved)
+    assert len(polish.losses) == 2
+    assert [point.tobytes() for point in responded] == [warm.tobytes(), moved.tobytes()]
 
 def test_fit_past_the_warm_start_polishes(median_curve):
     polished_cfg = FitConfig(n_bands=8, iterations=WARM_START_STEPS + 26 * 40)
