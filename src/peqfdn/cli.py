@@ -20,6 +20,7 @@ artifact behind.
 """
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -75,14 +76,19 @@ def _write_atomic(*outputs: tuple[str, str | Callable[[BinaryIO], object]]) -> N
     data(handle) writes.
 
     Every output goes to a same-directory temp file first; only once all of
-    them are written are they renamed into place.  If a write or a rename
-    fails, the temp files and the outputs already renamed are removed, so a
-    failed call leaves none of its paths written.
+    them are written are they renamed into place.  A path that is a
+    directory is refused before any temp file is written, so the files a
+    previous run left there survive.  If a write or a rename fails, the
+    temp files and the outputs already renamed are removed, so a failed
+    call leaves none of its paths written.
     """
+    paths = [os.path.abspath(path) for path, _ in outputs]
+    for path in paths:
+        if os.path.isdir(path) and not os.path.islink(path):  # os.replace replaces a link
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     temps = []
     try:
-        for path, data in outputs:
-            path = os.path.abspath(path)
+        for path, (_, data) in zip(paths, outputs):
             directory = os.path.dirname(path)
             os.makedirs(directory, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.")

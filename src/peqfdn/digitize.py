@@ -12,17 +12,16 @@ keeps the member that tracks the analog curve best (after Orfanidis,
 gain", JAES 1997).  Residual deviation is measured and reported rather
 than hidden (see digitization_report).
 
-network_to_sos digitizes every delay line of a network at once.  The
-lines share each band's fc and Q and differ only in gain, so each band's
-design grid and pins are set up once, and the lines are visited from the
-shortest delay up: the shortest gets the full two-stage search, and each
-longer line runs only the second stage, around the first-stage trial
-nearest the same band's best p on the line before, falling back to the
-full search where that start cannot be trusted (see _design).  It then
-refuses a network that would not decay: with orthogonal feedback the loop
-decays when every line's cascade stays below 0 dB from DC to Nyquist (Jot
-and Chaigne, AES 1991).  The digitizer silences its own numpy warnings: a
-band past its reach overflows on the way to its refusal.
+network_to_sos digitizes every delay line of a network in one pass, from
+the shortest delay up: each line is scaled, designed and checked before
+the next, and the first line that fails is refused.  The lines share each
+band's fc and Q and differ only in gain, so each longer line runs only
+the second stage of the search, around the first-stage trial nearest the
+same band's best p on the line before (see _design).  The check keeps
+each line's cascade below 0 dB from DC to Nyquist: with orthogonal
+feedback the loop then decays (Jot and Chaigne, AES 1991).  The digitizer
+silences its own numpy warnings: a band past its reach overflows on the
+way to its refusal.
 """
 
 import io
@@ -356,43 +355,36 @@ def network_to_sos(fitted: FittedPeq, delays) -> list[SosCascade]:
 
     The lines share each band's fc and Q; only the gain scales with the
     delay (scale_to_delay).  So each band's design set-up is done once, and
-    the lines are digitized from the shortest delay up: the shortest gets
+    the lines are visited from the shortest delay up: the shortest gets
     band_to_biquad's full search, as peq_to_sos gives it, and each longer
     one searches only around the same band's p on the line before (see
     _design), unless it is more than _WARM_SCORE_FACTOR times as long.
-    Equal delays share one cascade.  Every line's cascade must then stay
-    below 0 dB from DC to Nyquist (check_decays on _ATTENUATION_GRID): the
-    fit constrains the response only from 20 Hz up, so a fitted band can
-    still reach 0 dB below that.  A refusal names the line, "delay line of
-    N samples: ..."; a refused delay is found in the order given, then a
-    band no section can track on the shortest line that has one, then a
-    line that would not decay in the order given.
+    Equal delays share one cascade.  Each line's cascade must stay below
+    0 dB from DC to Nyquist (check_decays on _ATTENUATION_GRID): the fit
+    constrains the response only from 20 Hz up, so a fitted band can still
+    reach 0 dB below that.  The shortest line that fails, for whatever
+    reason, is refused, "delay line of N samples: ...", and no longer line
+    is digitized.
     """
-    lines = {}
-    for m_k in delays:
-        if m_k not in lines:
-            lines[m_k] = _on_line(m_k, scale_to_delay, fitted, m_k)
     pins = [_pins(band.fc_hz, fitted.fs) for band in fitted.params.bands]
-
-    def digitize_line(params, found):
-        rows = []
-        for i, band in enumerate(params.bands):
-            row, found[i] = _design(band, pins[i], found[i])
-            rows.append(row)
-        return SosCascade(np.concatenate(rows), fitted.fs)
-
     found = [None] * len(pins)  # each band's (p, worst score) on the line before
     cascades = {}
     m_prev = math.inf
-    for m_k in sorted(lines):
+    for m_k in sorted(set(delays)):
         if m_k > _WARM_SCORE_FACTOR * m_prev:
             # A band's error in dB grows about as its gain, with the delay,
             # so after a longer step the score test would refuse the start.
             found = [None] * len(pins)
-        cascades[m_k] = _on_line(m_k, digitize_line, lines[m_k], found)
+        try:
+            rows = []
+            for i, band in enumerate(scale_to_delay(fitted, m_k).bands):
+                row, found[i] = _design(band, pins[i], found[i])
+                rows.append(row)
+            cascades[m_k] = SosCascade(np.concatenate(rows), fitted.fs)
+            _check_line_decays(cascades[m_k])
+        except (InvalidParameterError, NonDecayingResponseError) as exc:
+            raise type(exc)(f"delay line of {m_k} samples: {exc}") from None
         m_prev = m_k
-    for m_k in lines:
-        _on_line(m_k, _check_line_decays, cascades[m_k])
     return [cascades[m_k] for m_k in delays]
 
 
@@ -400,14 +392,6 @@ def _check_line_decays(cascade: SosCascade) -> None:
     """Refuse a cascade that reaches 0 dB anywhere on _ATTENUATION_GRID."""
     freqs = cascade.fs * _ATTENUATION_GRID
     check_decays(_biquad_mag_db(cascade, freqs), freqs)
-
-
-def _on_line(m_k, step, *args):
-    """step(*args), its refusal prefixed with the delay line it was for."""
-    try:
-        return step(*args)
-    except (InvalidParameterError, NonDecayingResponseError) as exc:
-        raise type(exc)(f"delay line of {m_k} samples: {exc}") from None
 
 
 def sos_to_csv(sos: SosCascade) -> str:

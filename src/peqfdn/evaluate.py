@@ -19,7 +19,7 @@ from .fdn import MAX_RENDER_SAMPLES
 from .optimize import FitConfig, fit
 from .peq import FittedPeq, check_band_count, peq_log_magnitude
 from .targets import T60Curve, check_decays, check_finite, check_fs
-from .targets import check_positive, interpolate_to_grid
+from .targets import check_integer, check_positive, interpolate_to_grid
 
 __all__ = [
     "ErrorDistribution",
@@ -216,8 +216,6 @@ def achieved_t60(fitted: FittedPeq, freqs) -> np.ndarray:
 
 def op_count(n_bands: int) -> CostReport:
     """Arithmetic operations per sample per line and trainable parameters."""
-    if not isinstance(n_bands, (int, np.integer)):
-        raise InvalidParameterError(f"n_bands must be an integer, got {n_bands}")
     check_band_count(n_bands)
     return CostReport(int(n_bands))
 
@@ -229,8 +227,10 @@ def synthetic_smooth_curves(n_curves: int, seed: int = 0) -> list[T60Curve]:
     they undulate as gently as measured room curves do; amplitudes rescale
     when needed to keep every value inside SYNTH_T60_RANGE_S.  A draw may
     hold at most MAX_RENDER_SAMPLES values, the bound a render has; a larger
-    count is refused before any curve is drawn.
+    count is refused before any curve is drawn, and so is a seed that is
+    not an integer >= 0.
     """
+    check_integer(n_curves, "n_curves")
     if n_curves < 1:
         raise InvalidParameterError(f"need at least one curve, got {n_curves}")
     if n_curves * SYNTH_POINTS > MAX_RENDER_SAMPLES:
@@ -238,6 +238,9 @@ def synthetic_smooth_curves(n_curves: int, seed: int = 0) -> list[T60Curve]:
             f"{n_curves} synthetic curves of {SYNTH_POINTS} points hold more than "
             f"the {MAX_RENDER_SAMPLES} (2**26) values a draw may hold"
         )
+    check_integer(seed, "seed")
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     freqs = np.geomspace(SYNTH_FREQ_RANGE_HZ[0], SYNTH_FREQ_RANGE_HZ[1], SYNTH_POINTS)
     u = np.linspace(0.0, 1.0, SYNTH_POINTS)

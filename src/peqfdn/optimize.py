@@ -38,7 +38,7 @@ from .errors import (
 from .fdn import DEFAULT_DELAY_RANGE_S, scipy_kernel
 from .peq import FittedPeq, PeqParams, check_band_count
 from .prototypes import COEFF_EXPONENTS, BandKind, BandParams
-from .targets import FrequencyGrid, T60Curve, check_finite, check_positive
+from .targets import FrequencyGrid, T60Curve, check_finite, check_integer, check_positive
 from .targets import interpolate_to_grid, target_magnitude
 
 __all__ = [
@@ -116,6 +116,7 @@ class FitConfig:
 
     def __post_init__(self):
         check_band_count(self.n_bands)
+        check_integer(self.iterations, "iterations")
         if self.iterations < 1:
             raise InvalidParameterError(f"iterations must be >= 1, got {self.iterations}")
         _, evaluations = _budget(self.iterations)
@@ -125,6 +126,7 @@ class FitConfig:
                 f"than the {MAX_EVALUATIONS} (2**31 - 1) the polish can count"
             )
         check_positive(self.learning_rate, "learning_rate")
+        check_integer(self.seed, "seed")
         if self.seed < 0:
             raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
         # The grid's residuals cannot determine more parameters than it has

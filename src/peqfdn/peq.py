@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .prototypes import BandKind, BandParams, band_magnitude
-from .targets import check_delay, check_fs, check_positive
+from .targets import check_delay, check_fs, check_integer, check_positive
 
 __all__ = [
     "PeqParams",
@@ -23,7 +23,8 @@ __all__ = [
 
 
 def check_band_count(n_bands: int) -> None:
-    """Refuse a band count below 3: a PEQ is two shelves and at least one bell."""
+    """Refuse a band count that is not an integer >= 3: a PEQ is two shelves and a bell or more."""
+    check_integer(n_bands, "n_bands")
     if n_bands < 3:
         raise InvalidParameterError(f"a PEQ needs at least 3 bands, got {n_bands}")
 

@@ -173,6 +173,12 @@ def check_positive(values, name: str) -> None:
     _refuse_unless((values > 0) & (values < math.inf), values, name, "finite and > 0")
 
 
+def check_integer(value, name: str) -> None:
+    """Refuse a count or seed, called name in the message, that is not an integer."""
+    if not isinstance(value, (int, np.integer)):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+
+
 def check_fs(fs: float) -> None:
     """Refuse a sample rate that is not in (0, MAX_FS_HZ]: the rule of every stage."""
     if not (0 < fs <= MAX_FS_HZ):

@@ -403,13 +403,25 @@ def test_a_sidecar_that_cannot_be_written_leaves_neither_file(
         argv = ["render", "--fit", run_fit(flat_csv, tmp_path), "--lines", "2",
                 "--duration", "0.5"]
         out, sidecar = out_dir / "ir.wav", out_dir / "ir.decay.csv"
+    argv = [*argv, "--out", str(out), "--quiet"]
     sidecar.mkdir(parents=True)
     capsys.readouterr()
-    assert cli.main([*argv, "--out", str(out), "--quiet"]) == 1
+    assert cli.main(argv) == 1
     assert "Is a directory" in capsys.readouterr().err
     assert not out.exists()
     assert os.listdir(out_dir) == [sidecar.name]
     assert os.listdir(sidecar) == []
+    # Nor is a previous run's main file deleted: the directory is refused
+    # before any file is written.
+    sidecar.rmdir()
+    assert cli.main(argv) == 0
+    previous = out.read_bytes()
+    sidecar.unlink()
+    sidecar.mkdir()
+    assert cli.main(argv) == 1
+    assert f"Is a directory: '{sidecar}'" in capsys.readouterr().err
+    assert out.read_bytes() == previous
+    assert sorted(os.listdir(out_dir)) == sorted([out.name, sidecar.name])
 
 
 def test_an_export_whose_manifest_cannot_be_written_leaves_no_line_file(
@@ -423,6 +435,47 @@ def test_an_export_whose_manifest_cannot_be_written_leaves_no_line_file(
     assert cli.main(argv) == 1
     assert "Is a directory" in capsys.readouterr().err
     assert os.listdir(out_dir) == ["manifest.json"]
+    # A previous run's line files survive a refused run.
+    (out_dir / "manifest.json").rmdir()
+    assert cli.main(argv) == 0
+    previous = {name: (out_dir / name).read_bytes() for name in os.listdir(out_dir)}
+    (out_dir / "manifest.json").unlink()
+    (out_dir / "manifest.json").mkdir()
+    assert cli.main(argv) == 1
+    assert "Is a directory" in capsys.readouterr().err
+    assert sorted(os.listdir(out_dir)) == sorted(previous)
+    for name, data in previous.items():
+        if name != "manifest.json":
+            assert (out_dir / name).read_bytes() == data
+
+
+def test_a_campaign_whose_histogram_cannot_be_written_keeps_the_previous_summary(
+    tmp_path, capsys
+):
+    out_dir = tmp_path / "campaign"
+    argv = ["campaign", "--synthetic", "2", "--out-dir", str(out_dir), "--bands", "4",
+            "--iterations", "100", "--quiet"]
+    assert cli.main(argv) == 0
+    previous = (out_dir / "summary.json").read_bytes()
+    (out_dir / "histogram.csv").unlink()
+    (out_dir / "histogram.csv").mkdir()
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert "Is a directory" in capsys.readouterr().err
+    assert (out_dir / "summary.json").read_bytes() == previous
+    assert sorted(os.listdir(out_dir)) == ["histogram.csv", "summary.json"]
+
+
+def test_an_output_path_that_links_to_a_directory_replaces_the_link(tmp_path):
+    # Only a real directory is refused: os.replace replaces a link, and the
+    # directory it pointed to is left as it was.
+    target = tmp_path / "elsewhere"
+    target.mkdir()
+    link = tmp_path / "fit.json"
+    link.symlink_to(target)
+    cli._write_atomic((str(link), "{}\n"))
+    assert not link.is_symlink() and link.read_text() == "{}\n"
+    assert os.listdir(target) == []
 
 
 def test_render_is_byte_reproducible(flat_csv, tmp_path):

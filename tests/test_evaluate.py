@@ -152,6 +152,12 @@ def test_synthetic_curves_are_deterministic_and_bounded():
     assert a[0].name == "synthetic-0000"
     different = synthetic_smooth_curves(5, seed=43)
     assert not np.array_equal(a[0].t60_s, different[0].t60_s)
+    # The seed is a non-negative integer, refused by name before any draw.
+    for seed, message in ((-1, "seed must be >= 0, got -1"), (1.5, "seed must be an integer")):
+        with pytest.raises(InvalidParameterError, match=message):
+            synthetic_smooth_curves(2, seed=seed)
+    with pytest.raises(InvalidParameterError, match="n_curves must be an integer"):
+        synthetic_smooth_curves(2.0)
 
 
 def test_achieved_t60_follows_flat_fit(flat_curve):

@@ -518,6 +518,37 @@ def test_polish_repeats_least_squares_bit_for_bit(
     assert report.best_iteration == steps + ours.best_index
 
 
+@pytest.mark.parametrize(
+    "table, n_bands, iterations",
+    [("median", 12, FitConfig.iterations), ("flat_0.05", 12, FitConfig.iterations),
+     ("flat_0.15", 12, FitConfig.iterations), ("synthetic", 8, 2000)],
+)
+def test_polish_never_returns_a_higher_cost_than_its_warm_start(
+    median_curve, table, n_bands, iterations
+):
+    # The polish keeps the lowest total cost it evaluated, not the lowest
+    # grid MSE, so its guarantee is on the cost: every row at the returned
+    # vector against every row at the warm start.  The synthetic curve runs
+    # at the campaign's budget.
+    curve = {
+        "median": median_curve,
+        "flat_0.05": T60Curve(np.array([100.0, 10000.0]), np.array([0.05, 0.05])),
+        "flat_0.15": T60Curve(np.array([100.0, 10000.0]), np.array([0.15, 0.15])),
+        "synthetic": synthetic_smooth_curves(1, seed=5)[0],
+    }[table]
+    target_db, _, warm, evaluations = fit_warm_start(curve, n_bands, iterations)
+    freqs = FrequencyGrid.log_spaced(48000.0).freqs
+    polish = _Polish(_Workspace(n_bands, freqs, target_db), warm, 4800.0, 48000.0)
+    with np.errstate(all="ignore"):
+        assert polish.run(scipy_kernel("scipy.optimize._minpack", "_lmder"), evaluations)
+    fitted, _ = fit(curve, 4800.0, 48000.0, FitConfig(n_bands=n_bands, iterations=iterations))
+    assert fitted.params.bands == _sorted_bands(_vector_to_bands(polish.best_vec))
+    fresh = _Polish(_Workspace(n_bands, freqs, target_db), warm, 4800.0, 48000.0)
+    returned, start = (fresh.respond(vec) for vec in (polish.best_vec, warm))
+    assert np.isfinite(returned).all()
+    assert returned @ returned <= start @ start
+
+
 def test_polish_evaluates_and_records_each_point_once(median_curve):
     # MINPACK asks for the rows and then the Jacobian at the same point; a
     # repeated request is answered from the polish's cache and not recorded.
@@ -600,6 +631,11 @@ def test_fit_config_validation():
         FitConfig(n_bands=4, learning_rate=0.0)
     with pytest.raises(InvalidParameterError, match="seed"):
         FitConfig(seed=-1)
+    # Counts and seeds are integers: a float used to pass here and fail in
+    # fit or run_campaign with an untyped TypeError.
+    for field, value in (("n_bands", 4.0), ("iterations", 100.5), ("seed", 1.5)):
+        with pytest.raises(InvalidParameterError, match=f"{field} must be an integer"):
+            FitConfig(**{field: value})
     # 171 bands have 513 parameters, one more than the default grid's points.
     FitConfig(n_bands=170, grid=FrequencyGrid.log_spaced(48000.0))
     with pytest.raises(InvalidParameterError, match="171 bands"):
