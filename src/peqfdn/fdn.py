@@ -234,20 +234,23 @@ class FdnConfig:
         return len(self.delays)
 
 
-def scipy_kernel(module_name: str, attribute: str):
-    """``attribute`` of SciPy's compiled extension module_name, loaded alone.
+def _sos_kernel():
+    """The compiled loop behind ``sosfilt``, without the scipy.signal package.
 
-    The extension is found in its SciPy directory and registered under its
+    ``_sosfilt(sos, x, zi)`` filters x (n_signals, n) in place and updates
+    zi (n_signals, n_sections, 2), all C-contiguous float64.
+
+    The extension is found in SciPy's directory and registered under its
     own name, as an import would, but without running the package around
-    it.  A later import of that package then reuses the module instead of
+    it.  A later import of scipy.signal then reuses the module instead of
     initialising it a second time, which a Cython module may refuse.
     """
+    module_name = "scipy.signal._sosfilt"
     module = sys.modules.get(module_name)
     if module is None:
         import scipy
 
-        subpackage = module_name.split(".")[1:-1]
-        dirs = [os.path.join(d, *subpackage) for d in scipy.__path__]
+        dirs = [os.path.join(d, "signal") for d in scipy.__path__]
         spec = importlib.machinery.PathFinder.find_spec(module_name, dirs)
         if spec is None:
             raise ModuleNotFoundError(f"no {module_name} in {dirs}", name=module_name)
@@ -258,16 +261,7 @@ def scipy_kernel(module_name: str, attribute: str):
         except BaseException:
             del sys.modules[module_name]
             raise
-    return getattr(module, attribute)
-
-
-def _sos_kernel():
-    """The compiled loop behind ``sosfilt``, without the scipy.signal package.
-
-    ``_sosfilt(sos, x, zi)`` filters x (n_signals, n) in place and updates
-    zi (n_signals, n_sections, 2), all C-contiguous float64.
-    """
-    return scipy_kernel("scipy.signal._sosfilt", "_sosfilt")
+    return module._sosfilt
 
 
 def _ring_read(ring: np.ndarray, start: int, dest: np.ndarray) -> None:

@@ -16,9 +16,8 @@ stepping it with the same update reproduces a fit bit for bit.  A fit with
 budget left after its Adam warm start (a fifth of the budget, at most 2000
 steps) polishes that result by damped Levenberg-Marquardt on the same
 kernel's residuals and Jacobian, its gain-scaled hinge rows batched in one
-more workspace: MINPACK's compiled lmder, given the arguments
-scipy.optimize.least_squares gives it for method="lm" and loaded alone, as
-fdn loads its SOS kernel, without the scipy.optimize package.
+more workspace.  The polish solves the normal equations of its 3N columns
+with numpy, so a fit loads no SciPy.
 A central-finite-difference oracle in the test suite is the arbiter of
 gradient correctness.
 """
@@ -35,7 +34,7 @@ from .errors import (
     InvalidParameterError,
     NumericalFailureError,
 )
-from .fdn import DEFAULT_DELAY_RANGE_S, scipy_kernel
+from .fdn import DEFAULT_DELAY_RANGE_S
 from .peq import FittedPeq, PeqParams, check_band_count
 from .prototypes import COEFF_EXPONENTS, BandKind, BandParams
 from .targets import FrequencyGrid, T60Curve, check_finite, check_integer, check_positive
@@ -66,18 +65,19 @@ PROGRESS_EVERY = 500
 
 # A fit's budget is cfg.iterations Adam steps.  Adam takes a fifth of them,
 # rounded up, and at most WARM_START_STEPS; every STEPS_PER_EVALUATION steps
-# left buy one evaluation of the Levenberg-Marquardt polish.  An evaluation
-# costs about 15 Adam steps at N = 12, most of it MINPACK's own work; the
-# charge stays at 26 because any other value would change every default
-# (10k-step) fit.
+# left buy one evaluation of the Levenberg-Marquardt polish.  An evaluation,
+# with its share of Jacobians and solves, costs about 6 Adam steps at N = 12
+# and 3.4 at N = 4 (default fits, one core); the charge stays at 26 because
+# any other value would change every default (10k-step) fit.
 WARM_START_STEPS = 2000
 STEPS_PER_EVALUATION = 26
-# MINPACK counts evaluations in a C int.
-MAX_EVALUATIONS = 2**31 - 1
-# MINPACK's ftol, xtol and gtol, and the factor of its initial step bound:
-# scipy.optimize.least_squares' defaults for method="lm".
+# The polish's stopping tolerance on relative cost reduction and step size.
 LM_TOLERANCE = 1e-8
-LM_STEP_FACTOR = 100.0
+# The polish's starting damping, relative to the Jacobian's squared column
+# norms: Madsen, Nielsen & Tingleff's tau for a start believed close to the
+# minimum, as Adam's warm start is.
+LM_DAMPING = 1e-6
+_EPS = float(np.finfo(np.float64).eps)
 
 # The polish's extra rows (see _Polish).  The prior weighs log fc, gain dB
 # and log Q: it holds the corners and Q, which can run off (to fc = inf),
@@ -119,12 +119,6 @@ class FitConfig:
         check_integer(self.iterations, "iterations")
         if self.iterations < 1:
             raise InvalidParameterError(f"iterations must be >= 1, got {self.iterations}")
-        _, evaluations = _budget(self.iterations)
-        if evaluations > MAX_EVALUATIONS:
-            raise InvalidParameterError(
-                f"iterations {self.iterations} buy {evaluations} polish evaluations, more "
-                f"than the {MAX_EVALUATIONS} (2**31 - 1) the polish can count"
-            )
         check_positive(self.learning_rate, "learning_rate")
         check_integer(self.seed, "seed")
         if self.seed < 0:
@@ -414,8 +408,8 @@ class _Polish:
     parameters of the lowest total cost seen; jacobian at a new point
     evaluates its rows without recording them.  A point with a non-finite
     row, say a trial step that overflows the kernel, is left out of that
-    record; MINPACK rejects it as a step that does not lower the cost, so
-    the polish never returns a higher cost than its warm start's.
+    record; run rejects it as a step that does not lower the cost, so the
+    polish never returns a higher cost than its warm start's.
     """
 
     def __init__(self, work: _Workspace, warm: np.ndarray, m_ref: float, fs: float):
@@ -492,33 +486,69 @@ class _Polish:
         hinge_jac *= HINGE_WEIGHT
         return jac
 
-    def run(self, lmder, evaluations: int) -> bool:
-        """Polish from the warm start by MINPACK's lmder, spending at most
-        the given number of evaluations; False, having run nothing, if the
-        start's rows are not finite.
+    def run(self, evaluations: int) -> bool:
+        """Polish from the warm start by Levenberg-Marquardt, spending at
+        most the given number of evaluations; False, having run nothing, if
+        the start's rows are not finite.
 
-        lmder is called with the arguments scipy.optimize.least_squares(
-        method="lm", x_scale="jac", max_nfev=evaluations) gives it.  Its
-        requests at the start, and every Jacobian request, are at the point
-        last evaluated, so they are answered from this polish's cache.
+        At each accepted point one Jacobian J gives the normal equations
+        A = J^T J and g = J^T r, and each trial solves (A + mu D^2) s = -g
+        (see _damped_step), D^2 the running maximum of A's diagonal, so the
+        damping scales with the columns (More, LNM 630, 1978).  A trial that
+        lowers the total cost is accepted and mu follows Nielsen's update
+        (Madsen, Nielsen & Tingleff, 2004); any other trial, one whose rows
+        are not finite included, is rejected, and mu grows by a factor that
+        doubles with each rejection in a row.  The polish stops when an
+        accepted step lowers the cost by at most LM_TOLERANCE of it, when a
+        step is at most LM_TOLERANCE of the point in the D norm, or when the
+        evaluations are spent.  Jacobians are not counted as evaluations.
         """
-        if not np.isfinite(self.residuals(self.warm)).all():
+        vec = self.warm.copy()
+        rows = self.residuals(vec)
+        if not np.isfinite(rows).all():
             return False
-        lmder(
-            self.residuals,
-            self.jacobian,
-            self.warm.copy(),  # lmder leaves its result in x0
-            (),  # no extra arguments
-            True,  # full output
-            False,  # the Jacobian's rows are residuals
-            LM_TOLERANCE,
-            LM_TOLERANCE,
-            LM_TOLERANCE,
-            evaluations,
-            LM_STEP_FACTOR,
-            None,  # scale each parameter by its Jacobian column's norm
-        )
+        cost = float(rows @ rows)
+        mu, grow = LM_DAMPING, 2.0
+        d_sq = np.zeros(vec.size)
+        accepted = True
+        for _ in range(evaluations - 1):
+            if accepted:
+                jac = self.jacobian(vec)
+                normal = jac.T @ jac
+                grad = jac.T @ rows
+                np.maximum(d_sq, normal.diagonal(), out=d_sq)
+            step = _damped_step(normal, grad, mu, d_sq)
+            # A step that is not finite fails this test too.
+            if not math.sqrt(d_sq @ step**2) > LM_TOLERANCE * math.sqrt(d_sq @ vec**2):
+                break
+            trial = vec + step
+            rows_at_trial = self.residuals(trial)
+            # Not finite rows give a cost that is not finite, so not lower.
+            trial_cost = float(rows_at_trial @ rows_at_trial)
+            accepted = trial_cost < cost
+            if not accepted:
+                mu *= grow
+                grow *= 2.0
+                continue
+            predicted = mu * (d_sq @ step**2) - grad @ step
+            ratio = (cost - trial_cost) / predicted
+            # Nielsen's update, with a floor that a rejection can grow from.
+            mu = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), _EPS)
+            grow = 2.0
+            converged = cost - trial_cost <= LM_TOLERANCE * cost
+            vec, rows, cost = trial, rows_at_trial, trial_cost
+            if converged:
+                break
         return True
+
+
+def _damped_step(normal: np.ndarray, grad: np.ndarray, mu: float, d_sq: np.ndarray):
+    """The step s solving (normal + mu diag(d_sq)) s = -grad: with normal =
+    J^T J and grad = J^T r, the least-squares step of [J; sqrt(mu) D] s =
+    [-r; 0], D = diag(sqrt(d_sq))."""
+    damped = normal.copy()
+    damped.flat[:: normal.shape[0] + 1] += mu * d_sq
+    return np.linalg.solve(damped, -grad)
 
 
 def fit(
@@ -536,9 +566,8 @@ def fit(
     and keeps the best-loss parameters seen (the lr-0.1 endgame oscillates,
     so the last iterate is not necessarily the best).  Each 26 steps left
     buy one evaluation of a damped Levenberg-Marquardt polish from those
-    parameters (MINPACK's lmder, given the arguments least_squares' method="lm"
-    gives it, so the same bits), which may stop earlier on MINPACK's
-    convergence tests; see _Polish for its rows and its cache.
+    parameters, which may stop earlier on its own convergence tests; see
+    _Polish for its rows and its cache, and _Polish.run for the solver.
     The fit then returns the lowest-cost parameters the polish evaluated.
     A budget that leaves fewer than two evaluations (below 65 steps) runs
     Adam alone for all of it.
@@ -549,10 +578,6 @@ def fit(
     if given, is called every 500 Adam steps with (step, current loss), and
     once at the end with (trace length, final MSE).
     """
-    # Loaded before the clock starts, and by every fit, so wall_time_s never
-    # holds the load.
-    lmder = scipy_kernel("scipy.optimize._minpack", "_lmder")
-
     started = time.perf_counter()
     grid = cfg.with_default_grid(fs).grid
     t60_on_grid = interpolate_to_grid(target, grid)
@@ -598,7 +623,7 @@ def fit(
             polish = _Polish(work, best_vec, m_ref, fs)
             # A start whose rows are not finite is not polished; the fit then
             # returns its warm start.
-            if polish.run(lmder, evaluations):
+            if polish.run(evaluations):
                 trace = np.concatenate((trace, polish.losses))
                 best_vec = polish.best_vec
                 best_iteration = steps + polish.best_index

@@ -22,13 +22,14 @@ from peqfdn import (
     peq_log_magnitude,
 )
 from peqfdn.evaluate import synthetic_smooth_curves
-from peqfdn.fdn import scipy_kernel
 from peqfdn.optimize import (
     HINGE_LOW_HZ,
+    LM_DAMPING,
     STEPS_PER_EVALUATION,
     WARM_START_STEPS,
     _adam_update,
     _budget,
+    _damped_step,
     _initial_vector,
     _Polish,
     _sorted_bands,
@@ -415,7 +416,7 @@ def test_polish_jacobian_matches_central_differences(rng, median_curve, n_bands)
 
 def test_polish_leaves_a_non_finite_trial_out(median_curve):
     # A trial step that overflows the kernel returns its non-finite rows, for
-    # MINPACK to reject, and is neither recorded nor kept as the best.
+    # the polish to reject, and is neither recorded nor kept as the best.
     grid = FrequencyGrid.log_spaced(48000.0)
     target_db = target_magnitude(interpolate_to_grid(median_curve, grid), 4800.0, 48000.0)
     warm = _initial_vector(8, grid, target_db)
@@ -441,8 +442,8 @@ def test_fit_returns_a_warm_start_the_polish_cannot_start_from(median_curve, mon
 
 @pytest.mark.parametrize("t60_s", [0.15, 0.05])
 def test_short_t60_polish_ends_at_or_below_its_warm_start(t60_s):
-    # Trial steps on these tables overflow the kernel; they are rejected
-    # steps, not a diverged fit.
+    # Short T60s give large residuals; a trial step whose rows overflow the
+    # kernel is a rejected step, not a diverged fit.
     curve = T60Curve(np.array([100.0, 10000.0]), np.array([t60_s, t60_s]))
     _, report = fit(curve, 4800.0, 48000.0, FitConfig())
     assert report.iterations > WARM_START_STEPS
@@ -469,18 +470,71 @@ def fit_warm_start(curve, n_bands, iterations, m_ref=4800.0, fs=48000.0):
     return target_db, steps, best, evaluations
 
 
+@pytest.mark.parametrize("n_bands, mu", [(4, 1e-3), (12, 1e-3), (12, 1.0)])
+def test_polish_step_is_the_damped_least_squares_step(median_curve, n_bands, mu):
+    # The normal equations give the least-squares step of the rows stacked
+    # on the damping, D the Jacobian's column norms.  They square the
+    # condition number: scaled by D, the damped matrix's is at most
+    # (3N + mu) / mu, so a fixed mu of 1e-3 or more keeps 1e-10.
+    target_db, _, warm, _ = fit_warm_start(median_curve, n_bands, FitConfig.iterations)
+    freqs = FrequencyGrid.log_spaced(48000.0).freqs
+    polish = _Polish(_Workspace(n_bands, freqs, target_db), warm, 4800.0, 48000.0)
+    with np.errstate(all="ignore"):
+        rows, jac = polish.residuals(warm), polish.jacobian(warm)
+    d = np.linalg.norm(jac, axis=0)
+    step = _damped_step(jac.T @ jac, jac.T @ rows, mu, d * d)
+    stacked = np.vstack((jac, math.sqrt(mu) * np.diag(d)))
+    expected = np.linalg.lstsq(stacked, np.concatenate((-rows, np.zeros(d.size))), rcond=None)[0]
+    assert np.linalg.norm(step - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_polish_rejects_a_trial_whose_rows_are_not_finite(median_curve):
+    # The first trial's rows are spoiled: it is not recorded, the best stays
+    # the warm start, and the next trial steps from the warm start again,
+    # with the damping doubled.
+    target_db, _, warm, _ = fit_warm_start(median_curve, 8, 2000)
+    freqs = FrequencyGrid.log_spaced(48000.0).freqs
+
+    def spoiled_polish():
+        polish = _Polish(_Workspace(8, freqs, target_db), warm, 4800.0, 48000.0)
+        visited = []
+        respond = polish.respond
+
+        def spoiled(vec):
+            visited.append(vec.copy())
+            rows = respond(vec)
+            if len(visited) == 2:
+                rows[0] = np.nan
+            return rows
+
+        polish.respond = spoiled
+        return polish, visited
+
+    polish, visited = spoiled_polish()
+    with np.errstate(all="ignore"):
+        assert polish.run(2)
+    assert len(visited) == 2 and not np.array_equal(visited[1], warm)
+    assert len(polish.losses) == 1
+    assert (polish.best_index, polish.best_vec.tobytes()) == (0, warm.tobytes())
+
+    polish, visited = spoiled_polish()
+    fresh = _Polish(_Workspace(8, freqs, target_db), warm, 4800.0, 48000.0)
+    with np.errstate(all="ignore"):
+        assert polish.run(3)
+        rows, jac = fresh.residuals(warm), fresh.jacobian(warm)
+    normal = jac.T @ jac
+    retried = warm + _damped_step(normal, jac.T @ rows, 2.0 * LM_DAMPING, normal.diagonal())
+    assert len(visited) == 3 and len(polish.losses) == 2
+    np.testing.assert_allclose(visited[2], retried, rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.parametrize(
     "table, n_bands, iterations, evaluations",
     [("median", 12, FitConfig.iterations, 307), ("flat", 4, 65, 2), ("flat_0.05", 12, 10000, 307)],
 )
-def test_polish_repeats_least_squares_bit_for_bit(
+def test_fit_ends_its_trace_with_the_polish_from_its_warm_start(
     median_curve, flat_curve, table, n_bands, iterations, evaluations
 ):
-    # The polish calls MINPACK's lmder as least_squares(method="lm") does.
-    # Some SciPy versions' least_squares evaluate the start a second time,
-    # as lmder's first call; like the polish, asked counts a point once.
-    from scipy.optimize import least_squares
-
     curve = {
         "median": median_curve,
         "flat": flat_curve,
@@ -489,33 +543,26 @@ def test_polish_repeats_least_squares_bit_for_bit(
     target_db, steps, warm, budgeted = fit_warm_start(curve, n_bands, iterations)
     assert budgeted == evaluations
     freqs = FrequencyGrid.log_spaced(48000.0).freqs
-    ours, theirs = (
-        _Polish(_Workspace(n_bands, freqs, target_db), warm, 4800.0, 48000.0) for _ in range(2)
-    )
+    polish = _Polish(_Workspace(n_bands, freqs, target_db), warm, 4800.0, 48000.0)
     asked = []
-
-    def residuals(vec):
-        if not asked or not np.array_equal(vec, asked[-1]):
-            asked.append(vec.copy())
-        return theirs.residuals(vec)
-
+    respond = polish.respond
+    polish.respond = lambda vec: asked.append(vec.copy()) or respond(vec)
     with np.errstate(all="ignore"):
-        assert ours.run(scipy_kernel("scipy.optimize._minpack", "_lmder"), evaluations)
-        least_squares(
-            residuals, warm, jac=theirs.jacobian, method="lm", x_scale="jac",
-            max_nfev=evaluations,
-        )
-    losses, best_index = theirs.losses, theirs.best_index
-    assert np.array(ours.losses).tobytes() == np.array(losses).tobytes()
-    assert (ours.best_index, ours.best_vec.tobytes()) == (best_index, theirs.best_vec.tobytes())
+        assert polish.run(evaluations)
     assert 2 <= len(asked) <= evaluations
-    if table == "flat_0.05":
-        # Trial steps overflowed the kernel and went unrecorded.
-        assert len(losses) < len(asked)
-    # fit runs this polish from this warm start.
     _, report = fit(curve, 4800.0, 48000.0, FitConfig(n_bands=n_bands, iterations=iterations))
-    assert report.loss_trace[steps:].tobytes() == np.array(ours.losses).tobytes()
-    assert report.best_iteration == steps + ours.best_index
+    assert report.loss_trace[steps:].tobytes() == np.array(polish.losses).tobytes()
+    assert report.best_iteration == steps + polish.best_index
+
+
+def test_a_huge_budget_ends_on_the_polish_stopping_tests(median_curve):
+    # 10**20 steps buy about 3.8e18 evaluations; the polish stops long
+    # before, where a budget of 1000 evaluations stops it too.
+    _, report = fit(median_curve, 4800.0, 48000.0, FitConfig(n_bands=4, iterations=10**20))
+    cfg = FitConfig(n_bands=4, iterations=WARM_START_STEPS + STEPS_PER_EVALUATION * 1000)
+    _, bounded = fit(median_curve, 4800.0, 48000.0, cfg)
+    assert report.loss_trace.tobytes() == bounded.loss_trace.tobytes()
+    assert WARM_START_STEPS < report.iterations < WARM_START_STEPS + 1000
 
 
 @pytest.mark.parametrize(
@@ -540,7 +587,7 @@ def test_polish_never_returns_a_higher_cost_than_its_warm_start(
     freqs = FrequencyGrid.log_spaced(48000.0).freqs
     polish = _Polish(_Workspace(n_bands, freqs, target_db), warm, 4800.0, 48000.0)
     with np.errstate(all="ignore"):
-        assert polish.run(scipy_kernel("scipy.optimize._minpack", "_lmder"), evaluations)
+        assert polish.run(evaluations)
     fitted, _ = fit(curve, 4800.0, 48000.0, FitConfig(n_bands=n_bands, iterations=iterations))
     assert fitted.params.bands == _sorted_bands(_vector_to_bands(polish.best_vec))
     fresh = _Polish(_Workspace(n_bands, freqs, target_db), warm, 4800.0, 48000.0)
@@ -550,7 +597,7 @@ def test_polish_never_returns_a_higher_cost_than_its_warm_start(
 
 
 def test_polish_evaluates_and_records_each_point_once(median_curve):
-    # MINPACK asks for the rows and then the Jacobian at the same point; a
+    # The polish asks for the rows and then the Jacobian at the same point; a
     # repeated request is answered from the polish's cache and not recorded.
     target_db, _, warm, _ = fit_warm_start(median_curve, 12, FitConfig.iterations)
     freqs = FrequencyGrid.log_spaced(48000.0).freqs
@@ -640,12 +687,6 @@ def test_fit_config_validation():
     FitConfig(n_bands=170, grid=FrequencyGrid.log_spaced(48000.0))
     with pytest.raises(InvalidParameterError, match="171 bands"):
         FitConfig(n_bands=171, grid=FrequencyGrid.log_spaced(48000.0))
-    # The polish counts its evaluations in a C int: after the 2000-step warm
-    # start, every 26 steps buy one.
-    most = 2000 + 26 * (2**31 - 1) + 25
-    FitConfig(iterations=most)
-    with pytest.raises(InvalidParameterError, match="2\\*\\*31 - 1"):
-        FitConfig(iterations=most + 1)
 
 
 def test_fit_matches_target_in_t60_terms(median_curve):

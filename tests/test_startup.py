@@ -44,31 +44,6 @@ if not np.array_equal(sosfilt(sos, x), by_kernel[0]):
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
 """
 
-# Runs a CLI fit with scipy.optimize imported before it (argv[1] "package")
-# or after it ("kernel"), calls least_squares once, then checks that the
-# MINPACK module the fit registered and the package's are one object.  Prints what
-# PROBE prints.
-MINPACK_PROBE = """\
-import json, sys
-import numpy as np
-from peqfdn import cli, fdn
-if sys.argv[1] == "package":
-    import scipy.optimize
-code = cli.main(sys.argv[2:])
-fit_module = sys.modules.get("scipy.optimize._minpack")
-if sys.argv[1] == "kernel":
-    import scipy.optimize
-solved = scipy.optimize.least_squares(lambda x: x - 3.0, np.zeros(2), method="lm")
-from scipy.optimize import _minpack
-if not np.allclose(solved.x, 3.0):
-    code = "least_squares did not solve"
-elif not (scipy.optimize._minpack_py._minpack is _minpack is fit_module
-          and fdn.scipy_kernel("scipy.optimize._minpack", "_lmder") is _minpack._lmder):
-    code = "the fit and scipy.optimize load two MINPACK modules"
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
-"""
-
-
 def scipy_modules(workdir, *argv, probe=PROBE) -> set[str]:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
@@ -105,18 +80,14 @@ def test_export_loads_no_scipy(fitted):
                          str(workdir / "coeffs"), "--quiet") == set()
 
 
-def test_fit_and_campaign_load_only_the_minpack_kernel(fitted):
+def test_fit_and_campaign_load_no_scipy(fitted):
     workdir, _, fit_modules = fitted
     campaign_modules = scipy_modules(
         workdir, "campaign", "--synthetic", "2", "--bands", "4", "--iterations", "2000",
         "--workers", "1", "--out-dir", str(workdir / "campaign"), "--quiet",
     )
-    for modules in (fit_modules, campaign_modules):
-        assert {m for m in modules if loaded({m}, "scipy.optimize")} == {
-            "scipy.optimize._minpack"
-        }
-        assert not loaded(modules, "scipy.signal")
-        assert not loaded(modules, "scipy.io")
+    assert fit_modules == set()
+    assert campaign_modules == set()
 
 
 def test_render_loads_only_the_sos_kernel(fitted):
@@ -136,10 +107,3 @@ def test_kernel_and_signal_package_share_one_module(fitted, first):
                             str(workdir / f"{first}.wav"), "--lines", "2", "--duration", "0.5",
                             "--quiet", probe=KERNEL_PROBE)
     assert "scipy.signal" in modules
-
-
-@pytest.mark.parametrize("first", ["kernel", "package"])
-def test_minpack_kernel_and_optimize_package_share_one_module(tmp_path, first):
-    modules = scipy_modules(tmp_path, first, "fit", "--t60", TABLE, "--out",
-                            str(tmp_path / "fit.json"), "--quiet", probe=MINPACK_PROBE)
-    assert "scipy.optimize" in modules
