@@ -291,6 +291,7 @@ def run_campaign(
     if not curves:
         raise InvalidParameterError("campaign needs at least one curve")
     check_fs(fs)
+    check_integer(workers, "workers")
     if workers < 1:
         raise InvalidParameterError(f"need at least one worker, got {workers}")
     cfg = cfg.with_default_grid(fs)

@@ -33,7 +33,7 @@ from .errors import (
     InvalidParameterError,
     SampleRangeError,
 )
-from .targets import check_delay, check_finite, check_fs
+from .targets import check_delay, check_finite, check_fs, check_integer
 
 __all__ = [
     "FdnConfig",
@@ -60,7 +60,8 @@ WAVE_FORMAT_IEEE_FLOAT = 3
 
 
 def _check_lines(n_lines: int) -> None:
-    """Refuse a network of no delay line."""
+    """Refuse a line count that is not an integer, or a network of no line."""
+    check_integer(n_lines, "n_lines")
     if n_lines < 1:
         raise InvalidParameterError(f"need at least one delay line, got {n_lines}")
 
@@ -402,11 +403,14 @@ def schroeder_t60(ir, fs: float, band_hz: float | None = None) -> DecayMeasureme
     With band_hz set, the response is first passed through a 4th-order
     octave bandpass.  The decay rate is a least-squares line on the
     -5..-25 dB portion of the energy decay curve extrapolated to -60 dB.
-    The curve is built in one buffer of the response's length; the
+    A response that is not 1-D is refused before any filtering.  The
+    curve is built in one buffer of the response's length; the
     caller's ir is never written.
     """
     check_fs(fs)
     ir = np.asarray(ir, dtype=np.float64)
+    if ir.ndim != 1:
+        raise InvalidParameterError(f"a decay is measured on a 1-D signal, got shape {ir.shape}")
     if ir.size < 2:
         raise InvalidParameterError("impulse response is too short to analyze")
     check_finite(ir, "ir")

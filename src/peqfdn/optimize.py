@@ -400,16 +400,8 @@ class _Polish:
       f, so every default line keeps a margin below 0 dB where the grid does
       not look.  One workspace holds every scale, the caps as its targets.
 
-    residuals and jacobian share one cache of the point last evaluated: its
-    rows, its Jacobian once asked for, and whether its rows were recorded.
-    So each point is evaluated once, however often it is asked about, and
-    any driver can call residuals and jacobian directly.  residuals records
-    each point's grid MSE once, if all its rows are finite, and keeps the
-    parameters of the lowest total cost seen; jacobian at a new point
-    evaluates its rows without recording them.  A point with a non-finite
-    row, say a trial step that overflows the kernel, is left out of that
-    record; run rejects it as a step that does not lower the cost, so the
-    polish never returns a higher cost than its warm start's.
+    respond evaluates every row afresh and jacobian differentiates them at
+    the last respond; run drives both.
     """
 
     def __init__(self, work: _Workspace, warm: np.ndarray, m_ref: float, fs: float):
@@ -429,12 +421,6 @@ class _Polish:
         self.grid_end = work.residual.size
         self.prior_end = self.grid_end + warm.size
         self.n_rows = self.prior_end + self.caps.size
-        self.at = self.rows = self.jac = None
-        self.recorded = False
-        self.losses: list[float] = []
-        self.best_cost = math.inf
-        self.best_vec = self.warm.copy()
-        self.best_index = 0
 
     def respond(self, vec: np.ndarray) -> np.ndarray:
         """Every row at vec, evaluated afresh."""
@@ -448,35 +434,9 @@ class _Polish:
         hinge[~self.active] = 0.0
         return rows
 
-    def _visit(self, vec: np.ndarray) -> None:
-        """Make vec the point last evaluated, evaluating it if it is new."""
-        if not np.array_equal(vec, self.at):
-            self.at, self.rows = vec.copy(), self.respond(vec)
-            self.jac, self.recorded = None, False
-
-    def residuals(self, vec: np.ndarray) -> np.ndarray:
-        """Every row at vec; each point's rows are recorded once, if all of
-        them are finite."""
-        self._visit(vec)
-        rows = self.rows
-        if self.recorded or not np.isfinite(rows).all():
-            return rows
-        self.recorded = True
-        grid = rows[: self.grid_end]
-        self.losses.append(float(grid @ grid) / grid.size)
-        cost = float(rows @ rows)
-        if cost < self.best_cost:
-            self.best_cost = cost
-            self.best_vec[:] = vec
-            self.best_index = len(self.losses) - 1
-        return rows
-
-    def jacobian(self, vec: np.ndarray) -> np.ndarray:
-        """d rows / d vec, an (n_rows, 3N) array."""
-        self._visit(vec)
-        if self.jac is not None:
-            return self.jac
-        jac = self.jac = np.empty((self.n_rows, vec.size))
+    def jacobian(self) -> np.ndarray:
+        """d rows / d vec at the last respond, an (n_rows, 3N) array."""
+        jac = np.empty((self.n_rows, self.warm.size))
         self.work.jacobian(jac[: self.grid_end])
         prior_jac = jac[self.grid_end : self.prior_end]
         prior_jac.fill(0.0)
@@ -486,10 +446,16 @@ class _Polish:
         hinge_jac *= HINGE_WEIGHT
         return jac
 
-    def run(self, evaluations: int) -> bool:
+    def run(self, evaluations: int) -> tuple[list[float], np.ndarray, int] | None:
         """Polish from the warm start by Levenberg-Marquardt, spending at
-        most the given number of evaluations; False, having run nothing, if
-        the start's rows are not finite.
+        most the given number of evaluations.
+
+        Returns (losses, vec, best_index): the grid MSE of each evaluated
+        point whose rows are all finite, in order, the warm start first; the
+        last accepted point; and its index in losses.  Only a trial that
+        lowers the cost is accepted, so that point has the lowest total cost
+        of all the polish evaluated, and never more than the warm start's.
+        None, having run nothing, if the start's rows are not finite.
 
         At each accepted point one Jacobian J gives the normal equations
         A = J^T J and g = J^T r, and each trial solves (A + mu D^2) s = -g
@@ -504,16 +470,19 @@ class _Polish:
         evaluations are spent.  Jacobians are not counted as evaluations.
         """
         vec = self.warm.copy()
-        rows = self.residuals(vec)
+        rows = self.respond(vec)
         if not np.isfinite(rows).all():
-            return False
+            return None
+        grid_end = self.grid_end
+        losses = [float(rows[:grid_end] @ rows[:grid_end]) / grid_end]
+        best_index = 0
         cost = float(rows @ rows)
         mu, grow = LM_DAMPING, 2.0
         d_sq = np.zeros(vec.size)
         accepted = True
         for _ in range(evaluations - 1):
             if accepted:
-                jac = self.jacobian(vec)
+                jac = self.jacobian()
                 normal = jac.T @ jac
                 grad = jac.T @ rows
                 np.maximum(d_sq, normal.diagonal(), out=d_sq)
@@ -522,7 +491,10 @@ class _Polish:
             if not math.sqrt(d_sq @ step**2) > LM_TOLERANCE * math.sqrt(d_sq @ vec**2):
                 break
             trial = vec + step
-            rows_at_trial = self.residuals(trial)
+            rows_at_trial = self.respond(trial)
+            if np.isfinite(rows_at_trial).all():
+                grid = rows_at_trial[:grid_end]
+                losses.append(float(grid @ grid) / grid_end)
             # Not finite rows give a cost that is not finite, so not lower.
             trial_cost = float(rows_at_trial @ rows_at_trial)
             accepted = trial_cost < cost
@@ -537,9 +509,10 @@ class _Polish:
             grow = 2.0
             converged = cost - trial_cost <= LM_TOLERANCE * cost
             vec, rows, cost = trial, rows_at_trial, trial_cost
+            best_index = len(losses) - 1
             if converged:
                 break
-        return True
+        return losses, vec, best_index
 
 
 def _damped_step(normal: np.ndarray, grad: np.ndarray, mu: float, d_sq: np.ndarray):
@@ -567,7 +540,7 @@ def fit(
     so the last iterate is not necessarily the best).  Each 26 steps left
     buy one evaluation of a damped Levenberg-Marquardt polish from those
     parameters, which may stop earlier on its own convergence tests; see
-    _Polish for its rows and its cache, and _Polish.run for the solver.
+    _Polish for its rows, and _Polish.run for the solver and what it records.
     The fit then returns the lowest-cost parameters the polish evaluated.
     A budget that leaves fewer than two evaluations (below 65 steps) runs
     Adam alone for all of it.
@@ -620,13 +593,13 @@ def fit(
             )
 
         if evaluations:
-            polish = _Polish(work, best_vec, m_ref, fs)
             # A start whose rows are not finite is not polished; the fit then
             # returns its warm start.
-            if polish.run(evaluations):
-                trace = np.concatenate((trace, polish.losses))
-                best_vec = polish.best_vec
-                best_iteration = steps + polish.best_index
+            polished = _Polish(work, best_vec, m_ref, fs).run(evaluations)
+            if polished is not None:
+                losses, best_vec, best_index = polished
+                trace = np.concatenate((trace, losses))
+                best_iteration = steps + best_index
 
     bands = _sorted_bands(_vector_to_bands(best_vec))
     fitted = FittedPeq(params=PeqParams(bands), m_ref=m_ref, fs=fs)

@@ -100,6 +100,7 @@ class FrequencyGrid:
         f_hi = 0.5 * fs * NYQUIST_BACKOFF
         if not (math.isfinite(fs) and f_hi > DEFAULT_F_LO):
             raise InvalidParameterError(f"fs={fs} leaves no room above {DEFAULT_F_LO} Hz")
+        check_integer(size, "grid size")
         if size < 2:
             raise InvalidParameterError(f"grid size must be >= 2, got {size}")
         return cls(np.geomspace(DEFAULT_F_LO, f_hi, size))

@@ -264,6 +264,8 @@ def test_run_campaign_validation():
         run_campaign(curves, quick_cfg(), fs=1e300)
     with pytest.raises(InvalidParameterError):
         run_campaign(curves, quick_cfg(), workers=0)
+    with pytest.raises(InvalidParameterError, match="workers must be an integer, got 2.0"):
+        run_campaign(curves, quick_cfg(), workers=2.0)
     # 3N parameters need at least 3N grid points; refused before any fit.
     with pytest.raises(InvalidParameterError, match="grid points"):
         run_campaign(curves, FitConfig(n_bands=171))

@@ -129,6 +129,8 @@ def test_default_delays_are_pinned(n_lines, fs, expected):
 def test_default_delays_validation():
     with pytest.raises(InvalidParameterError):
         default_delays(0, 0.01, 0.1, FS)
+    with pytest.raises(InvalidParameterError, match="n_lines must be an integer, got 2.0"):
+        default_delays(2.0, 0.015, 0.12, FS)
     with pytest.raises(InvalidParameterError):
         default_delays(4, 0.1, 0.01, FS)
     with pytest.raises(InvalidParameterError):
@@ -223,6 +225,11 @@ def test_default_gains_shape_and_magnitude():
     assert output_gains.sum() == 0.0
     with pytest.raises(InvalidParameterError):
         default_gains(0)
+    # A count that is not an integer is refused, not rounded or truncated.
+    with pytest.raises(InvalidParameterError, match="n_lines must be an integer, got 2.5"):
+        default_gains(2.5)
+    with pytest.raises(InvalidParameterError, match="n_lines must be an integer, got 2.0"):
+        householder_matrix(2.0)
 
 
 def test_default_render_duration_caps():
@@ -490,6 +497,14 @@ def test_schroeder_leaves_the_callers_array_unchanged():
     ir.flags.writeable = False
     schroeder_t60(ir, FS)
     schroeder_t60(ir, FS, band_hz=1000.0)
+
+
+def test_schroeder_refuses_a_response_that_is_not_1d():
+    ir = np.exp(-np.arange(4800) / 480.0)
+    for shaped in (ir[np.newaxis], ir[:, np.newaxis]):
+        for band_hz in (None, 1000.0):
+            with pytest.raises(InvalidParameterError, match=r"1-D signal, got shape \("):
+                schroeder_t60(shaped, FS, band_hz=band_hz)
 
 
 @pytest.mark.parametrize("fs", [8000.0, 44100.0, 48000.0, 96000.0, 192000.0])

@@ -395,14 +395,15 @@ def test_polish_jacobian_matches_central_differences(rng, median_curve, n_bands)
     target_db = target_magnitude(interpolate_to_grid(median_curve, grid), 4800.0, 48000.0)
     vec = random_vector(rng, n_bands)
     polish = _Polish(_Workspace(n_bands, grid.freqs, target_db), vec + 0.1, 4800.0, 48000.0)
-    analytic = polish.jacobian(vec)
+    polish.respond(vec)
+    analytic = polish.jacobian()
     h = 1e-6
     numeric = np.empty_like(analytic)
     for i in range(vec.size):
         step = np.zeros(vec.size)
         step[i] = h
-        numeric[:, i] = (polish.residuals(vec + step) - polish.residuals(vec - step)) / (2.0 * h)
-    polish.residuals(vec)
+        numeric[:, i] = (polish.respond(vec + step) - polish.respond(vec - step)) / (2.0 * h)
+    polish.respond(vec)
     # Every hinge row is checked at a gain scale s != 1; rows within 1e-3 dB
     # of the hinge's kink are left out, where a difference straddles it.
     excess = polish.hinge.residual
@@ -415,19 +416,18 @@ def test_polish_jacobian_matches_central_differences(rng, median_curve, n_bands)
 
 
 def test_polish_leaves_a_non_finite_trial_out(median_curve):
-    # A trial step that overflows the kernel returns its non-finite rows, for
-    # the polish to reject, and is neither recorded nor kept as the best.
+    # A trial step that overflows the kernel returns its non-finite rows,
+    # not an error, for run to reject (as
+    # test_polish_rejects_a_trial_whose_rows_are_not_finite checks).
     grid = FrequencyGrid.log_spaced(48000.0)
     target_db = target_magnitude(interpolate_to_grid(median_curve, grid), 4800.0, 48000.0)
     warm = _initial_vector(8, grid, target_db)
     polish = _Polish(_Workspace(8, grid.freqs, target_db), warm, 4800.0, 48000.0)
-    polish.residuals(warm)
+    assert np.isfinite(polish.respond(warm)).all()
     bad = warm.copy()
     bad[3] = np.inf
     with np.errstate(invalid="ignore"):
-        assert not np.isfinite(polish.residuals(bad)).all()
-    assert len(polish.losses) == 1
-    assert (polish.best_index, polish.best_vec.tobytes()) == (0, warm.tobytes())
+        assert not np.isfinite(polish.respond(bad)).all()
 
 
 def test_fit_returns_a_warm_start_the_polish_cannot_start_from(median_curve, monkeypatch):
@@ -480,7 +480,7 @@ def test_polish_step_is_the_damped_least_squares_step(median_curve, n_bands, mu)
     freqs = FrequencyGrid.log_spaced(48000.0).freqs
     polish = _Polish(_Workspace(n_bands, freqs, target_db), warm, 4800.0, 48000.0)
     with np.errstate(all="ignore"):
-        rows, jac = polish.residuals(warm), polish.jacobian(warm)
+        rows, jac = polish.respond(warm), polish.jacobian()
     d = np.linalg.norm(jac, axis=0)
     step = _damped_step(jac.T @ jac, jac.T @ rows, mu, d * d)
     stacked = np.vstack((jac, math.sqrt(mu) * np.diag(d)))
@@ -512,19 +512,19 @@ def test_polish_rejects_a_trial_whose_rows_are_not_finite(median_curve):
 
     polish, visited = spoiled_polish()
     with np.errstate(all="ignore"):
-        assert polish.run(2)
+        losses, vec, best_index = polish.run(2)
     assert len(visited) == 2 and not np.array_equal(visited[1], warm)
-    assert len(polish.losses) == 1
-    assert (polish.best_index, polish.best_vec.tobytes()) == (0, warm.tobytes())
+    assert len(losses) == 1
+    assert (best_index, vec.tobytes()) == (0, warm.tobytes())
 
     polish, visited = spoiled_polish()
     fresh = _Polish(_Workspace(8, freqs, target_db), warm, 4800.0, 48000.0)
     with np.errstate(all="ignore"):
-        assert polish.run(3)
-        rows, jac = fresh.residuals(warm), fresh.jacobian(warm)
+        losses, _, _ = polish.run(3)
+        rows, jac = fresh.respond(warm), fresh.jacobian()
     normal = jac.T @ jac
     retried = warm + _damped_step(normal, jac.T @ rows, 2.0 * LM_DAMPING, normal.diagonal())
-    assert len(visited) == 3 and len(polish.losses) == 2
+    assert len(visited) == 3 and len(losses) == 2
     np.testing.assert_allclose(visited[2], retried, rtol=0.0, atol=1e-12)
 
 
@@ -546,13 +546,30 @@ def test_fit_ends_its_trace_with_the_polish_from_its_warm_start(
     polish = _Polish(_Workspace(n_bands, freqs, target_db), warm, 4800.0, 48000.0)
     asked = []
     respond = polish.respond
-    polish.respond = lambda vec: asked.append(vec.copy()) or respond(vec)
+
+    def recorded(vec):
+        rows = respond(vec)
+        asked.append((vec.tobytes(), rows.copy()))
+        return rows
+
+    polish.respond = recorded
     with np.errstate(all="ignore"):
-        assert polish.run(evaluations)
+        losses, vec, best_index = polish.run(evaluations)
     assert 2 <= len(asked) <= evaluations
+    # Each point is evaluated once, and each one whose rows are finite gets
+    # one loss, its grid MSE, in order.
+    points = [point for point, _ in asked]
+    assert len(set(points)) == len(points)
+    finite = [(point, rows) for point, rows in asked if np.isfinite(rows).all()]
+    grid_end = polish.grid_end
+    assert losses == [float(rows[:grid_end] @ rows[:grid_end]) / grid_end for _, rows in finite]
+    # The returned vector is the point of lowest total cost, at best_index.
+    costs = [float(rows @ rows) for _, rows in finite]
+    assert finite[best_index][0] == vec.tobytes()
+    assert costs[best_index] == min(costs)
     _, report = fit(curve, 4800.0, 48000.0, FitConfig(n_bands=n_bands, iterations=iterations))
-    assert report.loss_trace[steps:].tobytes() == np.array(polish.losses).tobytes()
-    assert report.best_iteration == steps + polish.best_index
+    assert report.loss_trace[steps:].tobytes() == np.array(losses).tobytes()
+    assert report.best_iteration == steps + best_index
 
 
 def test_a_huge_budget_ends_on_the_polish_stopping_tests(median_curve):
@@ -587,33 +604,14 @@ def test_polish_never_returns_a_higher_cost_than_its_warm_start(
     freqs = FrequencyGrid.log_spaced(48000.0).freqs
     polish = _Polish(_Workspace(n_bands, freqs, target_db), warm, 4800.0, 48000.0)
     with np.errstate(all="ignore"):
-        assert polish.run(evaluations)
+        _, best, _ = polish.run(evaluations)
     fitted, _ = fit(curve, 4800.0, 48000.0, FitConfig(n_bands=n_bands, iterations=iterations))
-    assert fitted.params.bands == _sorted_bands(_vector_to_bands(polish.best_vec))
+    assert fitted.params.bands == _sorted_bands(_vector_to_bands(best))
     fresh = _Polish(_Workspace(n_bands, freqs, target_db), warm, 4800.0, 48000.0)
-    returned, start = (fresh.respond(vec) for vec in (polish.best_vec, warm))
+    returned, start = (fresh.respond(vec) for vec in (best, warm))
     assert np.isfinite(returned).all()
     assert returned @ returned <= start @ start
 
-
-def test_polish_evaluates_and_records_each_point_once(median_curve):
-    # The polish asks for the rows and then the Jacobian at the same point; a
-    # repeated request is answered from the polish's cache and not recorded.
-    target_db, _, warm, _ = fit_warm_start(median_curve, 12, FitConfig.iterations)
-    freqs = FrequencyGrid.log_spaced(48000.0).freqs
-    polish = _Polish(_Workspace(12, freqs, target_db), warm, 4800.0, 48000.0)
-    responded = []
-    respond = polish.respond
-    polish.respond = lambda vec: responded.append(vec.copy()) or respond(vec)
-    rows = polish.residuals(warm).copy()
-    assert polish.residuals(warm.copy()).tobytes() == rows.tobytes()
-    assert len(polish.losses) == 1
-    moved = warm + 0.01
-    polish.jacobian(moved)
-    assert len(polish.losses) == 1
-    polish.residuals(moved)
-    assert len(polish.losses) == 2
-    assert [point.tobytes() for point in responded] == [warm.tobytes(), moved.tobytes()]
 
 def test_fit_past_the_warm_start_polishes(median_curve):
     polished_cfg = FitConfig(n_bands=8, iterations=WARM_START_STEPS + 26 * 40)

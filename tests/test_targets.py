@@ -101,6 +101,8 @@ def test_log_spaced_grid_shape_and_bounds():
 def test_log_spaced_grid_validation():
     with pytest.raises(InvalidParameterError):
         FrequencyGrid.log_spaced(48000.0, size=1)
+    with pytest.raises(InvalidParameterError, match="grid size must be an integer, got 2.5"):
+        FrequencyGrid.log_spaced(48000.0, size=2.5)
     with pytest.raises(InvalidParameterError):
         FrequencyGrid.log_spaced(-48000.0)
     with pytest.raises(InvalidParameterError):
