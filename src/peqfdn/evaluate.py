@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CampaignError, InvalidParameterError, PeqFdnError
 from .fdn import MAX_RENDER_SAMPLES
-from .optimize import FitConfig, fit
+from .optimize import FitConfig, fit_batch
 from .peq import FittedPeq, check_band_count, peq_log_magnitude
 from .targets import T60Curve, check_decays, check_finite, check_fs
 from .targets import check_integer, check_positive, interpolate_to_grid
@@ -262,11 +262,22 @@ def synthetic_smooth_curves(n_curves: int, seed: int = 0) -> list[T60Curve]:
     return curves
 
 
-def _fit_one_curve(job) -> tuple[CurveReport, np.ndarray] | tuple[tuple[int, str, str], None]:
-    """Fit one campaign curve on cfg.grid: its report and errors, or its failure and None."""
-    index, curve, m_samples, cfg, fs = job
+def _fit_share(share) -> list:
+    """Fit a worker's share of campaign curves on cfg.grid, in fit_batch's
+    batches: per curve, its report and errors, or its failure and None."""
+    jobs, cfg, fs = share
+    fits = fit_batch([(curve, m_samples) for _, curve, m_samples in jobs], fs, cfg)
+    return [_score(job, outcome, cfg) for job, outcome in zip(jobs, fits)]
+
+
+def _score(job, outcome, cfg: FitConfig):
+    """One campaign curve's report and errors from its fit outcome, or its
+    failure and None."""
+    index, curve, m_samples = job
     try:
-        fitted, report = fit(curve, m_ref=m_samples, fs=fs, cfg=cfg)
+        if isinstance(outcome, PeqFdnError):
+            raise outcome
+        fitted, report = outcome
         achieved = achieved_t60(fitted, cfg.grid.freqs)
         errors = t60_relative_error(interpolate_to_grid(curve, cfg.grid), achieved)
     except PeqFdnError as exc:
@@ -285,7 +296,10 @@ def run_campaign(
 
     Delays draw upfront from cfg.seed, uniformly over DEFAULT_DELAY_DRAW_S
     seconds, so results are deterministic and independent of worker
-    scheduling.  Individual fit failures are recorded and skipped; more than
+    scheduling.  Each worker, at most one per curve, fits a contiguous
+    share of the curves through fit_batch, which gives every curve the bits
+    of its lone fit, so the results are the same for any worker count and
+    batch size.  Individual fit failures are recorded and skipped; more than
     10% of them aborts the campaign.
     """
     if not curves:
@@ -297,21 +311,23 @@ def run_campaign(
     cfg = cfg.with_default_grid(fs)
     rng = np.random.default_rng(cfg.seed)
     delays_s = rng.uniform(*DEFAULT_DELAY_DRAW_S, len(curves))
-    jobs = []
-    for i, curve in enumerate(curves):
-        m_samples = max(1, int(round(delays_s[i] * fs)))
-        jobs.append((i, curve, m_samples, cfg, fs))
-    # A worker beyond one per curve would only start and idle.
+    jobs = [(i, curve, max(1, int(round(delays_s[i] * fs)))) for i, curve in enumerate(curves)]
+    # A worker beyond one per curve would only start and idle.  Each fits a
+    # contiguous share of the curves.
     processes = min(workers, len(jobs))
+    shares = [
+        (jobs[len(jobs) * k // processes : len(jobs) * (k + 1) // processes], cfg, fs)
+        for k in range(processes)
+    ]
     if processes == 1:
-        outcomes = [_fit_one_curve(job) for job in jobs]
+        done = [_fit_share(share) for share in shares]
     else:
         with Pool(processes) as pool:
-            outcomes = pool.map(_fit_one_curve, jobs)
+            done = pool.map(_fit_share, shares)
     reports: list[CurveReport] = []
     failures: list[tuple[int, str, str]] = []
     error_blocks: list[np.ndarray] = []
-    for outcome, errors in outcomes:
+    for outcome, errors in (scored for share in done for scored in share):
         if errors is None:
             failures.append(outcome)
         else:

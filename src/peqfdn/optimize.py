@@ -9,15 +9,16 @@ parameters, so one matrix product gives every numerator and denominator
 over the grid, and the gradient needs only three moments of the loss
 weight over each of them (see _Workspace).  The parameters live in log
 domain for fc and Q so they stay positive, and a self-contained Adam loop
-drives the mean-squared-error loss.  fit evaluates the kernel in one
-workspace allocated per fit and updates the Adam moments and parameters in
-place; loss_and_gradient runs the same kernel on a fresh workspace, so
-stepping it with the same update reproduces a fit bit for bit.  A fit with
-budget left after its Adam warm start (a fifth of the budget, at most 2000
-steps) polishes that result by damped Levenberg-Marquardt on the same
-kernel's residuals and Jacobian, its gain-scaled hinge rows batched in one
-more workspace.  The polish solves the normal equations of its 3N columns
-with numpy, so a fit loads no SciPy.
+drives the mean-squared-error loss.  fit_batch steps the Adam warm starts
+of several curves in one workspace, one set of numpy calls a step, and
+updates their moments and parameters in place; fit is its batch of one,
+and each curve gets the same bits in any batch.  loss_and_gradient runs
+the same kernel on a fresh workspace, so stepping it with the same update
+reproduces a fit bit for bit.  A fit with budget left after its Adam warm
+start (a fifth of the budget, at most 2000 steps) polishes that result by
+damped Levenberg-Marquardt on the same kernel's residuals and Jacobian, its
+gain-scaled hinge rows batched in one more workspace.  The polish solves the
+normal equations of its 3N columns with numpy, so a fit loads no SciPy.
 A central-finite-difference oracle in the test suite is the arbiter of
 gradient correctness.
 """
@@ -33,6 +34,7 @@ from .errors import (
     FitDivergenceError,
     InvalidParameterError,
     NumericalFailureError,
+    PeqFdnError,
 )
 from .fdn import DEFAULT_DELAY_RANGE_S
 from .peq import FittedPeq, PeqParams, check_band_count
@@ -89,6 +91,11 @@ HINGE_WEIGHT = 10.0
 HINGE_SCALES = 5
 HINGE_LOW_HZ = np.concatenate(([0.0], np.geomspace(0.5, 19.0, 24)))
 HINGE_TOP_OCTAVE_POINTS = 6
+
+# fit_batch's curves share one workspace while each takes its Adam steps, as
+# many as keep its (curves, 2N, P) arrays within this many float64 values:
+# 4 curves at N = 8 on the 512-point grid, 2 at N = 12, 8 at N = 4.
+BATCH_FLOATS = 2**15
 
 
 def _budget(iterations: int) -> tuple[int, int]:
@@ -184,7 +191,7 @@ def _vector_to_bands(vec: np.ndarray) -> list[BandParams]:
 
 class _Workspace:
     """Every array one kernel evaluation writes, allocated once per (N, grid,
-    gain scales).
+    gain scales, curves).
 
     Each band contributes k ln(U/V), k = 10/ln 10, where U = (c0 - c2 X)^2 +
     c1^2 X in X = (f/fc)^2 and V is the same in the denominator
@@ -207,12 +214,24 @@ class _Workspace:
     gain columns times the scale, and so its own response rows, the response
     with every gain times the scale, against its own row of target_db.  The
     Jacobian of those rows is with respect to the unscaled vector.
+
+    target_db holds each curve's targets, scale by scale, and respond and
+    evaluate take one parameter vector per curve, as the rows of vecs.  A
+    batch of curves gives every array a leading curve axis, and each of its
+    products is a stack of one-curve products (log_map @ vecs[:, :, None],
+    not vecs @ log_map.T, whose blocking would differ), so a curve's numbers
+    are the same bits in a batch of any size, at any place in it.  A
+    one-curve workspace's arrays have no curve axis, so its products are the
+    plain calls a stack makes for each curve, without the stacking's cost.
+    jacobian is a one-curve workspace's, as the polish's workspaces are.
     """
 
     def __init__(self, n_bands: int, freqs: np.ndarray, target_db: np.ndarray, scales=(1.0,)):
         n = n_bands
         scales = np.asarray(scales, dtype=np.float64)
         size = scales.size * freqs.size
+        target_db = np.asarray(target_db, dtype=np.float64).reshape(-1, size)
+        curves = target_db.shape[0]
         table = np.array([COEFF_EXPONENTS[kind] for kind in _band_kinds(n)])
         alpha2, alpha1, alpha0 = table.T[..., None]  # each (num, den) x N x 1
         ln_a = math.log(10.0) / 40.0 * scales  # d ln A / d gain at each scale
@@ -234,20 +253,24 @@ class _Workspace:
             -1, 3 * n
         )
         rows = 2 * n * scales.size
-        self.terms = np.empty((rows, 4))
-        self.terms_flat = self.terms.reshape(-1)
-        self.u = np.empty((rows, freqs.size))
+        lead = (curves,) if curves > 1 else ()
+        self.vec_columns = lead + (3 * n, 1)
+        self.terms = np.empty(lead + (rows, 4))
+        self.terms_column = self.terms.reshape(lead + (-1, 1))
+        self.u = np.empty(lead + (rows, freqs.size))
         self.recip = np.empty_like(self.u)
-        # U and 1/U by (side, band, scale x frequency).
-        self.u_by_side = self.u.reshape(2, n, size)
-        self.recip_by_side = self.recip.reshape(2, n, size)
+        # The numerators' U and the denominators' 1/U by (curve, band,
+        # scale x frequency).
+        self.numerators = self.u.reshape(curves, 2, n, size)[:, 0]
+        self.inverse_denominators = self.recip.reshape(curves, 2, n, size)[:, 1]
         # The band sum's last row subtracts the target.
-        self.log_ratio = np.empty((n + 1, size))
-        self.log_ratio[n] = target_db.ravel()
-        self.band_log_ratio = self.log_ratio[:n]
+        log_ratio = np.empty((curves, n + 1, size))
+        log_ratio[:, n] = target_db
+        self.band_log_ratio = log_ratio[:, :n]
+        self.log_ratio = log_ratio.reshape(lead + (n + 1, size))
         self.sum_db = np.append(np.full(n, _DB_PER_LN), -1.0)
-        self.residual = np.empty(size)
-        self.target_db = target_db
+        self.residual = np.empty(lead + (size,))
+        self.target_db = target_db.reshape(lead + (size,))
 
         # weigh: d term / d vec over the term, times its factor in U and +-k
         # (numerator or denominator), by (side, parameter, band, scale, term).
@@ -257,41 +280,50 @@ class _Workspace:
         # band), times the loss weight's 2/size.
         to_grad = self.weigh[..., None] * (2.0 / size) * eye[:, None, None, :]
         self.to_grad = np.ascontiguousarray(np.moveaxis(to_grad, 1, -2).reshape(-1, 3 * n).T)
-        self.weighted_powers = np.empty((4, size))
-        self.moments = np.empty((rows, 4))
-        self.moments_flat = self.moments.reshape(-1)
-        self.grad = np.empty(3 * n)
+        # Each curve's residual as a row and as a column, for its sum of squares.
+        self.residual_row = self.residual[..., None, :]
+        self.residual_column = self.residual[..., None]
+        self.squares = np.empty(lead + (1, 1))
+        self.square_sums = self.squares.reshape(curves)
+        self.weighted_powers = np.empty(lead + (4, size))
+        self.weighted_powers_t = np.swapaxes(self.weighted_powers, -1, -2)
+        self.moments = np.empty(lead + (rows, 4))
+        self.moments_column = self.moments.reshape(lead + (-1, 1))
+        self.grad = np.empty(lead + (3 * n,))
+        self.grad_column = self.grad[..., None]
         # Jacobian columns by (side, parameter, band, scale, frequency).
-        self.terms_by_param = self.terms.reshape(2, 1, n, scales.size, 4)
+        self.terms_by_param = self.terms.reshape(curves, 2, 1, n, scales.size, 4)[0]
         self.column_coefs = np.empty(self.weigh.shape)
         self.columns = np.empty((2, 3, n, scales.size, freqs.size))
-        self.recip_by_param = self.recip.reshape(2, 1, n, scales.size, freqs.size)
+        self.recip_by_param = self.recip.reshape(curves, 2, 1, n, scales.size, freqs.size)[0]
 
-    def respond(self, vec: np.ndarray) -> np.ndarray:
-        """Response minus target at vec, scale by scale, in self.residual.
+    def respond(self, vecs: np.ndarray) -> np.ndarray:
+        """Response minus target at each curve's vector, scale by scale, in
+        self.residual.
 
-        Also leaves the terms and 1/U at vec, for evaluate's gradient and
-        for jacobian.
+        Also leaves the terms and 1/U there, for evaluate's gradient and for
+        jacobian.
         """
-        np.matmul(self.log_map, vec, out=self.terms_flat)
-        np.exp(self.terms_flat, out=self.terms_flat)
+        np.matmul(self.log_map, vecs.reshape(self.vec_columns), out=self.terms_column)
+        np.exp(self.terms, out=self.terms)
         np.matmul(self.terms, self.u_powers, out=self.u)
         np.reciprocal(self.u, out=self.recip)
         log_ratio = self.band_log_ratio
-        np.multiply(self.u_by_side[0], self.recip_by_side[1], out=log_ratio)
+        np.multiply(self.numerators, self.inverse_denominators, out=log_ratio)
         np.log(log_ratio, out=log_ratio)
         return np.matmul(self.sum_db, self.log_ratio, out=self.residual)
 
-    def evaluate(self, vec: np.ndarray) -> float:
-        """MSE loss at vec of a single-scale workspace; its gradient is left
-        in self.grad."""
-        residual = self.respond(vec)
-        loss = float(residual @ residual) / residual.size
-        np.multiply(self.powers, residual, out=self.weighted_powers)
-        np.matmul(self.recip, self.weighted_powers.T, out=self.moments)
+    def evaluate(self, vecs: np.ndarray) -> np.ndarray:
+        """Each curve's sum of squared residuals at its vector, in a
+        single-scale workspace: its MSE loss times P, as a (curves,) array.
+        The gradients of the losses are left in self.grad."""
+        self.respond(vecs)
+        np.matmul(self.residual_row, self.residual_column, out=self.squares)
+        np.multiply(self.powers, self.residual_row, out=self.weighted_powers)
+        np.matmul(self.recip, self.weighted_powers_t, out=self.moments)
         self.moments *= self.terms
-        np.matmul(self.to_grad, self.moments_flat, out=self.grad)
-        return loss
+        np.matmul(self.to_grad, self.moments_column, out=self.grad_column)
+        return self.square_sums
 
     def jacobian(self, out: np.ndarray) -> np.ndarray:
         """d response / d vec at the last respond, as a (scales x P, 3N)
@@ -338,7 +370,7 @@ def loss_and_gradient(vec, target_db, grid: FrequencyGrid) -> tuple[float, np.nd
     # non-finite values that are detected and raised as typed errors below,
     # so the transient warnings are noise.
     with np.errstate(all="ignore"):
-        loss = work.evaluate(vec)
+        loss = float(work.evaluate(vec)[0]) / grid.size
     _check_finite(vec, loss, work.grad)
     return loss, work.grad
 
@@ -441,9 +473,14 @@ class _Polish:
         prior_jac = jac[self.grid_end : self.prior_end]
         prior_jac.fill(0.0)
         np.fill_diagonal(prior_jac, self.prior)
-        hinge_jac = self.hinge.jacobian(jac[self.prior_end :])
-        hinge_jac[~self.active] = 0.0
-        hinge_jac *= HINGE_WEIGHT
+        hinge_jac = jac[self.prior_end :]
+        # Most points have no active hinge row, and then no hinge Jacobian.
+        if self.active.any():
+            self.hinge.jacobian(hinge_jac)
+            hinge_jac[~self.active] = 0.0
+            hinge_jac *= HINGE_WEIGHT
+        else:
+            hinge_jac.fill(0.0)
         return jac
 
     def run(self, evaluations: int) -> tuple[list[float], np.ndarray, int] | None:
@@ -550,64 +587,170 @@ def fit(
     parameters, and best_iteration their index in the trace.  ``progress``,
     if given, is called every 500 Adam steps with (step, current loss), and
     once at the end with (trace length, final MSE).
+
+    A fit is fit_batch's batch of one curve: the same kernel and Adam loop,
+    so a curve fitted in any batch gets these same bits.
     """
+    relay = None if progress is None else lambda step, losses: progress(step, losses[0])
+    (outcome,) = _fit_together([(target, m_ref)], fs, cfg, relay)
+    if isinstance(outcome, PeqFdnError):
+        raise outcome
+    if progress is not None:
+        report = outcome[1]
+        progress(report.iterations, report.final_mse)
+    return outcome
+
+
+def fit_batch(
+    curves: list[tuple[T60Curve, float]], fs: float, cfg: FitConfig
+) -> list[tuple[FittedPeq, FitReport] | PeqFdnError]:
+    """Fit each (T60 curve, m_ref) pair as fit does, several at a time.
+
+    Returns, in order, each curve's (fitted, report), or the PeqFdnError
+    that fit raises for it alone; a curve that fails leaves the others as
+    they are.  Curves run in batches of as many as keep the kernel's
+    (curves, 2N, P) arrays within BATCH_FLOATS values, and at least one;
+    the curves of a batch take their Adam steps together, one set of numpy
+    calls a step, and each is then polished on its own.  Every curve's
+    trace, best iteration, parameters and error are bit for bit what fit
+    gives it alone, whatever the batch size or its place in the batch.  A
+    report's wall time is its own polish plus an even share of its batch's
+    set-up and Adam steps.
+    """
+    cfg = cfg.with_default_grid(fs)
+    per_batch = max(1, BATCH_FLOATS // (2 * cfg.n_bands * cfg.grid.size))
+    outcomes = []
+    for first in range(0, len(curves), per_batch):
+        outcomes += _fit_together(curves[first : first + per_batch], fs, cfg)
+    return outcomes
+
+
+def _fit_together(curves, fs: float, cfg: FitConfig, progress=None) -> list:
+    """fit_batch for one batch; progress, if given, gets (step, losses) of
+    the Adam steps that fit reports."""
     started = time.perf_counter()
     grid = cfg.with_default_grid(fs).grid
-    t60_on_grid = interpolate_to_grid(target, grid)
-    target_db = target_magnitude(t60_on_grid, m_ref, fs)
-
-    vec = _initial_vector(cfg.n_bands, grid, target_db)
-    work = _Workspace(cfg.n_bands, grid.freqs, target_db)
-    adam_m = np.zeros(vec.size)
-    adam_v = np.zeros(vec.size)
-    adam_scratch = np.empty((2, vec.size))
+    outcomes: list = [None] * len(curves)
+    targets = {}
+    for index, (target, m_ref) in enumerate(curves):
+        try:
+            targets[index] = target_magnitude(interpolate_to_grid(target, grid), m_ref, fs)
+        except PeqFdnError as exc:
+            outcomes[index] = exc
     steps, evaluations = _budget(cfg.iterations)
-    trace = np.empty(steps)
-    best_loss = math.inf
-    best_vec = vec.copy()
-    best_iteration = 0
-
-    # The same warnings-as-noise rule as loss_and_gradient, entered once.
-    with np.errstate(all="ignore"):
-        for iteration in range(steps):
-            loss = work.evaluate(vec)
-            # One reduction is non-finite whenever the loss, a parameter or
-            # a gradient entry is; only then is the culprit looked for (the
-            # product of finite values can also overflow).
-            if not math.isfinite(loss + vec @ work.grad):
-                try:
-                    _check_finite(vec, loss, work.grad)
-                except NumericalFailureError as exc:
-                    raise FitDivergenceError(
-                        f"fit diverged at iteration {iteration}: {exc}", iteration=iteration
-                    ) from exc
-            trace[iteration] = loss
-            if loss < best_loss:
-                best_loss = loss
-                best_vec[:] = vec
-                best_iteration = iteration
-            if progress is not None and iteration % PROGRESS_EVERY == 0:
-                progress(iteration, loss)
-            _adam_update(
-                adam_m, adam_v, iteration + 1, cfg.learning_rate, vec, work.grad, adam_scratch
+    starts = []
+    if targets:
+        # The same warnings-as-noise rule as loss_and_gradient.
+        with np.errstate(all="ignore"):
+            starts = _warm_start(
+                np.array(list(targets.values())), grid, cfg.n_bands, steps, cfg.learning_rate,
+                progress,
             )
-
+    shared_s = (time.perf_counter() - started) / len(curves)
+    for (index, target_db), start in zip(targets.items(), starts):
+        if isinstance(start, FitDivergenceError):
+            outcomes[index] = start
+            continue
+        began = time.perf_counter()
+        trace, best_vec, best_iteration = start
+        m_ref = curves[index][1]
         if evaluations:
-            # A start whose rows are not finite is not polished; the fit then
-            # returns its warm start.
-            polished = _Polish(work, best_vec, m_ref, fs).run(evaluations)
+            # A start whose rows are not finite is not polished; the fit
+            # then returns its warm start.
+            work = _Workspace(cfg.n_bands, grid.freqs, target_db)
+            with np.errstate(all="ignore"):
+                polished = _Polish(work, best_vec, m_ref, fs).run(evaluations)
             if polished is not None:
                 losses, best_vec, best_index = polished
                 trace = np.concatenate((trace, losses))
                 best_iteration = steps + best_index
+        try:
+            bands = _sorted_bands(_vector_to_bands(best_vec))
+            fitted = FittedPeq(params=PeqParams(bands), m_ref=m_ref, fs=fs)
+        except PeqFdnError as exc:
+            outcomes[index] = exc
+            continue
+        report = FitReport(
+            best_iteration=best_iteration,
+            loss_trace=trace,
+            wall_time_s=shared_s + time.perf_counter() - began,
+        )
+        outcomes[index] = (fitted, report)
+    return outcomes
 
-    bands = _sorted_bands(_vector_to_bands(best_vec))
-    fitted = FittedPeq(params=PeqParams(bands), m_ref=m_ref, fs=fs)
-    report = FitReport(
-        best_iteration=best_iteration,
-        loss_trace=trace,
-        wall_time_s=time.perf_counter() - started,
-    )
-    if progress is not None:
-        progress(trace.size, report.final_mse)
-    return fitted, report
+
+def _warm_start(
+    targets, grid: FrequencyGrid, n_bands: int, steps: int, learning_rate: float, progress=None
+) -> list:
+    """Adam's warm start for each row of targets, all in one workspace.
+
+    Returns, per target, (trace, best parameters, best iteration), or the
+    FitDivergenceError of the first step at which its loss, a parameter or
+    a gradient entry is not finite.  A diverged curve leaves the batch, and
+    the others take that step again without it, to the same bits.
+    """
+    rows = list(range(len(targets)))  # the target of each batch row
+    results: list = [None] * len(targets)
+    vecs = np.array([_initial_vector(n_bands, grid, target_db) for target_db in targets])
+    adam_m, adam_v, best = np.zeros_like(vecs), np.zeros_like(vecs), vecs.copy()
+    scratch = np.empty((2,) + vecs.shape)
+    # Each step's sums of squared residuals, divided into losses at the end.
+    trace = np.empty((steps, len(rows)))
+    best_losses = [math.inf] * len(rows)
+    best_iterations = [0] * len(rows)
+    work = _Workspace(n_bands, grid.freqs, targets)
+    grads = work.grad.reshape(vecs.shape)
+    size = grid.size
+    for iteration in range(steps):
+        squares = work.evaluate(vecs).tolist()
+        # One sum is non-finite whenever a loss, a parameter or a gradient
+        # entry is; only then is the culprit looked for (the products of
+        # finite values can also overflow).
+        if not math.isfinite(sum(squares) + np.vdot(vecs, grads)):
+            failed = _diverged(iteration, vecs, [square / size for square in squares], grads)
+            if failed:
+                for row, error in failed.items():
+                    results[rows[row]] = error
+                keep = [row for row in range(len(rows)) if row not in failed]
+                if not keep:
+                    return results
+                rows = [rows[row] for row in keep]
+                vecs, adam_m, adam_v, best = (a[keep] for a in (vecs, adam_m, adam_v, best))
+                scratch = np.empty((2,) + vecs.shape)
+                trace = trace[:, keep]
+                best_losses = [best_losses[row] for row in keep]
+                best_iterations = [best_iterations[row] for row in keep]
+                work = _Workspace(n_bands, grid.freqs, targets[rows])
+                grads = work.grad.reshape(vecs.shape)
+                # The rows left take this step again, to the same bits.
+                squares = work.evaluate(vecs).tolist()
+        trace[iteration] = squares
+        for row, square in enumerate(squares):
+            loss = square / size
+            if loss < best_losses[row]:
+                best_losses[row] = loss
+                best[row] = vecs[row]
+                best_iterations[row] = iteration
+        if progress is not None and iteration % PROGRESS_EVERY == 0:
+            progress(iteration, [square / size for square in squares])
+        _adam_update(adam_m, adam_v, iteration + 1, learning_rate, vecs, grads, scratch)
+    trace /= size
+    for row, target in enumerate(rows):
+        results[target] = (trace[:, row].copy(), best[row], best_iterations[row])
+    return results
+
+
+def _diverged(iteration: int, vecs, losses: list[float], grads) -> dict:
+    """The FitDivergenceError, by row, of each row of vecs whose loss, a
+    parameter or a gradient entry is not finite."""
+    failed = {}
+    for row, loss in enumerate(losses):
+        try:
+            _check_finite(vecs[row], loss, grads[row])
+        except NumericalFailureError as exc:
+            error = FitDivergenceError(
+                f"fit diverged at iteration {iteration}: {exc}", iteration=iteration
+            )
+            error.__cause__ = exc
+            failed[row] = error
+    return failed

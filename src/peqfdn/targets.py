@@ -175,8 +175,9 @@ def check_positive(values, name: str) -> None:
 
 
 def check_integer(value, name: str) -> None:
-    """Refuse a count or seed, called name in the message, that is not an integer."""
-    if not isinstance(value, (int, np.integer)):
+    """Refuse a count or seed, called name in the message, that is not an
+    integer; a bool, though an int to Python, is not one."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
 
 

@@ -21,13 +21,14 @@ from peqfdn import (
     T60Curve,
     achieved_t60,
     evaluate,
+    fit,
     op_count,
     run_campaign,
     synthetic_smooth_curves,
     t60_relative_error,
 )
 from peqfdn.evaluate import DEFAULT_DELAY_DRAW_S
-from peqfdn.targets import FrequencyGrid
+from peqfdn.targets import FrequencyGrid, interpolate_to_grid
 
 # Small grid and iteration counts keep campaign tests quick; quality
 # thresholds here are loose because convergence is covered elsewhere.
@@ -198,10 +199,34 @@ def test_run_campaign_is_deterministic():
 
 
 def test_run_campaign_workers_do_not_change_results():
-    curves = synthetic_smooth_curves(4, seed=11)
+    # Each worker fits a contiguous share in batches: 7 curves go 3 + 4 and
+    # 2 + 2 + 3, and the 96-point grid puts up to 42 N = 4 curves in a batch.
+    curves = synthetic_smooth_curves(7, seed=11)
     serial = run_campaign(curves, quick_cfg(), fs=48000.0, workers=1)
-    parallel = run_campaign(curves, quick_cfg(), fs=48000.0, workers=2)
-    assert serial.to_summary_dict() == parallel.to_summary_dict()
+    for workers in (2, 3):
+        parallel = run_campaign(curves, quick_cfg(), fs=48000.0, workers=workers)
+        assert serial.to_summary_dict() == parallel.to_summary_dict()
+        errors = (result.distribution.errors_pct.tobytes() for result in (serial, parallel))
+        assert len(set(errors)) == 1
+
+
+@pytest.mark.parametrize("n_bands", [4, 8, 12])
+def test_run_campaign_is_one_fit_per_curve(n_bands):
+    # On the 512-point grid 7 curves fit in batches of 7 at N = 4, 4 + 3 at
+    # N = 8 and 2 + 2 + 2 + 1 at N = 12; each is scored as its lone fit.
+    curves = synthetic_smooth_curves(7, seed=13)
+    cfg = FitConfig(n_bands=n_bands, iterations=400, seed=2).with_default_grid(48000.0)
+    result = run_campaign(curves, cfg, fs=48000.0)
+    delays_s = np.random.default_rng(cfg.seed).uniform(*DEFAULT_DELAY_DRAW_S, len(curves))
+    errors = []
+    for i, (curve, report) in enumerate(zip(curves, result.curve_reports)):
+        m_samples = max(1, int(round(delays_s[i] * 48000.0)))
+        fitted, fit_report = fit(curve, m_samples, 48000.0, cfg)
+        achieved = achieved_t60(fitted, cfg.grid.freqs)
+        errors.append(t60_relative_error(interpolate_to_grid(curve, cfg.grid), achieved))
+        max_abs = float(np.abs(errors[-1]).max())
+        assert report == CurveReport(i, curve.name, m_samples, fit_report.final_mse, max_abs)
+    assert result.distribution.errors_pct.tobytes() == np.concatenate(errors).tobytes()
 
 
 def test_run_campaign_starts_no_more_workers_than_curves(monkeypatch):
@@ -266,6 +291,8 @@ def test_run_campaign_validation():
         run_campaign(curves, quick_cfg(), workers=0)
     with pytest.raises(InvalidParameterError, match="workers must be an integer, got 2.0"):
         run_campaign(curves, quick_cfg(), workers=2.0)
+    with pytest.raises(InvalidParameterError, match="workers must be an integer, got True"):
+        run_campaign(curves, quick_cfg(), workers=True)
     # 3N parameters need at least 3N grid points; refused before any fit.
     with pytest.raises(InvalidParameterError, match="grid points"):
         run_campaign(curves, FitConfig(n_bands=171))

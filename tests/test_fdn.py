@@ -230,6 +230,11 @@ def test_default_gains_shape_and_magnitude():
         default_gains(2.5)
     with pytest.raises(InvalidParameterError, match="n_lines must be an integer, got 2.0"):
         householder_matrix(2.0)
+    # A bool is an int to Python, but not a count.
+    with pytest.raises(InvalidParameterError, match="n_lines must be an integer, got True"):
+        default_gains(True)
+    with pytest.raises(InvalidParameterError, match="n_lines must be an integer, got True"):
+        householder_matrix(True)
 
 
 def test_default_render_duration_caps():

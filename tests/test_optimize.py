@@ -1,6 +1,7 @@
 """Gradient correctness, Adam behavior, and the end-to-end fit loop."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,9 @@ from peqfdn import (
     peq_log_magnitude,
 )
 from peqfdn.evaluate import synthetic_smooth_curves
+from peqfdn import optimize
 from peqfdn.optimize import (
+    BATCH_FLOATS,
     HINGE_LOW_HZ,
     LM_DAMPING,
     STEPS_PER_EVALUATION,
@@ -30,6 +33,7 @@ from peqfdn.optimize import (
     _adam_update,
     _budget,
     _damped_step,
+    fit_batch,
     _initial_vector,
     _Polish,
     _sorted_bands,
@@ -463,7 +467,7 @@ def fit_warm_start(curve, n_bands, iterations, m_ref=4800.0, fs=48000.0):
     best_loss, best = math.inf, vec.copy()
     with np.errstate(all="ignore"):
         for t in range(1, steps + 1):
-            loss = work.evaluate(vec)
+            loss = float(work.evaluate(vec)[0]) / grid.size
             if loss < best_loss:
                 best_loss, best[:] = loss, vec
             _adam_update(m, v, t, FitConfig.learning_rate, vec, work.grad, scratch)
@@ -636,6 +640,75 @@ def test_fit_past_the_warm_start_polishes(median_curve):
     assert loss == pytest.approx(report.final_mse, rel=1e-12)
 
 
+def fit_alone(curve, m_ref, cfg):
+    """fit's (fitted, report) for one curve, or its FitDivergenceError."""
+    try:
+        return fit(curve, m_ref, 48000.0, cfg)
+    except FitDivergenceError as exc:
+        return exc
+
+
+def assert_same_fit(batched, alone):
+    """A curve's outcome in a batch is its lone fit's, bit for bit."""
+    if isinstance(alone, FitDivergenceError):
+        assert type(batched) is FitDivergenceError
+        assert str(batched) == str(alone)
+        assert batched.iteration == alone.iteration
+        return
+    (fitted, report), (fitted_alone, report_alone) = batched, alone
+    assert report.loss_trace.tobytes() == report_alone.loss_trace.tobytes()
+    assert report.best_iteration == report_alone.best_iteration
+    assert fitted.to_dict() == fitted_alone.to_dict()
+
+
+@pytest.mark.parametrize("per_batch", [None, 3])
+@pytest.mark.parametrize("n_bands", [4, 8, 12])
+def test_fit_batch_gives_each_curve_its_lone_fit(monkeypatch, n_bands, per_batch):
+    # 7 curves split unevenly: on the 512-point grid, 7 in one batch at
+    # N = 4, 4 + 3 at N = 8 and 2 + 2 + 2 + 1 at N = 12; 3 + 3 + 1 with a
+    # bound of 3 curves.  The budget runs Adam and then the polish.
+    assert [BATCH_FLOATS // (2 * n * 512) for n in (4, 8, 12)] == [8, 4, 2]
+    if per_batch is not None:
+        monkeypatch.setattr(optimize, "BATCH_FLOATS", per_batch * 2 * n_bands * 512)
+    curves = synthetic_smooth_curves(7, seed=13)
+    cfg = FitConfig(n_bands=n_bands, iterations=400)
+    delays = [480.0 + 700.0 * i for i in range(len(curves))]
+    batched = fit_batch(list(zip(curves, delays)), 48000.0, cfg)
+    assert len(batched) == len(curves)
+    for outcome, curve, m_ref in zip(batched, curves, delays):
+        assert_same_fit(outcome, fit_alone(curve, m_ref, cfg))
+        assert outcome[1].iterations > warm_start_steps(cfg.iterations)
+
+
+def test_a_curve_that_diverges_leaves_the_rest_of_its_batch_as_it_was(monkeypatch):
+    # At a learning rate of 25, one of these N = 4 curves diverges at step
+    # 17 and the others converge.  The batch also holds a curve whose start
+    # is not finite, which diverges at step 0.  Each failing curve gets its
+    # lone fit's error, and every other curve its lone fit.
+    curves = synthetic_smooth_curves(10, seed=3)
+    cfg = FitConfig(n_bands=4, iterations=300, learning_rate=25.0)
+    grid = FrequencyGrid.log_spaced(48000.0)
+    spoiled_target = target_magnitude(interpolate_to_grid(curves[2], grid), 4800.0, 48000.0)
+    initial_vector = optimize._initial_vector
+
+    def spoiled(n_bands, grid, target_db):
+        vec = initial_vector(n_bands, grid, target_db)
+        if np.array_equal(target_db, spoiled_target):
+            vec[n_bands + 1] = np.nan
+        return vec
+
+    monkeypatch.setattr(optimize, "_initial_vector", spoiled)
+    alone = [fit_alone(curve, 4800.0, cfg) for curve in curves]
+    failed = [i for i, outcome in enumerate(alone) if isinstance(outcome, FitDivergenceError)]
+    assert [alone[i].iteration for i in failed] == [0, 17]
+    assert str(alone[2]) == "fit diverged at iteration 0: non-finite parameter at index 5"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batched = fit_batch([(curve, 4800.0) for curve in curves], 48000.0, cfg)
+    for outcome, outcome_alone in zip(batched, alone):
+        assert_same_fit(outcome, outcome_alone)
+
+
 def test_fit_diverges_with_absurd_learning_rate(flat_curve):
     cfg = FitConfig(n_bands=4, iterations=50, learning_rate=1e8, seed=0)
     with pytest.raises(FitDivergenceError) as err:
@@ -677,8 +750,10 @@ def test_fit_config_validation():
     with pytest.raises(InvalidParameterError, match="seed"):
         FitConfig(seed=-1)
     # Counts and seeds are integers: a float used to pass here and fail in
-    # fit or run_campaign with an untyped TypeError.
-    for field, value in (("n_bands", 4.0), ("iterations", 100.5), ("seed", 1.5)):
+    # fit or run_campaign with an untyped TypeError, and a bool, an int to
+    # Python, passed as 1 or 0.
+    for field, value in (("n_bands", 4.0), ("iterations", 100.5), ("seed", 1.5),
+                         ("iterations", True), ("seed", True)):
         with pytest.raises(InvalidParameterError, match=f"{field} must be an integer"):
             FitConfig(**{field: value})
     # 171 bands have 513 parameters, one more than the default grid's points.
