@@ -46,6 +46,7 @@ from .fdn import (
     render_ir,
     render_length,
     schroeder_t60,
+    wav_rate,
     write_wav,
 )
 from .optimize import FitConfig, fit
@@ -302,7 +303,9 @@ def cmd_render(args) -> int:
         # reference delay, so a fit at or above 0 dB from 20 Hz up has none.
         t60_profile = achieved_t60(fitted, FrequencyGrid.log_spaced(fs).freqs)
         duration = default_render_duration(float(np.max(t60_profile)))
-    render_length(duration, fs, delays)  # refused before any digitizing
+    # The length and the WAV header's rate are refused before any digitizing.
+    render_length(duration, fs, delays)
+    wav_rate(fs)
     cascades = network_to_sos(fitted, delays)
 
     n_lines = len(delays)

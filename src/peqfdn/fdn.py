@@ -452,6 +452,14 @@ def schroeder_t60(ir, fs: float, band_hz: float | None = None) -> DecayMeasureme
     return DecayMeasurement(band_hz=band_hz, t60_s=-60.0 / slope, residual_db=residual)
 
 
+def wav_rate(fs: float) -> int:
+    """fs as the whole number of Hz a WAV header holds, refusing any other rate."""
+    check_fs(fs)
+    if fs != int(fs):
+        raise InvalidParameterError(f"a WAV holds a whole number of Hz, got fs {fs}")
+    return int(fs)
+
+
 def write_wav(handle, ir: np.ndarray, fs: float) -> None:
     """Write a mono 32-bit float WAV to a binary handle.
 
@@ -460,13 +468,11 @@ def write_wav(handle, ir: np.ndarray, fs: float) -> None:
     holding the sample count, ``data``), then the little-endian samples.  A
     render holds at most MAX_RENDER_SAMPLES samples, so no size field
     needs RF64.  The header holds the rate as a whole number of Hz, so
-    any other rate is refused, and a sample that is not finite as a 32-bit
-    float (past +-3.4e38, or NaN or inf already) is refused by index with
-    SampleRangeError.
+    any other rate is refused (see wav_rate), and a sample that is not
+    finite as a 32-bit float (past +-3.4e38, or NaN or inf already) is
+    refused by index with SampleRangeError.
     """
-    check_fs(fs)
-    if fs != int(fs):
-        raise InvalidParameterError(f"a WAV holds a whole number of Hz, got fs {fs}")
+    rate = wav_rate(fs)
     with np.errstate(over="ignore", invalid="ignore"):
         data = np.ascontiguousarray(ir, dtype="<f4")
     if data.ndim != 1:
@@ -479,7 +485,6 @@ def write_wav(handle, ir: np.ndarray, fs: float) -> None:
             f"32-bit floats cannot hold (finite and within +-{np.finfo(np.float32).max:g})",
             sample_index=index,
         )
-    rate = int(fs)
     header = struct.pack(
         "<4sI4s" "4sIHHIIHHH" "4sII" "4sI",
         b"RIFF", 50 + data.nbytes, b"WAVE",

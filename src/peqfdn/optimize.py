@@ -9,15 +9,17 @@ parameters, so one matrix product gives every numerator and denominator
 over the grid, and the gradient needs only three moments of the loss
 weight over each of them (see _Workspace).  The parameters live in log
 domain for fc and Q so they stay positive, and a self-contained Adam loop
-drives the mean-squared-error loss.  fit_batch steps the Adam warm starts
-of several curves in one workspace, one set of numpy calls a step, and
-updates their moments and parameters in place; fit is its batch of one,
-and each curve gets the same bits in any batch.  loss_and_gradient runs
-the same kernel on a fresh workspace, so stepping it with the same update
-reproduces a fit bit for bit.  A fit with budget left after its Adam warm
-start (a fifth of the budget, at most 2000 steps) polishes that result by
-damped Levenberg-Marquardt on the same kernel's residuals and Jacobian, its
-gain-scaled hinge rows batched in one more workspace.  The polish solves the
+drives the mean-squared-error loss.  Every fit is a row of a batch from
+start to end: fit_batch steps the Adam warm starts of several curves in
+one workspace, one set of numpy calls a step, and updates their moments
+and parameters in place; a curve that diverges keeps its row, held still,
+so the others step on undisturbed.  fit is its batch of one, and each
+curve gets the same bits in any batch.  loss_and_gradient runs the same
+kernel on a fresh one-curve workspace, so stepping it with the same
+update reproduces a fit bit for bit.  A fit with budget left after its
+Adam warm start (a fifth of the budget, at most 2000 steps) polishes that
+result by damped Levenberg-Marquardt on the same kernel's residuals and
+Jacobian, its gain-scaled hinge rows batched in one more workspace.  The polish solves the
 normal equations of its 3N columns with numpy, so a fit loads no SciPy.
 A central-finite-difference oracle in the test suite is the arbiter of
 gradient correctness.
@@ -216,14 +218,12 @@ class _Workspace:
     Jacobian of those rows is with respect to the unscaled vector.
 
     target_db holds each curve's targets, scale by scale, and respond and
-    evaluate take one parameter vector per curve, as the rows of vecs.  A
-    batch of curves gives every array a leading curve axis, and each of its
-    products is a stack of one-curve products (log_map @ vecs[:, :, None],
-    not vecs @ log_map.T, whose blocking would differ), so a curve's numbers
-    are the same bits in a batch of any size, at any place in it.  A
-    one-curve workspace's arrays have no curve axis, so its products are the
-    plain calls a stack makes for each curve, without the stacking's cost.
-    jacobian is a one-curve workspace's, as the polish's workspaces are.
+    evaluate take one parameter vector per curve, as the rows of vecs.
+    Every array has a leading curve axis, one curve a row, and each product
+    is a stack of one-curve products (log_map @ vecs[:, :, None], not vecs
+    @ log_map.T, whose blocking would differ), so a curve's numbers are the
+    same bits in a batch of any size, one curve's included, at any place in
+    it.  jacobian is row 0's, the polish's workspaces' one curve.
     """
 
     def __init__(self, n_bands: int, freqs: np.ndarray, target_db: np.ndarray, scales=(1.0,)):
@@ -253,24 +253,22 @@ class _Workspace:
             -1, 3 * n
         )
         rows = 2 * n * scales.size
-        lead = (curves,) if curves > 1 else ()
-        self.vec_columns = lead + (3 * n, 1)
-        self.terms = np.empty(lead + (rows, 4))
-        self.terms_column = self.terms.reshape(lead + (-1, 1))
-        self.u = np.empty(lead + (rows, freqs.size))
+        self.vec_columns = (curves, 3 * n, 1)
+        self.terms = np.empty((curves, rows, 4))
+        self.terms_column = self.terms.reshape(curves, -1, 1)
+        self.u = np.empty((curves, rows, freqs.size))
         self.recip = np.empty_like(self.u)
         # The numerators' U and the denominators' 1/U by (curve, band,
         # scale x frequency).
         self.numerators = self.u.reshape(curves, 2, n, size)[:, 0]
         self.inverse_denominators = self.recip.reshape(curves, 2, n, size)[:, 1]
         # The band sum's last row subtracts the target.
-        log_ratio = np.empty((curves, n + 1, size))
-        log_ratio[:, n] = target_db
-        self.band_log_ratio = log_ratio[:, :n]
-        self.log_ratio = log_ratio.reshape(lead + (n + 1, size))
+        self.target_db = target_db
+        self.log_ratio = np.empty((curves, n + 1, size))
+        self.log_ratio[:, n] = target_db
+        self.band_log_ratio = self.log_ratio[:, :n]
         self.sum_db = np.append(np.full(n, _DB_PER_LN), -1.0)
-        self.residual = np.empty(lead + (size,))
-        self.target_db = target_db.reshape(lead + (size,))
+        self.residual = np.empty((curves, size))
 
         # weigh: d term / d vec over the term, times its factor in U and +-k
         # (numerator or denominator), by (side, parameter, band, scale, term).
@@ -281,15 +279,15 @@ class _Workspace:
         to_grad = self.weigh[..., None] * (2.0 / size) * eye[:, None, None, :]
         self.to_grad = np.ascontiguousarray(np.moveaxis(to_grad, 1, -2).reshape(-1, 3 * n).T)
         # Each curve's residual as a row and as a column, for its sum of squares.
-        self.residual_row = self.residual[..., None, :]
+        self.residual_row = self.residual[:, None, :]
         self.residual_column = self.residual[..., None]
-        self.squares = np.empty(lead + (1, 1))
+        self.squares = np.empty((curves, 1, 1))
         self.square_sums = self.squares.reshape(curves)
-        self.weighted_powers = np.empty(lead + (4, size))
+        self.weighted_powers = np.empty((curves, 4, size))
         self.weighted_powers_t = np.swapaxes(self.weighted_powers, -1, -2)
-        self.moments = np.empty(lead + (rows, 4))
-        self.moments_column = self.moments.reshape(lead + (-1, 1))
-        self.grad = np.empty(lead + (3 * n,))
+        self.moments = np.empty((curves, rows, 4))
+        self.moments_column = self.moments.reshape(curves, -1, 1)
+        self.grad = np.empty((curves, 3 * n))
         self.grad_column = self.grad[..., None]
         # Jacobian columns by (side, parameter, band, scale, frequency).
         self.terms_by_param = self.terms.reshape(curves, 2, 1, n, scales.size, 4)[0]
@@ -371,8 +369,8 @@ def loss_and_gradient(vec, target_db, grid: FrequencyGrid) -> tuple[float, np.nd
     # so the transient warnings are noise.
     with np.errstate(all="ignore"):
         loss = float(work.evaluate(vec)[0]) / grid.size
-    _check_finite(vec, loss, work.grad)
-    return loss, work.grad
+    _check_finite(vec, loss, work.grad[0])
+    return loss, work.grad[0]
 
 
 def _adam_update(m, v, t: int, learning_rate: float, vec, grad, scratch) -> None:
@@ -439,7 +437,7 @@ class _Polish:
     def __init__(self, work: _Workspace, warm: np.ndarray, m_ref: float, fs: float):
         top = np.geomspace(fs / 4.0, fs / 2.0, HINGE_TOP_OCTAVE_POINTS)
         check_freqs = np.concatenate((HINGE_LOW_HZ, top))
-        cap = 0.5 * np.repeat(work.target_db[[0, -1]], (HINGE_LOW_HZ.size, top.size))
+        cap = 0.5 * np.repeat(work.target_db[0, [0, -1]], (HINGE_LOW_HZ.size, top.size))
         lo_s, hi_s = DEFAULT_DELAY_RANGE_S
         self.scales = np.geomspace(lo_s * fs / m_ref, hi_s * fs / m_ref, HINGE_SCALES)
         self.caps = self.scales[:, None] * cap  # (scale, check frequency)
@@ -457,9 +455,9 @@ class _Polish:
     def respond(self, vec: np.ndarray) -> np.ndarray:
         """Every row at vec, evaluated afresh."""
         rows = np.empty(self.n_rows)
-        rows[: self.grid_end] = self.work.respond(vec)
+        rows[: self.grid_end] = self.work.respond(vec)[0]
         rows[self.grid_end : self.prior_end] = self.prior * (vec - self.warm)
-        excess = self.hinge.respond(vec)
+        excess = self.hinge.respond(vec)[0]
         np.greater(excess, 0.0, out=self.active)
         hinge = rows[self.prior_end :]
         np.multiply(excess, HINGE_WEIGHT, out=hinge)
@@ -588,11 +586,12 @@ def fit(
     if given, is called every 500 Adam steps with (step, current loss), and
     once at the end with (trace length, final MSE).
 
-    A fit is fit_batch's batch of one curve: the same kernel and Adam loop,
-    so a curve fitted in any batch gets these same bits.
+    A fit is fit_batch's batch of one curve, with progress relayed: the
+    same kernel and Adam loop, so a curve fitted in any batch gets these
+    same bits.
     """
     relay = None if progress is None else lambda step, losses: progress(step, losses[0])
-    (outcome,) = _fit_together([(target, m_ref)], fs, cfg, relay)
+    (outcome,) = fit_batch([(target, m_ref)], fs, cfg, relay)
     if isinstance(outcome, PeqFdnError):
         raise outcome
     if progress is not None:
@@ -602,34 +601,24 @@ def fit(
 
 
 def fit_batch(
-    curves: list[tuple[T60Curve, float]], fs: float, cfg: FitConfig
+    curves: list[tuple[T60Curve, float]], fs: float, cfg: FitConfig, progress=None
 ) -> list[tuple[FittedPeq, FitReport] | PeqFdnError]:
     """Fit each (T60 curve, m_ref) pair as fit does, several at a time.
 
     Returns, in order, each curve's (fitted, report), or the PeqFdnError
     that fit raises for it alone; a curve that fails leaves the others as
-    they are.  Curves run in batches of as many as keep the kernel's
-    (curves, 2N, P) arrays within BATCH_FLOATS values, and at least one;
-    the curves of a batch take their Adam steps together, one set of numpy
-    calls a step, and each is then polished on its own.  Every curve's
-    trace, best iteration, parameters and error are bit for bit what fit
-    gives it alone, whatever the batch size or its place in the batch.  A
-    report's wall time is its own polish plus an even share of its batch's
-    set-up and Adam steps.
+    they are.  The curves whose targets can be made run in batches of as
+    many as keep the kernel's (curves, 2N, P) arrays within BATCH_FLOATS
+    values, and at least one; the curves of a batch take their Adam steps
+    together, one set of numpy calls a step, and each is then polished on
+    its own.  Every curve's trace, best iteration, parameters and error are
+    bit for bit what fit gives it alone, whatever the batch size or its
+    place in the batch.  A report's wall time is its own polish plus an
+    even share of its batch's set-up and Adam steps.  progress, if given,
+    gets (step, losses) of the Adam steps that fit reports.
     """
     cfg = cfg.with_default_grid(fs)
-    per_batch = max(1, BATCH_FLOATS // (2 * cfg.n_bands * cfg.grid.size))
-    outcomes = []
-    for first in range(0, len(curves), per_batch):
-        outcomes += _fit_together(curves[first : first + per_batch], fs, cfg)
-    return outcomes
-
-
-def _fit_together(curves, fs: float, cfg: FitConfig, progress=None) -> list:
-    """fit_batch for one batch; progress, if given, gets (step, losses) of
-    the Adam steps that fit reports."""
-    started = time.perf_counter()
-    grid = cfg.with_default_grid(fs).grid
+    grid = cfg.grid
     outcomes: list = [None] * len(curves)
     targets = {}
     for index, (target, m_ref) in enumerate(curves):
@@ -638,44 +627,47 @@ def _fit_together(curves, fs: float, cfg: FitConfig, progress=None) -> list:
         except PeqFdnError as exc:
             outcomes[index] = exc
     steps, evaluations = _budget(cfg.iterations)
-    starts = []
-    if targets:
+    per_batch = max(1, BATCH_FLOATS // (2 * cfg.n_bands * grid.size))
+    indices = list(targets)
+    for first in range(0, len(indices), per_batch):
+        batch = indices[first : first + per_batch]
+        started = time.perf_counter()
         # The same warnings-as-noise rule as loss_and_gradient.
         with np.errstate(all="ignore"):
             starts = _warm_start(
-                np.array(list(targets.values())), grid, cfg.n_bands, steps, cfg.learning_rate,
-                progress,
+                np.array([targets[index] for index in batch]), grid, cfg.n_bands, steps,
+                cfg.learning_rate, progress,
             )
-    shared_s = (time.perf_counter() - started) / len(curves)
-    for (index, target_db), start in zip(targets.items(), starts):
-        if isinstance(start, FitDivergenceError):
-            outcomes[index] = start
-            continue
-        began = time.perf_counter()
-        trace, best_vec, best_iteration = start
-        m_ref = curves[index][1]
-        if evaluations:
-            # A start whose rows are not finite is not polished; the fit
-            # then returns its warm start.
-            work = _Workspace(cfg.n_bands, grid.freqs, target_db)
-            with np.errstate(all="ignore"):
-                polished = _Polish(work, best_vec, m_ref, fs).run(evaluations)
-            if polished is not None:
-                losses, best_vec, best_index = polished
-                trace = np.concatenate((trace, losses))
-                best_iteration = steps + best_index
-        try:
-            bands = _sorted_bands(_vector_to_bands(best_vec))
-            fitted = FittedPeq(params=PeqParams(bands), m_ref=m_ref, fs=fs)
-        except PeqFdnError as exc:
-            outcomes[index] = exc
-            continue
-        report = FitReport(
-            best_iteration=best_iteration,
-            loss_trace=trace,
-            wall_time_s=shared_s + time.perf_counter() - began,
-        )
-        outcomes[index] = (fitted, report)
+        shared_s = (time.perf_counter() - started) / len(batch)
+        for index, start in zip(batch, starts):
+            if isinstance(start, FitDivergenceError):
+                outcomes[index] = start
+                continue
+            began = time.perf_counter()
+            trace, best_vec, best_iteration = start
+            m_ref = curves[index][1]
+            if evaluations:
+                # A start whose rows are not finite is not polished; the fit
+                # then returns its warm start.
+                work = _Workspace(cfg.n_bands, grid.freqs, targets[index])
+                with np.errstate(all="ignore"):
+                    polished = _Polish(work, best_vec, m_ref, fs).run(evaluations)
+                if polished is not None:
+                    losses, best_vec, best_index = polished
+                    trace = np.concatenate((trace, losses))
+                    best_iteration = steps + best_index
+            try:
+                bands = _sorted_bands(_vector_to_bands(best_vec))
+                fitted = FittedPeq(params=PeqParams(bands), m_ref=m_ref, fs=fs)
+            except PeqFdnError as exc:
+                outcomes[index] = exc
+                continue
+            report = FitReport(
+                best_iteration=best_iteration,
+                loss_trace=trace,
+                wall_time_s=shared_s + time.perf_counter() - began,
+            )
+            outcomes[index] = (fitted, report)
     return outcomes
 
 
@@ -686,44 +678,34 @@ def _warm_start(
 
     Returns, per target, (trace, best parameters, best iteration), or the
     FitDivergenceError of the first step at which its loss, a parameter or
-    a gradient entry is not finite.  A diverged curve leaves the batch, and
-    the others take that step again without it, to the same bits.
+    a gradient entry is not finite.  A curve that diverges keeps its row,
+    held at the zero vector, a finite point, for the steps left; each row's
+    numbers are its own, so the others take their steps to the same bits.
+    The steps stop when every curve has diverged.
     """
-    rows = list(range(len(targets)))  # the target of each batch row
     results: list = [None] * len(targets)
+    held = []  # the rows of the curves that diverged
     vecs = np.array([_initial_vector(n_bands, grid, target_db) for target_db in targets])
     adam_m, adam_v, best = np.zeros_like(vecs), np.zeros_like(vecs), vecs.copy()
     scratch = np.empty((2,) + vecs.shape)
     # Each step's sums of squared residuals, divided into losses at the end.
-    trace = np.empty((steps, len(rows)))
-    best_losses = [math.inf] * len(rows)
-    best_iterations = [0] * len(rows)
+    trace = np.empty((steps, len(targets)))
+    best_losses = [math.inf] * len(targets)
+    best_iterations = [0] * len(targets)
     work = _Workspace(n_bands, grid.freqs, targets)
-    grads = work.grad.reshape(vecs.shape)
     size = grid.size
     for iteration in range(steps):
         squares = work.evaluate(vecs).tolist()
         # One sum is non-finite whenever a loss, a parameter or a gradient
         # entry is; only then is the culprit looked for (the products of
         # finite values can also overflow).
-        if not math.isfinite(sum(squares) + np.vdot(vecs, grads)):
-            failed = _diverged(iteration, vecs, [square / size for square in squares], grads)
-            if failed:
-                for row, error in failed.items():
-                    results[rows[row]] = error
-                keep = [row for row in range(len(rows)) if row not in failed]
-                if not keep:
-                    return results
-                rows = [rows[row] for row in keep]
-                vecs, adam_m, adam_v, best = (a[keep] for a in (vecs, adam_m, adam_v, best))
-                scratch = np.empty((2,) + vecs.shape)
-                trace = trace[:, keep]
-                best_losses = [best_losses[row] for row in keep]
-                best_iterations = [best_iterations[row] for row in keep]
-                work = _Workspace(n_bands, grid.freqs, targets[rows])
-                grads = work.grad.reshape(vecs.shape)
-                # The rows left take this step again, to the same bits.
-                squares = work.evaluate(vecs).tolist()
+        if not math.isfinite(sum(squares) + np.vdot(vecs, work.grad)):
+            losses = [square / size for square in squares]
+            for row, error in _diverged(iteration, vecs, losses, work.grad).items():
+                results[row] = error
+                held.append(row)
+            if len(held) == len(targets):
+                return results
         trace[iteration] = squares
         for row, square in enumerate(squares):
             loss = square / size
@@ -733,10 +715,13 @@ def _warm_start(
                 best_iterations[row] = iteration
         if progress is not None and iteration % PROGRESS_EVERY == 0:
             progress(iteration, [square / size for square in squares])
-        _adam_update(adam_m, adam_v, iteration + 1, learning_rate, vecs, grads, scratch)
+        _adam_update(adam_m, adam_v, iteration + 1, learning_rate, vecs, work.grad, scratch)
+        if held:
+            vecs[held] = 0.0
     trace /= size
-    for row, target in enumerate(rows):
-        results[target] = (trace[:, row].copy(), best[row], best_iterations[row])
+    for row, result in enumerate(results):
+        if result is None:
+            results[row] = (trace[:, row].copy(), best[row], best_iterations[row])
     return results
 
 

@@ -655,9 +655,17 @@ def test_fit_file_refusals_exit_1_and_write_nothing(
     assert sorted(tmp_path.rglob("*")) == before
 
 
-def test_render_refuses_a_rate_the_wav_header_cannot_hold(flat_csv, tmp_path, capsys):
-    # A fit at 44100.4 Hz used to render to a WAV whose header said 44100.
+def test_render_refuses_a_rate_the_wav_header_cannot_hold(flat_csv, tmp_path, capsys,
+                                                         monkeypatch):
+    # A fit at 44100.4 Hz used to render to a WAV whose header said 44100,
+    # and then to digitize and render before write_wav refused it.
     fit_path = run_fit(flat_csv, tmp_path, extra=("--fs", "44100.4"))
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the rate is refused before any digitizing or rendering")
+
+    monkeypatch.setattr(cli, "network_to_sos", not_reached)
+    monkeypatch.setattr(cli, "render_ir", not_reached)
     before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
     argv = ["render", "--fit", fit_path, "--lines", "2", "--duration", "0.3"]

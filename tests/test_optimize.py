@@ -470,7 +470,7 @@ def fit_warm_start(curve, n_bands, iterations, m_ref=4800.0, fs=48000.0):
             loss = float(work.evaluate(vec)[0]) / grid.size
             if loss < best_loss:
                 best_loss, best[:] = loss, vec
-            _adam_update(m, v, t, FitConfig.learning_rate, vec, work.grad, scratch)
+            _adam_update(m, v, t, FitConfig.learning_rate, vec, work.grad[0], scratch)
     return target_db, steps, best, evaluations
 
 
@@ -641,19 +641,19 @@ def test_fit_past_the_warm_start_polishes(median_curve):
 
 
 def fit_alone(curve, m_ref, cfg):
-    """fit's (fitted, report) for one curve, or its FitDivergenceError."""
+    """fit's (fitted, report) for one curve, or the error it raises."""
     try:
         return fit(curve, m_ref, 48000.0, cfg)
-    except FitDivergenceError as exc:
+    except (FitDivergenceError, InvalidParameterError) as exc:
         return exc
 
 
 def assert_same_fit(batched, alone):
     """A curve's outcome in a batch is its lone fit's, bit for bit."""
-    if isinstance(alone, FitDivergenceError):
-        assert type(batched) is FitDivergenceError
+    if isinstance(alone, Exception):
+        assert type(batched) is type(alone)
         assert str(batched) == str(alone)
-        assert batched.iteration == alone.iteration
+        assert getattr(batched, "iteration", None) == getattr(alone, "iteration", None)
         return
     (fitted, report), (fitted_alone, report_alone) = batched, alone
     assert report.loss_trace.tobytes() == report_alone.loss_trace.tobytes()
@@ -666,18 +666,25 @@ def assert_same_fit(batched, alone):
 def test_fit_batch_gives_each_curve_its_lone_fit(monkeypatch, n_bands, per_batch):
     # 7 curves split unevenly: on the 512-point grid, 7 in one batch at
     # N = 4, 4 + 3 at N = 8 and 2 + 2 + 2 + 1 at N = 12; 3 + 3 + 1 with a
-    # bound of 3 curves.  The budget runs Adam and then the polish.
+    # bound of 3 curves.  The budget runs Adam and then the polish.  An
+    # eighth curve, between two of them, asks for a target no fit follows
+    # and gets its lone fit's refusal.
     assert [BATCH_FLOATS // (2 * n * 512) for n in (4, 8, 12)] == [8, 4, 2]
     if per_batch is not None:
         monkeypatch.setattr(optimize, "BATCH_FLOATS", per_batch * 2 * n_bands * 512)
     curves = synthetic_smooth_curves(7, seed=13)
+    curves.insert(3, T60Curve(np.array([100.0, 1000.0]), np.array([1e-300, 1.0])))
     cfg = FitConfig(n_bands=n_bands, iterations=400)
     delays = [480.0 + 700.0 * i for i in range(len(curves))]
     batched = fit_batch(list(zip(curves, delays)), 48000.0, cfg)
     assert len(batched) == len(curves)
-    for outcome, curve, m_ref in zip(batched, curves, delays):
+    for index, (outcome, curve, m_ref) in enumerate(zip(batched, curves, delays)):
         assert_same_fit(outcome, fit_alone(curve, m_ref, cfg))
-        assert outcome[1].iterations > warm_start_steps(cfg.iterations)
+        if index == 3:
+            assert "T60 1e-300 s asks for" in str(outcome)
+        else:
+            assert outcome[1].iterations > warm_start_steps(cfg.iterations)
+    assert fit_batch([], 48000.0, cfg) == []
 
 
 def test_a_curve_that_diverges_leaves_the_rest_of_its_batch_as_it_was(monkeypatch):
@@ -718,6 +725,12 @@ def test_fit_diverges_with_absurd_learning_rate(flat_curve):
         for _ in public_steps(flat_curve, cfg):
             taken += 1
     assert err.value.iteration == taken
+    # A batch whose curves all diverge gives each its lone fit's error.
+    curves = [flat_curve, *synthetic_smooth_curves(2, seed=0)]
+    batched = fit_batch([(curve, 4800.0) for curve in curves], 48000.0, cfg)
+    for outcome, curve in zip(batched, curves):
+        assert type(outcome) is FitDivergenceError
+        assert_same_fit(outcome, fit_alone(curve, 4800.0, cfg))
 
 
 def test_fit_progress_callback_cadence(flat_curve):
