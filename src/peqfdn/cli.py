@@ -6,10 +6,11 @@ one sample, a range outside 0 < lo <= hi, a count below one, a path that
 is not a directory, and a fit file that breaks the rules fit keeps.  This
 module refuses only what they cannot see in time: a malformed delay list
 or LO:HI range, a directory without CSV tables, and a render in which no
-band's decay can be measured.  It prefixes the fit file to a refusal;
-the library names the delay line, and refuses a line whose digital
-cascade would not decay (digitize.network_to_sos).  A refused run writes
-no file.
+band's decay can be measured.  It prefixes the file to the refusal of a
+T60 table or fit file; the library names the delay line, and refuses a
+line whose digital cascade would not decay (digitize.network_to_sos).
+export writes each line's report against the bands network_to_sos
+designed it from.  A refused run writes no file.
 
 Exit codes: 0 on success, 1 for bad arguments or unreadable/malformed
 inputs, 2 when the numerics give up (diverging fit, a fit or cascade that
@@ -50,8 +51,8 @@ from .fdn import (
     write_wav,
 )
 from .optimize import FitConfig, fit
-from .peq import FittedPeq, scale_to_delay
-from .targets import FrequencyGrid, load_t60_table
+from .peq import FittedPeq
+from .targets import FrequencyGrid, T60Curve, load_t60_table
 
 __all__ = ["main"]
 
@@ -125,29 +126,23 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _read_text(path: str) -> str:
-    # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8" exports start with.
+def _load(path: str, parse: Callable[[str], object]):
+    """parse of the UTF-8 text at path, a T60 table or a fit file; a refusal names the file."""
     try:
+        # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8" exports start with.
         with open(path, "r", encoding="utf-8-sig") as handle:
-            return handle.read()
+            return parse(handle.read())
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
-
-
-def _load_curve(path: str):
-    name = os.path.splitext(os.path.basename(path))[0]
-    return load_t60_table(_read_text(path), name=name)
-
-
-def _load_fitted(path: str) -> FittedPeq:
-    try:
-        data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON ({exc})") from exc
-    try:
-        return FittedPeq.from_dict(data)
-    except InvalidParameterError as exc:
-        raise InvalidParameterError(f"{path}: {exc}") from None
+        raise ParseError(f"{path}: not valid JSON ({exc})") from None
+    except (ParseError, InvalidParameterError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _load_curve(path: str) -> T60Curve:
+    name = os.path.splitext(os.path.basename(path))[0]
+    return _load(path, lambda text: load_t60_table(text, name=name))
 
 
 def _resolve_m_ref(args) -> int | float:
@@ -191,7 +186,7 @@ def _fit_and_delays(args):
 
     Delays come from --delay-samples, else --lines over --delay-range.
     """
-    fitted = _load_fitted(args.fit)
+    fitted = _load(args.fit, lambda text: FittedPeq.from_dict(json.loads(text)))
     if args.delay_samples is not None:
         return fitted, _parse_delay_list(args.delay_samples)
     lo, hi = _parse_range(args.delay_range)
@@ -262,18 +257,17 @@ def cmd_fit(args) -> int:
 
 def cmd_export(args) -> int:
     fitted, delays = _fit_and_delays(args)
-    cascades = network_to_sos(fitted, delays)
+    lines = network_to_sos(fitted, delays)
 
     report_grid = FrequencyGrid.log_spaced(fitted.fs)
     manifest = {"fs": fitted.fs, "m_ref": fitted.m_ref, "lines": []}
     outputs = []
-    for k, (m_k, cascade) in enumerate(zip(delays, cascades)):
+    for k, (m_k, params, cascade) in enumerate(lines):
         stem = f"line{k:02d}_m{m_k}"
         csv_path = os.path.join(args.out_dir, stem + ".csv")
         json_path = os.path.join(args.out_dir, stem + ".json")
         doc = sos_to_dict(cascade)
         doc["delay_samples"] = m_k
-        params = scale_to_delay(fitted, m_k)
         doc["digitization"] = digitization_report(params, cascade, report_grid.freqs)
         outputs += [(csv_path, sos_to_csv(cascade)), (json_path, _json_dumps(doc))]
         manifest["lines"].append(
@@ -288,7 +282,7 @@ def cmd_export(args) -> int:
     if not args.quiet:
         total = sum(entry["sections"] for entry in manifest["lines"])
         sys.stderr.write(
-            f"exported {len(delays)} lines, {total} biquads -> {args.out_dir}\n"
+            f"exported {len(lines)} lines, {total} biquads -> {args.out_dir}\n"
         )
     return EXIT_OK
 
@@ -306,7 +300,7 @@ def cmd_render(args) -> int:
     # The length and the WAV header's rate are refused before any digitizing.
     render_length(duration, fs, delays)
     wav_rate(fs)
-    cascades = network_to_sos(fitted, delays)
+    lines = network_to_sos(fitted, delays)
 
     n_lines = len(delays)
     input_gains, output_gains = default_gains(n_lines)
@@ -314,7 +308,7 @@ def cmd_render(args) -> int:
         delays=delays,
         fs=fs,
         feedback=householder_matrix(n_lines),
-        cascades=tuple(cascades),
+        cascades=tuple(line.cascade for line in lines),
         input_gains=input_gains,
         output_gains=output_gains,
         duration_s=duration,

@@ -14,7 +14,9 @@ than hidden (see digitization_report).
 
 network_to_sos digitizes every delay line of a network in one pass, from
 the shortest delay up: each line is scaled, designed and checked before
-the next, and the first line that fails is refused.  The lines share each
+the next, and the first line that fails is refused.  Each line comes back
+as a NetworkLine of its delay, the bands it was designed from and its
+cascade, so no caller scales a line again.  The lines share each
 band's fc and Q and differ only in gain, so each longer line runs only
 the second stage of the search, around the first-stage trial nearest the
 same band's best p on the line before (see _design).  The check keeps
@@ -38,6 +40,7 @@ from .targets import check_decays, check_finite, check_fs
 
 __all__ = [
     "SosCascade",
+    "NetworkLine",
     "band_to_biquad",
     "digital_magnitude",
     "peq_to_sos",
@@ -350,16 +353,27 @@ def peq_to_sos(params: PeqParams, fs: float) -> SosCascade:
     return SosCascade(np.concatenate(rows), fs)
 
 
-def network_to_sos(fitted: FittedPeq, delays) -> list[SosCascade]:
-    """Digitize every delay line of a network: one cascade per delay, in the order given.
+class NetworkLine(NamedTuple):
+    """One digitized delay line: its delay in samples, the bands its
+    cascade was designed from, and the cascade."""
+
+    delay: int
+    params: PeqParams
+    cascade: SosCascade
+
+
+def network_to_sos(fitted: FittedPeq, delays) -> list[NetworkLine]:
+    """Digitize every delay line of a network: one NetworkLine per delay, in
+    the order given.
 
     The lines share each band's fc and Q; only the gain scales with the
-    delay (scale_to_delay).  So each band's design set-up is done once, and
-    the lines are visited from the shortest delay up: the shortest gets
+    delay (scale_to_delay), and each line's record holds the bands it was
+    designed from.  So each band's design set-up is done once, and the
+    lines are visited from the shortest delay up: the shortest gets
     band_to_biquad's full search, as peq_to_sos gives it, and each longer
     one searches only around the same band's p on the line before (see
     _design), unless it is more than _WARM_SCORE_FACTOR times as long.
-    Equal delays share one cascade.  Each line's cascade must stay below
+    Equal delays share one record.  Each line's cascade must stay below
     0 dB from DC to Nyquist (check_decays on _ATTENUATION_GRID): the fit
     constrains the response only from 20 Hz up, so a fitted band can still
     reach 0 dB below that.  The shortest line that fails, for whatever
@@ -368,7 +382,7 @@ def network_to_sos(fitted: FittedPeq, delays) -> list[SosCascade]:
     """
     pins = [_pins(band.fc_hz, fitted.fs) for band in fitted.params.bands]
     found = [None] * len(pins)  # each band's (p, worst score) on the line before
-    cascades = {}
+    lines = {}
     m_prev = math.inf
     for m_k in sorted(set(delays)):
         if m_k > _WARM_SCORE_FACTOR * m_prev:
@@ -376,16 +390,17 @@ def network_to_sos(fitted: FittedPeq, delays) -> list[SosCascade]:
             # so after a longer step the score test would refuse the start.
             found = [None] * len(pins)
         try:
+            params = scale_to_delay(fitted, m_k)
             rows = []
-            for i, band in enumerate(scale_to_delay(fitted, m_k).bands):
+            for i, band in enumerate(params.bands):
                 row, found[i] = _design(band, pins[i], found[i])
                 rows.append(row)
-            cascades[m_k] = SosCascade(np.concatenate(rows), fitted.fs)
-            _check_line_decays(cascades[m_k])
+            lines[m_k] = NetworkLine(m_k, params, SosCascade(np.concatenate(rows), fitted.fs))
+            _check_line_decays(lines[m_k].cascade)
         except (InvalidParameterError, NonDecayingResponseError) as exc:
             raise type(exc)(f"delay line of {m_k} samples: {exc}") from None
         m_prev = m_k
-    return [cascades[m_k] for m_k in delays]
+    return [lines[m_k] for m_k in delays]
 
 
 def _check_line_decays(cascade: SosCascade) -> None:

@@ -19,10 +19,11 @@ kernel on a fresh one-curve workspace, so stepping it with the same
 update reproduces a fit bit for bit.  A fit with budget left after its
 Adam warm start (a fifth of the budget, at most 2000 steps) polishes that
 result by damped Levenberg-Marquardt on the same kernel's residuals and
-Jacobian, its gain-scaled hinge rows batched in one more workspace.  The polish solves the
-normal equations of its 3N columns with numpy, so a fit loads no SciPy.
-A central-finite-difference oracle in the test suite is the arbiter of
-gradient correctness.
+Jacobian, its gain-scaled hinge rows batched in one more workspace.  The
+polish solves the normal equations of its 3N columns with numpy, so a fit
+loads no SciPy.  _vector_to_params turns a fit's vector into its PeqParams,
+the one place a fit's bands are built.  A central-finite-difference oracle
+in the test suite is the arbiter of gradient correctness.
 """
 
 import math
@@ -179,16 +180,22 @@ def _band_kinds(n_bands: int) -> list[BandKind]:
     return [BandKind.LOW_SHELF] + [BandKind.BELL] * (n_bands - 2) + [BandKind.HIGH_SHELF]
 
 
-def _vector_to_bands(vec: np.ndarray) -> list[BandParams]:
+def _vector_to_params(vec: np.ndarray) -> PeqParams:
+    """The PEQ of a parameter vector (log fc, gain dB, log Q per band).
+
+    The shelves stay at the ends by position, whatever their corners ended
+    up as; only the bells sort by fc (frequencies cross freely while
+    optimizing).
+    """
     n = vec.size // 3
-    kinds = _band_kinds(n)
-    fc = np.exp(vec[:n])
-    gain = vec[n : 2 * n]
-    q = np.exp(vec[2 * n :])
-    return [
-        BandParams(kind=kinds[i], fc_hz=float(fc[i]), gain_db=float(gain[i]), q=float(q[i]))
-        for i in range(n)
+    bands = [
+        BandParams(kind, float(fc), float(gain), float(q))
+        for kind, fc, gain, q in zip(
+            _band_kinds(n), np.exp(vec[:n]), vec[n : 2 * n], np.exp(vec[2 * n :])
+        )
     ]
+    bells = sorted(bands[1:-1], key=lambda band: band.fc_hz)
+    return PeqParams((bands[0], *bells, bands[-1]))
 
 
 class _Workspace:
@@ -403,17 +410,6 @@ def _initial_vector(n_bands: int, grid: FrequencyGrid, target_db: np.ndarray) ->
     gain = np.interp(np.log10(fc), np.log10(grid.freqs), target_db)
     q = np.full(n_bands, INIT_Q)
     return np.concatenate([np.log(fc), gain, np.log(q)])
-
-
-def _sorted_bands(bands: list[BandParams]) -> tuple[BandParams, ...]:
-    # Shelves anchor the ends whatever their corner frequencies ended up as;
-    # only the bells sort by fc (frequencies cross freely while optimizing).
-    low = [b for b in bands if b.kind is BandKind.LOW_SHELF]
-    high = [b for b in bands if b.kind is BandKind.HIGH_SHELF]
-    bells = sorted(
-        (b for b in bands if b.kind is BandKind.BELL), key=lambda band: band.fc_hz
-    )
-    return tuple(low + bells + high)
 
 
 class _Polish:
@@ -657,8 +653,7 @@ def fit_batch(
                     trace = np.concatenate((trace, losses))
                     best_iteration = steps + best_index
             try:
-                bands = _sorted_bands(_vector_to_bands(best_vec))
-                fitted = FittedPeq(params=PeqParams(bands), m_ref=m_ref, fs=fs)
+                fitted = FittedPeq(params=_vector_to_params(best_vec), m_ref=m_ref, fs=fs)
             except PeqFdnError as exc:
                 outcomes[index] = exc
                 continue

@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.io import wavfile
 
 from peqfdn import (
     FittedPeq,
+    PeqParams,
     SosCascade,
     cli,
     digital_magnitude,
@@ -229,6 +231,31 @@ def test_export_designs_each_section_once(flat_csv, tmp_path, monkeypatch):
         assert doc["digitization"] == digitization_report(params, cascade, freqs)
 
 
+def test_export_reports_on_the_bands_the_digitizer_designed(flat_csv, tmp_path, monkeypatch):
+    # Each line's digitization block compares its cascade with the bands the
+    # digitizer designed it from, whatever rule gave those bands: here every
+    # scaled gain times 1.01, which the export never sees.
+    fit_path = run_fit(flat_csv, tmp_path)
+    scale = digitize.scale_to_delay
+
+    def deeper(fitted, m_k):
+        bands = scale(fitted, m_k).bands
+        return PeqParams(tuple(replace(band, gain_db=1.01 * band.gain_db) for band in bands))
+
+    monkeypatch.setattr(digitize, "scale_to_delay", deeper)
+    out_dir = tmp_path / "sos"
+    argv = ["export", "--fit", fit_path, "--out-dir", str(out_dir), "--lines", "3", "--quiet"]
+    assert cli.main(argv) == 0
+    fitted = FittedPeq.from_dict(json.loads(open(fit_path).read()))
+    freqs = FrequencyGrid.log_spaced(fitted.fs).freqs
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    for (m, sections), entry in zip(read_export(out_dir), manifest["lines"], strict=True):
+        report = json.loads((out_dir / entry["json"]).read_text())["digitization"]
+        cascade = SosCascade(sections, fitted.fs)
+        assert report == digitization_report(deeper(fitted, m), cascade, freqs)
+        assert report != digitization_report(scale(fitted, m), cascade, freqs)
+
+
 def test_export_keeps_the_given_delay_order(tmp_path):
     # Lines are digitized shortest first, each starting its search from the
     # line before, but come back in the order given.
@@ -243,7 +270,9 @@ def test_export_keeps_the_given_delay_order(tmp_path):
     assert [m for m, _ in given] == [1753, 720, 5759, 971]
     fitted = FittedPeq.from_dict(json.loads(open(fit_path).read()))
     want = network_to_sos(fitted, [1753, 720, 5759, 971])
-    assert [sections.tolist() for _, sections in given] == [c.sections.tolist() for c in want]
+    assert [sections.tolist() for _, sections in given] == [
+        line.cascade.sections.tolist() for line in want
+    ]
     assert sorted((m, s.tolist()) for m, s in given) == [
         (m, s.tolist()) for m, s in exports["720,971,1753,5759"]
     ]
@@ -708,6 +737,28 @@ def test_non_utf8_files_exit_1_and_write_nothing(tmp_path, capsys, command):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: not UTF-8 text")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["fit", "campaign"])
+def test_a_malformed_t60_table_is_named(tmp_path, capsys, command):
+    # Among good tables, the one refused is named: its parse error used to
+    # give only the line, "error: line 3: non-numeric row '1000,abc'".
+    tables = tmp_path / "tables"
+    tables.mkdir()
+    (tables / "a.csv").write_text(FLAT_TABLE)
+    bad = tables / "b.csv"
+    bad.write_text("freq_hz,t60_s\n100,1.0\n1000,abc\n")
+    (tables / "c.csv").write_text(FLAT_TABLE)
+    out = tmp_path / "out"
+    argv = {
+        "fit": ["fit", "--t60", str(bad), "--out", str(out / "fit.json")],
+        "campaign": ["campaign", "--t60-dir", str(tables), "--out-dir", str(out)],
+    }[command]
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {bad}: line 3: non-numeric row '1000,abc'\n"
     assert sorted(tmp_path.rglob("*")) == before
 
 

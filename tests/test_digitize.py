@@ -408,9 +408,9 @@ def test_network_shortest_line_is_the_full_search():
     delays = shuffled_delays(64)
     shortest = int(np.argmin(delays))
     assert shortest != 0
-    cascades = network_to_sos(fitted, delays)
+    lines = network_to_sos(fitted, delays)
     want = peq_to_sos(scale_to_delay(fitted, delays[shortest]), FS)
-    assert cascades[shortest].sections.tobytes() == want.sections.tobytes()
+    assert lines[shortest].cascade.sections.tobytes() == want.sections.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -424,19 +424,22 @@ def test_network_shortest_line_is_the_full_search():
     ids=["median-8", "median-64", "shelf_above_nyquist-8", "shelf_basin-64"],
 )
 def test_network_lines_track_the_full_search(bands, delays):
-    # Each line comes back in the caller's order, and its worst deviation
-    # below 0.7 Nyquist is within 0.01 dB of what the full search gives it.
-    # The warm stage runs on the full search's own lattice of p, so its
-    # sections differ from the full search's at most by rounding; centred
-    # on the line before's p instead, they differ by up to 4e-3 here.
+    # Each line comes back in the caller's order with the bands it was
+    # designed from, and its worst deviation below 0.7 Nyquist is within
+    # 0.01 dB of what the full search gives it.  The warm stage runs on the
+    # full search's own lattice of p, so its sections differ from the full
+    # search's at most by rounding; centred on the line before's p instead,
+    # they differ by up to 4e-3 here.
     fitted = fitted_from(bands)
     freqs = np.geomspace(20.0, 0.7 * FS / 2, 400)
-    warm = network_to_sos(fitted, delays)
+    lines = network_to_sos(fitted, delays)
     full = full_search(fitted, delays)
-    assert [c.fs for c in warm] == [FS] * len(delays)
-    for m, got, want in zip(delays, warm, full):
+    assert [line.delay for line in lines] == list(delays)
+    assert [line.cascade.fs for line in lines] == [FS] * len(delays)
+    for line, want in zip(lines, full):
+        got, params = line.cascade, line.params
+        assert params == scale_to_delay(fitted, line.delay)
         assert np.abs(got.sections - want.sections).max() <= 1e-14
-        params = scale_to_delay(fitted, m)
         dev_warm = digitization_report(params, got, freqs)["max_abs_dev_below_db"]
         dev_full = digitization_report(params, want, freqs)["max_abs_dev_below_db"]
         assert dev_warm <= dev_full + 0.01
@@ -460,7 +463,9 @@ def test_network_equal_delays_share_one_cascade(monkeypatch):
     first, again, other = network_to_sos(fitted, [971, 971, 720])
     assert len(designed) == 2 * len(MEDIAN_FIT_BANDS)
     assert first is again
-    assert other.sections.tobytes() == full_search(fitted, [720])[0].sections.tobytes()
+    assert (first.delay, other.delay) == (971, 720)
+    want = full_search(fitted, [720])[0]
+    assert other.cascade.sections.tobytes() == want.sections.tobytes()
 
 
 def test_network_refusals_name_the_line():

@@ -36,8 +36,7 @@ from peqfdn.optimize import (
     fit_batch,
     _initial_vector,
     _Polish,
-    _sorted_bands,
-    _vector_to_bands,
+    _vector_to_params,
     _Workspace,
 )
 from peqfdn.prototypes import COEFF_EXPONENTS, band_magnitude
@@ -184,7 +183,7 @@ def reference_db(vec, freqs, scale=1.0):
     peq_log_magnitude adds up, here also at the hinge's f = 0."""
     return sum(
         20.0 * np.log10(band_magnitude(freqs, replace(band, gain_db=scale * band.gain_db)))
-        for band in _vector_to_bands(vec)
+        for band in _vector_to_params(vec).bands
     )
 
 
@@ -206,7 +205,7 @@ def test_kernel_residual_and_gradient_match_the_band_responses(vec):
     work = _Workspace(vec.size // 3, grid.freqs, target_db)
     with np.errstate(all="ignore"):
         work.evaluate(vec)
-    params = PeqParams(_sorted_bands(_vector_to_bands(vec)))
+    params = _vector_to_params(vec)
     reference = peq_log_magnitude(params, grid.freqs) - target_db
     assert np.abs(work.residual - reference).max() <= KERNEL_DB
 
@@ -384,7 +383,7 @@ def test_fit_shares_the_public_arithmetic(median_curve, n_bands):
     assert report.best_iteration == best
     # fit updates its parameters in place, so an aliased best vector would
     # return the last iterate's bands instead.
-    assert fitted.params.bands == _sorted_bands(_vector_to_bands(vecs[best]))
+    assert fitted.params == _vector_to_params(vecs[best])
     # A budget of 300 warm-starts the polish with the same 60 Adam steps.
     warm_cfg = FitConfig(n_bands=n_bands, iterations=60)
     losses = [loss for loss, _ in public_steps(median_curve, warm_cfg)]
@@ -610,7 +609,7 @@ def test_polish_never_returns_a_higher_cost_than_its_warm_start(
     with np.errstate(all="ignore"):
         _, best, _ = polish.run(evaluations)
     fitted, _ = fit(curve, 4800.0, 48000.0, FitConfig(n_bands=n_bands, iterations=iterations))
-    assert fitted.params.bands == _sorted_bands(_vector_to_bands(best))
+    assert fitted.params == _vector_to_params(best)
     fresh = _Polish(_Workspace(n_bands, freqs, target_db), warm, 4800.0, 48000.0)
     returned, start = (fresh.respond(vec) for vec in (best, warm))
     assert np.isfinite(returned).all()

@@ -1,19 +1,21 @@
-"""The README names only what the package defines."""
+"""The README names only what the package defines, and its example runs."""
 
 import ast
 import importlib
 import inspect
 import re
+import shutil
 from pathlib import Path
 
 import peqfdn
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+EXAMPLES = re.findall(r"```python\n(.*?)```", README, flags=re.S)
 
 
 def test_library_example_uses_real_names():
     missing = []
-    for block in re.findall(r"```python\n(.*?)```", README, flags=re.S):
+    for block in EXAMPLES:
         tree = ast.parse(block)
         imported = {}
         for node in ast.walk(tree):
@@ -56,3 +58,16 @@ def test_module_notes_name_real_functions():
             if not hasattr(module, name):
                 missing.append(f"peqfdn.{module_name}.{name}")
     assert missing == []
+
+
+def test_library_example_runs(tmp_path, monkeypatch, capsys):
+    # The example reads hall.csv from the working directory: the packaged
+    # median table stands in for it.
+    shutil.copy(Path(peqfdn.__file__).parent / "data" / "median_t60.csv", tmp_path / "hall.csv")
+    monkeypatch.chdir(tmp_path)
+    (block,) = EXAMPLES
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in printed[1:]] == [
+        ["1499", "12"], ["2801", "12"], ["4127", "12"]
+    ]
